@@ -80,10 +80,12 @@ from .fractal import (
     DeltaCover,
     delta_cover,
     AtomicMeasure,
+    CantorMeasure,
     natural_measure,
     energy_integral,
     EnergyLadder,
     energy_ladder,
+    energy_ladders,
 )
 from .svgplot import svg_decay_plot
 
@@ -106,7 +108,8 @@ __all__ = [
     "growth_scan", "GrowthReport", "min_gap_trend", "polygonality_probe",
     "IntervalUnion", "CantorSpec", "cantor_build", "DifferenceCover",
     "difference_cover", "box_dim", "DioSpec", "DioSet", "dio_build",
-    "DeltaCover", "delta_cover", "AtomicMeasure", "natural_measure",
-    "energy_integral", "EnergyLadder", "energy_ladder",
+    "DeltaCover", "delta_cover", "AtomicMeasure", "CantorMeasure",
+    "natural_measure", "energy_integral", "EnergyLadder", "energy_ladder",
+    "energy_ladders",
     "svg_decay_plot",
 ]

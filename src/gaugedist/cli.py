@@ -370,6 +370,24 @@ def _run_distset_scan(cfg: ScanConfig, report: Report):
     return [("q", "count", "min_gap")] + rows
 
 
+def _energy_keys(cfg: ScanConfig, sec: str):
+    """energy_gammas and energy_T, checked before any work is done."""
+    gammas = cfg.get_list(sec, "energy_gammas", [])
+    T_list = cfg.get_list(sec, "energy_T", [16.0, 32.0, 64.0])
+    where = f"{cfg.path}: [{sec}]"
+    for g in gammas:
+        if not 0 < g < 2:
+            raise ConfigError(f"{where} energy_gammas: each gamma must lie in (0, 2), "
+                              f"got {_num(g)}")
+    for T in T_list:
+        if T <= 1:
+            raise ConfigError(f"{where} energy_T: every T must exceed 1, got {_num(T)}")
+    if len(set(T_list)) < 3:
+        raise ConfigError(f"{where} energy_T: a trend needs at least 3 distinct "
+                          f"values, got {len(set(T_list))}")
+    return gammas, T_list
+
+
 def _run_fractal_build(cfg: ScanConfig, report: Report):
     sec = "fractal"
     construction = cfg.get(sec, "construction", "cantor")
@@ -377,6 +395,7 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
         raise ConfigError(f"{cfg.path}: [fractal] construction: expected cantor or dio")
     rows = [("a", "b")]
     if construction == "cantor":
+        gammas, T_list = _energy_keys(cfg, sec)
         m = cfg.get_int(sec, "m", 2)
         depth = cfg.get_int(sec, "depth", 8)
         spec = X.CantorSpec(m, depth)
@@ -410,9 +429,9 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
         report.fits["box_dim"] = {"value": dim_val, "dims": dims,
                                   "scales": [str(s) for s in scales]}
         _band_verdict(report, cfg, sec, "box_dim", dim_val)
-        for gamma in cfg.get_list(sec, "energy_gammas", []):
-            mu = X.natural_measure(spec, dims=2)
-            ladder = X.energy_ladder(mu, gamma, cfg.get_list(sec, "energy_T", [16, 32, 64]))
+        ladders = (X.energy_ladders(X.natural_measure(spec, dims=2), gammas, T_list)
+                   if gammas else ())
+        for gamma, ladder in zip(gammas, ladders):
             key = f"energy_gamma_{_num(gamma)}"
             report.fits[key] = {"T": _jsonable(ladder.T_values),
                                 "integrals": _jsonable(ladder.integrals),

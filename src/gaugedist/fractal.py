@@ -10,7 +10,7 @@ only ever claims growth or plateau across a T ladder, never convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -18,10 +18,22 @@ import numpy as np
 
 from .bodies import ConvexBody
 from .distset import PointSet, distance_set
-from .errors import CapabilityError, InsufficientDataError, ValidationError
+from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
 _MAX_CELLS = 10_000_000
 _MAX_ATOMS = 1_000_000
+_MAX_ENERGY_NODES = 2 ** 21  # polar nodes: 32 T^2 at the default density, so T <= 256
+
+
+def _merge(pairs) -> List[list]:
+    """Merge (lo, hi) pairs, sorted by lo, whose spans touch or overlap."""
+    merged: List[list] = []
+    for a, b in pairs:
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return merged
 
 
 @dataclass(frozen=True)
@@ -43,14 +55,7 @@ class IntervalUnion:
                 raise ValidationError("interval endpoints out of order")
             norm.append((a, b))
         norm.sort()
-        merged: List[Tuple[Fraction, Fraction]] = []
-        for a, b in norm:
-            if merged and a <= merged[-1][1]:
-                if b > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], b)
-            else:
-                merged.append((a, b))
-        return cls(tuple(merged))
+        return cls(tuple((a, b) for a, b in _merge(norm)))
 
     @classmethod
     def _from_numerators(cls, lo: np.ndarray, hi: np.ndarray, den: int) -> "IntervalUnion":
@@ -60,18 +65,8 @@ class IntervalUnion:
         the merged result.
         """
         order = np.argsort(lo, kind="stable")
-        lo = lo[order]
-        hi = hi[order]
-        m_lo, m_hi = [], []
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            if m_hi and a <= m_hi[-1]:
-                if b > m_hi[-1]:
-                    m_hi[-1] = b
-            else:
-                m_lo.append(a)
-                m_hi.append(b)
-        return cls(tuple((Fraction(a, den), Fraction(b, den))
-                         for a, b in zip(m_lo, m_hi)))
+        merged = _merge(zip(lo[order].tolist(), hi[order].tolist()))
+        return cls(tuple((Fraction(a, den), Fraction(b, den)) for a, b in merged))
 
     @property
     def total_length(self) -> Fraction:
@@ -199,19 +194,7 @@ def _grid_count_1d(iu: IntervalUnion, eps: Fraction) -> int:
         if hi_frac.denominator == 1 and b > a:
             hi -= 1
         ranges.append((lo, max(hi, lo)))
-    ranges.sort()
-    total = 0
-    cur_lo, cur_hi = None, None
-    for lo, hi in ranges:
-        if cur_hi is not None and lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
-        else:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo + 1
-            cur_lo, cur_hi = lo, hi
-    if cur_hi is not None:
-        total += cur_hi - cur_lo + 1
-    return total
+    return sum(hi - lo + 1 for lo, hi in _merge(sorted(ranges)))
 
 
 def _grid_count_points(pts: np.ndarray, eps: float) -> int:
@@ -302,13 +285,7 @@ class DioSet:
         lo = np.clip(self.centers[:, axis] - self.half_side, 0.0, 1.0)
         hi = np.clip(self.centers[:, axis] + self.half_side, 0.0, 1.0)
         order = np.argsort(lo)
-        merged = []
-        for a, b in zip(lo[order], hi[order]):
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return [(float(a), float(b)) for a, b in merged]
+        return [(float(a), float(b)) for a, b in _merge(zip(lo[order], hi[order]))]
 
 
 def dio_build(spec: DioSpec) -> DioSet:
@@ -357,12 +334,7 @@ def delta_cover(spec: DioSpec, body: ConvexBody, *, mode: str = "float_tol") -> 
     vals = ds.values / spec.q
     lo = np.maximum(vals - half_w, 0.0)
     hi = vals + half_w
-    merged: List[List[float]] = []
-    for a, b in zip(lo, hi):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
+    merged = _merge(zip(lo, hi))
     total = float(sum(b - a for a, b in merged))
     return DeltaCover(tuple((float(a), float(b)) for a, b in merged),
                       ds.count, half_w, total)
@@ -374,17 +346,11 @@ def delta_cover(spec: DioSpec, body: ConvexBody, *, mode: str = "float_tol") -> 
 
 @dataclass
 class AtomicMeasure:
-    """Finitely many atoms with positive weights summing to 1.
-
-    When built from a product construction the per-axis factor measure
-    is kept so the transform factorizes; the exponential sum then runs
-    over m^n atoms per axis instead of m^{dn} atoms.
-    """
+    """Finitely many atoms with positive weights summing to 1."""
 
     points: np.ndarray
     weights: np.ndarray
     exact_weights: Optional[List[Fraction]] = None
-    factor: Optional["AtomicMeasure"] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -415,42 +381,88 @@ class AtomicMeasure:
         hundred MB regardless of atom count.
         """
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        factored = self.factor is not None and self.factor.dim == 1
-        n_atoms = len(self.factor.points) if factored else len(self.points)
-        block = max(1024, int(16_000_000 // max(n_atoms, 1)))
+        block = max(1, 16_000_000 // len(self.points))
         out = np.empty(len(xi), dtype=complex)
         for a in range(0, len(xi), block):
-            sub = xi[a:a + block]
-            if factored:
-                acc = np.ones(len(sub), dtype=complex)
-                atoms = self.factor.points[:, 0]
-                w = self.factor.weights
-                for j in range(sub.shape[1]):
-                    acc *= np.exp(-2j * np.pi * np.outer(sub[:, j], atoms)) @ w
-                out[a:a + block] = acc
-            else:
-                out[a:a + block] = np.exp(-2j * np.pi * (sub @ self.points.T)) @ self.weights
+            out[a:a + block] = np.exp(-2j * np.pi * (xi[a:a + block] @ self.points.T)) @ self.weights
         return out
 
 
-def natural_measure(spec: CantorSpec, dims: int = 1) -> AtomicMeasure:
+class CantorMeasure(AtomicMeasure):
+    """Uniform weights on the depth-n cell centers of a Cantor product.
+
+    Per axis the centers are c + sum_k (2 j_k - m + 1) / base^k, j_k < m,
+    around their mean c: a convolution of n symmetric digit measures, so
+    the transform is the Riesz product e(-c xi) prod_k (1/m) sum_j
+    cos(2 pi (2j - m + 1) xi / base^k), with e(t) = exp(2 pi i t).  That
+    is n m cosines per axis instead of m^(n d) atoms.
+    """
+
+    def __init__(self, spec: CantorSpec, dims: int = 1):
+        n_atoms = spec.cell_count ** dims
+        if n_atoms > _MAX_ATOMS:
+            raise ValidationError(f"atom count {n_atoms} exceeds {_MAX_ATOMS}")
+        self.spec = spec
+        centers = (_digit_numerators(spec) + 0.5) / spec.base ** spec.depth
+        grids = np.meshgrid(*([centers] * dims), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        super().__init__(pts, np.full(n_atoms, 1.0 / n_atoms))
+
+    def mass(self) -> Fraction:
+        return Fraction(1)  # N atoms of weight 1/N
+
+    def ft(self, xi: np.ndarray) -> np.ndarray:
+        """mu-hat(xi): the real per-axis Riesz products times one phase."""
+        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        m, base, n = self.spec.m, self.spec.base, self.spec.depth
+        amp = np.ones(len(xi))
+        for t in xi.T:
+            for k in range(1, n + 1):
+                a = (2.0 * np.pi / base ** k) * t
+                amp *= sum(np.cos((2 * j - m + 1) * a) for j in range(m)) / m
+        center = ((m - 1) * ((base ** n - 1) // (base - 1)) + 0.5) / base ** n
+        return amp * np.exp(-2j * np.pi * center * xi.sum(axis=1))
+
+
+def natural_measure(spec: CantorSpec, dims: int = 1) -> CantorMeasure:
     """Uniform weights on depth-n cell centers (product across dims axes)."""
-    n_atoms = spec.cell_count ** dims
-    if n_atoms > _MAX_ATOMS:
-        raise ValidationError(f"atom count {n_atoms} exceeds {_MAX_ATOMS}")
-    nums = _digit_numerators(spec)
-    den = spec.base ** spec.depth
-    centers_1d = (nums.astype(float) + 0.5) / den
-    w_1d = np.full(len(nums), 1.0 / len(nums))
-    exact_1d = [Fraction(1, len(nums))] * len(nums)
-    base = AtomicMeasure(centers_1d[:, None], w_1d, exact_1d)
-    if dims == 1:
-        return base
-    grids = np.meshgrid(*([centers_1d] * dims), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.full(len(pts), 1.0 / len(pts))
-    exact = [Fraction(1, len(pts))] * len(pts)
-    return AtomicMeasure(pts, w, exact, factor=base)
+    return CantorMeasure(spec, dims)
+
+
+def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[float],
+                   n_r: Optional[int] = None, n_theta: Optional[int] = None):
+    """Energy integrals indexed [gamma][T] (see energy_integral).
+
+    gamma enters only the radial weight, so |mu-hat|^2 is evaluated once
+    per T and reused; all grids are checked against the cap before any is built.
+    """
+    d = mu.dim
+    if d != 2:
+        raise CapabilityError("energy integrals are evaluated in d = 2 only")
+    if not all(0 < g < d for g in gammas):
+        raise ValidationError(f"gamma must lie in (0, {d})")
+    if min(Ts) <= 1:
+        raise ValidationError("T must exceed 1")
+    # diam(support) <= sqrt(2) on the unit square: ~8 radial nodes per unit
+    # resolves the exponential-sum oscillation envelope
+    grids = [(max(128, int(8 * T)) if n_r is None else n_r,
+              max(64, int(4 * T)) if n_theta is None else n_theta) for T in Ts]
+    nodes = max(a * b for a, b in grids)
+    if nodes > _MAX_ENERGY_NODES:
+        raise BudgetError(f"energy grid of {nodes} polar nodes exceeds the cap of "
+                          f"{_MAX_ENERGY_NODES} (T = {max(Ts):g})")
+    vals = [[] for _ in gammas]
+    for T, (nr, nt) in zip(Ts, grids):
+        r = np.linspace(1.0, float(T), nr)
+        theta = (np.arange(nt) + 0.5) * (np.pi / nt)  # half circle, |mu-hat| even
+        xi = np.empty((nr * nt, 2))
+        xi[:, 0] = np.outer(r, np.cos(theta)).ravel()
+        xi[:, 1] = np.outer(r, np.sin(theta)).ravel()
+        power = (np.abs(mu.ft(xi)) ** 2).reshape(nr, nt)
+        ang = power.mean(axis=1) * (2.0 * np.pi)  # full-circle angular integral
+        for row, gamma in zip(vals, gammas):
+            row.append(float(np.trapezoid(r ** (1.0 - gamma) * ang, r)))
+    return vals
 
 
 def energy_integral(mu: AtomicMeasure, gamma: float, T: float, *,
@@ -461,29 +473,7 @@ def energy_integral(mu: AtomicMeasure, gamma: float, T: float, *,
     integrable singularity cannot contaminate trend reads.  Atomic
     measures make this a trend instrument, not a convergence test.
     """
-    d = mu.dim
-    if d != 2:
-        raise CapabilityError("energy integrals are evaluated in d = 2 only")
-    if not 0 < gamma < d:
-        raise ValidationError(f"gamma must lie in (0, {d})")
-    if T <= 1:
-        raise ValidationError("T must exceed 1")
-    # diam(support) <= sqrt(2) on the unit square: ~8 radial nodes per unit
-    # resolves the exponential-sum oscillation envelope
-    if n_r is None:
-        n_r = max(128, int(8 * T))
-    if n_theta is None:
-        n_theta = max(64, int(4 * T))
-    r = np.linspace(1.0, float(T), n_r)
-    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)  # half circle, |mu-hat| even
-    xi = np.empty((n_r * n_theta, 2))
-    xi[:, 0] = np.outer(r, np.cos(theta)).ravel()
-    xi[:, 1] = np.outer(r, np.sin(theta)).ravel()
-    power = np.abs(mu.ft(xi)) ** 2
-    power = power.reshape(n_r, n_theta)
-    ang = power.mean(axis=1) * (2.0 * np.pi)  # full-circle angular integral
-    integrand = r ** (1.0 - gamma) * ang
-    return float(np.trapezoid(integrand, r))
+    return _energy_values(mu, [gamma], [T], n_r, n_theta)[0][0]
 
 
 # Increment-ratio bands for the ladder trend.  Log-periodic modulation
@@ -503,8 +493,9 @@ class EnergyLadder:
     trend: str  # growth | plateau | decay | mixed
 
 
-def energy_ladder(mu: AtomicMeasure, gamma: float, T_list: Sequence[float]) -> EnergyLadder:
-    """Evaluate the energy integral at each T and classify the increments.
+def energy_ladders(mu: AtomicMeasure, gammas: Sequence[float],
+                   T_list: Sequence[float]) -> Tuple[EnergyLadder, ...]:
+    """Energy integrals at each T, one ladder per gamma, with trend labels.
 
     Clearly growing increments mirror a divergent continuum energy
     (gamma below the critical index); flat (plateauing) or shrinking
@@ -513,15 +504,24 @@ def energy_ladder(mu: AtomicMeasure, gamma: float, T_list: Sequence[float]) -> E
     Ts = sorted(float(t) for t in T_list)
     if len(Ts) < 3:
         raise InsufficientDataError("a trend needs at least 3 ladder points")
-    vals = [energy_integral(mu, gamma, T) for T in Ts]
-    incs = [b - a for a, b in zip(vals, vals[1:])]
-    ratios = [b / a for a, b in zip(incs, incs[1:])]
-    if all(r >= _GROWTH_RATIO for r in ratios):
-        trend = "growth"
-    elif all(r <= _DECAY_RATIO for r in ratios):
-        trend = "decay"
-    elif all(_DECAY_RATIO < r < _GROWTH_RATIO for r in ratios):
-        trend = "plateau"
-    else:
-        trend = "mixed"
-    return EnergyLadder(tuple(Ts), tuple(vals), tuple(incs), trend)
+    if len(set(Ts)) < len(Ts):
+        raise ValidationError("ladder T values must be distinct")
+    ladders = []
+    for vals in _energy_values(mu, gammas, Ts):
+        incs = [b - a for a, b in zip(vals, vals[1:])]
+        ratios = [b / a for a, b in zip(incs, incs[1:])]
+        if all(r >= _GROWTH_RATIO for r in ratios):
+            trend = "growth"
+        elif all(r <= _DECAY_RATIO for r in ratios):
+            trend = "decay"
+        elif all(_DECAY_RATIO < r < _GROWTH_RATIO for r in ratios):
+            trend = "plateau"
+        else:
+            trend = "mixed"
+        ladders.append(EnergyLadder(tuple(Ts), tuple(vals), tuple(incs), trend))
+    return tuple(ladders)
+
+
+def energy_ladder(mu: AtomicMeasure, gamma: float, T_list: Sequence[float]) -> EnergyLadder:
+    """energy_ladders for a single gamma."""
+    return energy_ladders(mu, [gamma], T_list)[0]

@@ -2,6 +2,7 @@
 
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +219,65 @@ def test_missing_config_exits_1(tmp_path, capsys):
     rc = main(["lemma", "check", "--config", str(tmp_path / "no.ini")])
     assert rc == 1
     assert "not found" in capsys.readouterr().err
+
+
+_FRACTAL_INI = """
+    [run]
+    experiment = fractal
+    [fractal]
+    m = 2
+    depth = 3
+    energy_gammas = 0.8 1.2
+    energy_T = 4 8 16
+"""
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("energy_gammas", "0.8 2", "each gamma must lie in (0, 2), got 2"),
+    ("energy_gammas", "0", "each gamma must lie in (0, 2), got 0"),
+    ("energy_gammas", "-0.5 1", "each gamma must lie in (0, 2), got -0.5"),
+    ("energy_T", "1 8 16", "every T must exceed 1, got 1"),
+    ("energy_T", "8 16", "a trend needs at least 3 distinct values, got 2"),
+    ("energy_T", "8 16 8", "a trend needs at least 3 distinct values, got 2"),
+])
+def test_fractal_energy_keys_checked_at_parse_time(tmp_path, capsys, key, value, message):
+    text = _FRACTAL_INI.replace(f"{key} = ", f"{key} = {value} ;")
+    path = _cfg(tmp_path, text)
+    rc = main(["fractal", "build", "--config", path, "--out", str(tmp_path / "a")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{path}: [fractal] {key}: {message}" in err
+    assert not (tmp_path / "a" / "fractal_build.json").exists()
+
+
+def test_fractal_energy_grid_over_budget_exits_1(tmp_path, capsys):
+    path = _cfg(tmp_path, _FRACTAL_INI.replace("energy_T = 4 8 16", "energy_T = 16 32 5000"))
+    rc = main(["fractal", "build", "--config", path, "--out", str(tmp_path / "a")])
+    assert rc == 1
+    assert "exceeds the cap of 2097152" in capsys.readouterr().err
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_BUNDLED = [
+    (["body", "inspect"], "body_square"),
+    (["decay", "scan"], "decay_disk_l2"),
+    (["distset", "scan"], "distset_linf"),
+    (["fractal", "build"], "fractal_cantor"),
+    (["convert", "demo"], "convert_euclid"),
+    (["lemma", "check"], "lemma_disk"),
+]
+
+
+@pytest.mark.parametrize("cmd, stem", _BUNDLED)
+def test_bundled_config_reproduces_committed_outputs(tmp_path, cmd, stem):
+    out = tmp_path / stem
+    rc = main(cmd + ["--config", str(_ROOT / "configs" / f"{stem}.ini"), "--out", str(out)])
+    assert rc == 0
+    want = _ROOT / "out" / stem
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_seed_override_changes_perturbed_scan(tmp_path):

@@ -1,5 +1,6 @@
 """Transform oracles, quadrature convergence, and decay-fit behavior."""
 
+import functools
 import math
 
 import numpy as np
@@ -33,10 +34,14 @@ from gaugedist.bodies import boundary_quadrature
 from gaugedist.fourier import Frequency, _quad_eval, _smooth_ft
 
 
+# leggauss(4000) costs seconds and the oracle needs the same rule each call
+_leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
 def _edge_quadrature_ft(poly, xi, kind, nodes_per_edge=4000):
     """Brute-force per-edge Gauss-Legendre oracle, independent of the
     package's sinc closed form."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_edge)
+    gl_x, gl_w = _leggauss(nodes_per_edge)
     V = poly.vertices
     W = np.roll(V, -1, axis=0)
     N = poly._face_n

@@ -1,6 +1,7 @@
 """Cantor iterates, difference covers, box counting, energy ladders."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from gaugedist import (
     AtomicMeasure,
+    BudgetError,
+    CantorMeasure,
     CantorSpec,
     CapabilityError,
     DioSpec,
@@ -26,6 +29,7 @@ from gaugedist import (
     distance_set,
     energy_integral,
     energy_ladder,
+    energy_ladders,
     natural_measure,
 )
 
@@ -301,7 +305,9 @@ def test_natural_measure_counts():
     prod = natural_measure(CantorSpec(m=2, depth=2), dims=2)
     assert len(prod.points) == 16
     assert prod.mass() == Fraction(1)
-    assert prod.factor is not None
+    # the product keeps its Cantor structure, so ft takes the Riesz product
+    assert isinstance(prod, CantorMeasure)
+    assert prod.spec == CantorSpec(m=2, depth=2)
 
 
 def test_natural_measure_atom_budget():
@@ -346,6 +352,39 @@ def test_ft_factored_matches_direct(rng):
     assert np.allclose(mu.ft(xi), direct, atol=1e-10)
 
 
+def test_natural_measure_atoms_are_cell_midpoints():
+    for m, n in [(2, 3), (3, 2)]:
+        spec = CantorSpec(m=m, depth=n)
+        mids = [float((a + b) / 2) for a, b in cantor_build(spec).intervals]
+        mu = natural_measure(spec)
+        assert np.array_equal(mu.points[:, 0], mids)
+        prod = natural_measure(spec, dims=2)
+        assert sorted(map(tuple, prod.points)) == [(x, y) for x in mids for y in mids]
+
+
+@pytest.mark.parametrize("m, depth", [(2, 1), (2, 3), (2, 8), (3, 1), (3, 4)])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_riesz_product_matches_atom_sum(m, depth, dims):
+    mu = natural_measure(CantorSpec(m=m, depth=depth), dims=dims)
+    rng = np.random.default_rng(1000 * m + 10 * depth + dims)
+    # directions uniform, radii up to |xi| = 64, plus the origin
+    xi = rng.normal(size=(64, dims))
+    xi *= (64.0 * rng.uniform(size=(64, 1))) / np.linalg.norm(xi, axis=1, keepdims=True)
+    xi = np.vstack([np.zeros((1, dims)), xi])
+    riesz = mu.ft(xi)
+    oracle = AtomicMeasure(mu.points, mu.weights).ft(xi)
+    assert riesz[0] == 1.0
+    assert np.max(np.abs(riesz - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, depth, gamma", [(2, 5, 0.8), (3, 3, 1.2)])
+def test_energy_integral_riesz_matches_atom_sum(m, depth, gamma):
+    # depth 8 would cost the atom sum 65 536 atoms x 8192 nodes, ~30 s
+    mu = natural_measure(CantorSpec(m=m, depth=depth), dims=2)
+    want = energy_integral(AtomicMeasure(mu.points, mu.weights), gamma, 16.0)
+    assert abs(energy_integral(mu, gamma, 16.0) - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # energy integrals
 
@@ -388,6 +427,44 @@ def test_energy_ladder_needs_three_points():
     mu = AtomicMeasure([[0.25, 0.6]], [1.0])
     with pytest.raises(InsufficientDataError):
         energy_ladder(mu, 1.0, [16.0, 32.0])
+    with pytest.raises(ValidationError, match="distinct"):
+        energy_ladder(mu, 1.0, [16.0, 32.0, 16.0])
+
+
+def test_energy_grid_budget_raises_before_allocating():
+    mu = natural_measure(CantorSpec(m=2, depth=8), dims=2)
+    tracemalloc.start()
+    try:
+        # T = 5000 asks for 32 T^2 = 8e8 polar nodes, ~12 GiB of frequencies
+        with pytest.raises(BudgetError, match="cap of 2097152"):
+            energy_ladder(mu, 0.8, [16.0, 32.0, 5000.0])
+        with pytest.raises(BudgetError, match="cap of 2097152"):
+            energy_integral(mu, 1.0, 16.0, n_r=2048, n_theta=2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # T = 256 is the largest default ladder point the cap admits
+    with pytest.raises(BudgetError):
+        energy_integral(mu, 1.0, 257.0)
+
+
+class _CountingMeasure(AtomicMeasure):
+    def ft(self, xi):
+        self.grids.append(len(xi))
+        return super().ft(xi)
+
+
+def test_energy_ladders_share_one_grid_per_T():
+    mu = _CountingMeasure([[0.25, 0.6], [0.5, 0.1]], [0.5, 0.5])
+    mu.grids = []
+    Ts = [16.0, 32.0, 64.0]
+    both = energy_ladders(mu, [0.8, 1.2], Ts)
+    assert mu.grids == [8192, 32768, 131072]
+    for gamma, lad in zip((0.8, 1.2), both):
+        single = energy_ladder(mu, gamma, Ts)
+        assert lad == single
+        assert lad.integrals == tuple(energy_integral(mu, gamma, T) for T in Ts)
 
 
 def test_energy_ladder_cantor_trends():
