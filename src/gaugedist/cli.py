@@ -34,6 +34,11 @@ from .svgplot import svg_decay_plot
 _REQUIRED = object()
 
 
+def _number(text: str) -> float:
+    """A decimal or a fraction such as 1/3, correctly rounded."""
+    return float(Fraction(text))
+
+
 class ScanConfig:
     """Typed view over a parsed INI config with field-naming diagnostics."""
 
@@ -43,7 +48,10 @@ class ScanConfig:
         self._p = parser
         self.path = path
         self.seed = seed if seed is not None else self.get_int("run", "seed", 0)
-        self.threads = threads if threads is not None else self.get_int("run", "threads", 1)
+        if threads is not None and threads < 1:
+            raise ConfigError(f"--threads: must be >= 1, got {threads}")
+        self.threads = (threads if threads is not None
+                        else self.get_int("run", "threads", 1, minimum=1))
         self.out_dir = Path(out_dir if out_dir is not None
                             else self.get("run", "out_dir", "."))
         self.timestamp = self.get_bool("run", "timestamp", False)
@@ -82,17 +90,20 @@ class ScanConfig:
             raise ConfigError(
                 f"{self.path}: [{section}] {key}: expected {what}, got {raw!r}") from None
 
-    def get_int(self, section, key, default=_REQUIRED) -> int:
+    def get_int(self, section, key, default=_REQUIRED, minimum=None) -> int:
         raw = self.get(section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        return self._cast(section, key, raw, int, "an integer")
+        val = raw if not isinstance(raw, str) else self._cast(
+            section, key, raw, int, "an integer")
+        if minimum is not None and val < minimum:
+            raise ConfigError(
+                f"{self.path}: [{section}] {key}: must be >= {minimum}, got {val}")
+        return val
 
     def get_float(self, section, key, default=_REQUIRED) -> float:
         raw = self.get(section, key, default)
         if not isinstance(raw, str):
             return raw
-        return self._cast(section, key, raw, lambda s: float(Fraction(s)), "a number")
+        return self._cast(section, key, raw, _number, "a number")
 
     def get_bool(self, section, key, default=_REQUIRED) -> bool:
         raw = self.get(section, key, default)
@@ -112,7 +123,8 @@ class ScanConfig:
         items = [t for t in raw.replace(",", " ").split() if t]
         if not items:
             raise ConfigError(f"{self.path}: [{section}] {key}: list is empty")
-        return [self._cast(section, key, t, cast, cast.__name__) for t in items]
+        caster, what = (_number, "a number") if cast is float else (cast, cast.__name__)
+        return [self._cast(section, key, t, caster, what) for t in items]
 
     def echo(self) -> dict:
         return {s: dict(self._p.items(s)) for s in self._p.sections()}
@@ -229,7 +241,7 @@ def _r_grid(cfg: ScanConfig, section: str) -> np.ndarray:
 def _run_body_inspect(cfg: ScanConfig, report: Report):
     rng = np.random.default_rng(cfg.seed)
     body = _body_from(cfg, rng)
-    n_theta = cfg.get_int("inspect", "n_theta", 16) if cfg.has_section("inspect") else 16
+    n_theta = cfg.get_int("inspect", "n_theta", 16, minimum=1)
     thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     sup = np.asarray(body.support(omegas), dtype=float)
@@ -264,6 +276,7 @@ def _run_decay_scan(cfg: ScanConfig, report: Report):
         raise ConfigError(f"{cfg.path}: [decay] average: expected l1, l2 or pointwise")
     grid = _r_grid(cfg, sec)
     theta = cfg.get_float(sec, "theta", 0.0)
+    wpo = cfg.get_int(sec, "windows_per_octave", 2, minimum=1)
     if average == "pointwise":
         xi = np.stack([grid * math.cos(theta), grid * math.sin(theta)], axis=1)
         cplx = F.surface_ft(body, xi) if kind == "surface" else F.body_ft(body, xi)
@@ -278,7 +291,6 @@ def _run_decay_scan(cfg: ScanConfig, report: Report):
         rows = list(zip(grid.tolist(), vals.tolist()))
 
     aggregation = cfg.get(sec, "aggregation", "envelope" if average == "pointwise" else "rms")
-    wpo = cfg.get_int(sec, "windows_per_octave", 2)
     if aggregation == "none":
         R_fit, v_fit = grid, vals
     elif aggregation == "envelope":
@@ -397,7 +409,7 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
     if construction == "cantor":
         gammas, T_list = _energy_keys(cfg, sec)
         m = cfg.get_int(sec, "m", 2)
-        depth = cfg.get_int(sec, "depth", 8)
+        depth = cfg.get_int(sec, "depth", 8, minimum=1)
         spec = X.CantorSpec(m, depth)
         iterate = X.cantor_build(spec)
         rows += [(str(a), str(b)) for a, b in iterate.intervals]
@@ -500,6 +512,8 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
     if which not in ("chord", "annulus", "both"):
         raise ConfigError(f"{cfg.path}: [lemma] which: expected chord, annulus or both")
     rows = [("check", "t_or_R", "xi", "delta", "theta", "value", "bound", "ratio")]
+    n_theta = cfg.get_int(sec, "n_theta", 64, minimum=1)
+    annulus_theta = cfg.get_int(sec, "annulus_theta", 16, minimum=1)
 
     if which in ("chord", "both"):
         t_min = cfg.get_float(sec, "t_min", 4.0)
@@ -507,7 +521,6 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
         spo = cfg.get_int(sec, "t_per_octave", 4)
         n = int(round(spo * math.log2(t_max / t_min))) + 1
         t_grid = np.geomspace(t_min, t_max, n)
-        n_theta = cfg.get_int(sec, "n_theta", 64)
         rep = F.chord_bound_report(body, t_grid, n_theta=n_theta)
         for i, t in enumerate(rep.t_values):
             row = rep.ratios[i]
@@ -528,8 +541,7 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
         R_list = cfg.get_list(sec, "r_list", [1.0, 2.0, 4.0, 8.0])
         xi_list = cfg.get_list(sec, "xi_list", [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
         d_list = cfg.get_list(sec, "delta_list", [1e-3, 1e-2, 1e-1])
-        n_theta = cfg.get_int(sec, "annulus_theta", 16)
-        rep = F.annulus_bound_report(body, R_list, xi_list, d_list, n_theta=n_theta)
+        rep = F.annulus_bound_report(body, R_list, xi_list, d_list, n_theta=annulus_theta)
         for r in rep.rows:
             rows.append(("annulus", r[0], r[1], r[2], r[3], r[4], r[5], r[6]))
         report.fits["annulus_bound"] = {
@@ -547,7 +559,7 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
         refine = cfg.get_bool(sec, "refine", False)
         if refine:
             rep2 = F.annulus_bound_report(body, R_list, xi_list, d_list,
-                                          n_theta=2 * n_theta)
+                                          n_theta=2 * annulus_theta)
             ratio = rep2.c_hat / rep.c_hat if rep.c_hat > 0 else math.inf
             report.fits["annulus_refinement"] = {"c_hat_refined": rep2.c_hat,
                                                  "ratio": ratio}

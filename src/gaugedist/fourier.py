@@ -16,8 +16,10 @@ divergence identity
 
     body_ft(xi) = -1/(2 pi i |xi|^2) * surface-integral of (xi . n) e(-x.xi),
 
-which avoids any area mesh.  Closed forms additionally cover boxes and
-ellipsoids in dimension >= 3.
+which avoids any area mesh.  Every planar body here is origin-symmetric,
+so both transforms are real: the edges or nodes of half the boundary, each
+with one cosine or sine, give the full sum.  Closed forms additionally
+cover boxes and ellipsoids in dimension >= 3.
 
 On top of the transforms the module provides spherical L^1/L^2 averages on
 frequency circles, power-law fits with an optional logarithmic correction,
@@ -53,7 +55,7 @@ _NODES_PER_PANEL = 16
 # full-circle budget, ~5x past the integrand's angular band limit.
 _ANGULAR_PER_UNIT = 16.0
 _MIN_ANGULAR = 128
-# cap on Q*A entries per evaluation block, bounding scratch buffers
+# cap on the (Q/2)*A entries of the one phase buffer per quadrature block
 _BLOCK_ENTRIES = 24_000_000
 
 
@@ -184,30 +186,18 @@ def _transform(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
 
 def _polygon_ft(poly: Polygon2D, rows: np.ndarray, kind: str) -> np.ndarray:
     """Exact per-edge formula: an edge from A to B of length L contributes
-    L * sinc((B-A).xi) * e(-(A+B)/2 . xi) to the arc-length transform."""
+    L * sinc((B-A).xi) * e(-(A+B)/2 . xi) to the arc-length transform.
+
+    Edge k + n/2 is edge k negated, so their terms are conjugate and the
+    first n/2 edges give the real half sum.  Polygon2D accepts antipodes
+    within 1e-9 * scale; the half sum is the transform of the polygon whose
+    second half is the exact negation of its first."""
     V = poly.vertices
-    D = np.roll(V, -1, axis=0) - V
-    L = np.hypot(D[:, 0], D[:, 1])
-    M = V + 0.5 * D
-    N = poly._face_n
-    out = np.empty(rows.shape[0], dtype=complex)
-    block = max(256, int(4e6 / max(len(V), 1)))
-    for lo in range(0, rows.shape[0], block):
-        xi = rows[lo:lo + block]
-        u = D @ xi.T
-        ph = M @ xi.T
-        edge = (L[:, None] * np.sinc(u)) * np.exp(-2j * math.pi * ph)
-        if kind == "surface":
-            out[lo:lo + block] = edge.sum(axis=0)
-        else:
-            flux = ((N @ xi.T) * edge).sum(axis=0)
-            r2 = np.einsum("ij,ij->i", xi, xi)
-            vals = np.empty(xi.shape[0], dtype=complex)
-            zero = r2 < 1e-24
-            vals[~zero] = 1j * flux[~zero] / (2.0 * math.pi * r2[~zero])
-            vals[zero] = poly.volume()
-            out[lo:lo + block] = vals
-    return out
+    h = len(V) // 2
+    D = (np.roll(V, -1, axis=0) - V)[:h]
+    return _half_sum(V[:h] + 0.5 * D, np.hypot(D[:, 0], D[:, 1]),
+                     poly._face_n[:h], rows, kind, poly.volume(),
+                     max(256, int(4e6 / h)), edges=D)
 
 
 def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
@@ -219,36 +209,46 @@ def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
     for p in np.unique(buckets):
         idx = np.nonzero(buckets == p)[0]
         x, w, n = _bodies.boundary_quadrature(body, int(p))
-        out[idx] = _quad_eval(x, w, n, rows[idx], mags[idx], kind,
-                              body.volume())
+        out[idx] = _quad_eval(x, w, n, rows[idx], kind, body.volume())
     return out
 
 
-def _quad_eval(x, w, n, xi, mags, kind, volume) -> np.ndarray:
-    Q = x.shape[0]
-    A = xi.shape[0]
-    out = np.empty(A, dtype=complex)
-    wn1 = w * n[:, 0]
-    wn2 = w * n[:, 1]
-    block = max(16, min(A, int(_BLOCK_ENTRIES / Q)))
-    for lo in range(0, A, block):
-        sub = xi[lo:lo + block]
-        P = np.multiply.outer(x[:, 0], sub[:, 0])
-        P += np.multiply.outer(x[:, 1], sub[:, 1])
-        P *= -2.0 * math.pi
-        C = np.cos(P)
-        np.sin(P, out=P)
-        if kind == "surface":
-            out[lo:lo + block] = (w @ C) + 1j * (w @ P)
-        else:
-            f = (wn1 @ C + 1j * (wn1 @ P)) * sub[:, 0] \
-                + (wn2 @ C + 1j * (wn2 @ P)) * sub[:, 1]
-            r2 = mags[lo:lo + block] ** 2
-            vals = np.empty(sub.shape[0], dtype=complex)
-            zero = r2 < 1e-24
-            vals[~zero] = 1j * f[~zero] / (2.0 * math.pi * r2[~zero])
-            vals[zero] = volume
-            out[lo:lo + block] = vals
+def _quad_eval(x, w, n, xi, kind, volume) -> np.ndarray:
+    """Half sum over the first Q/2 nodes of a full-boundary rule.
+
+    Reached only through _smooth_ft's power-of-two panel counts >= 4, so
+    node k + Q/2 is the antipode of node k, with its weight and the
+    opposite normal."""
+    h = x.shape[0] // 2
+    return _half_sum(x[:h], w[:h], n[:h], xi, kind, volume,
+                     max(16, int(_BLOCK_ENTRIES / h)))
+
+
+def _half_sum(x, w, n, rows, kind, volume, block, edges=None) -> np.ndarray:
+    """Transform of a symmetric boundary from the nodes x, weights w and
+    normals n of its first half, each node's term times sinc(D.xi) when
+    ``edges`` gives its edge vector D.  The surface value is the sum of
+    2 w cos(2 pi x.xi); the body value, by the divergence identity, is the
+    sum of 2 w (n.xi) sin(2 pi x.xi) over 2 pi |xi|^2, the volume at 0.
+    The imaginary parts are exactly 0."""
+    x2pi, w2 = 2.0 * math.pi * x, 2.0 * w
+    wn = w2[:, None] * n
+    trig = np.cos if kind == "surface" else np.sin
+    s = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], block):
+        xi = rows[lo:lo + block]
+        P = x2pi @ xi.T
+        trig(P, out=P)
+        if edges is not None:
+            P *= np.sinc(edges @ xi.T)
+        s[lo:lo + block] = (w2 @ P if kind == "surface"
+                            else ((wn.T @ P) * xi.T).sum(axis=0))
+    out = s.astype(complex)
+    if kind == "body":
+        r2 = np.einsum("ij,ij->i", rows, rows)
+        zero = r2 < 1e-24
+        out[~zero] /= 2.0 * math.pi * r2[~zero]
+        out[zero] = volume
     return out
 
 

@@ -257,6 +257,51 @@ def test_fractal_energy_grid_over_budget_exits_1(tmp_path, capsys):
     assert "exceeds the cap of 2097152" in capsys.readouterr().err
 
 
+def test_list_keys_accept_fractions(tmp_path):
+    fits = []
+    for gammas in ("0.8 1.2", "4/5 6/5"):
+        path = _cfg(tmp_path, _FRACTAL_INI.replace("0.8 1.2", gammas), name=f"{len(fits)}.ini")
+        out = tmp_path / str(len(fits))
+        assert main(["fractal", "build", "--config", path, "--out", str(out)]) == 0
+        fits.append(json.loads((out / "fractal_build.json").read_text())["fits"])
+    assert "energy_gamma_0.8" in fits[1]
+    assert fits[0] == fits[1]
+
+
+_KEY_MINIMUM_CASES = [
+    ("body", "inspect", "[run]\nexperiment = body\n[body]\nkind = square\n", "inspect", "n_theta"),
+    ("body", "inspect", "[run]\nexperiment = body\n[body]\nkind = square\n", "run", "threads"),
+    ("decay", "scan", "[run]\nexperiment = decay\n[body]\nkind = square\n"
+     "[decay]\naverage = pointwise\nr_min = 4\nr_max = 64\n", "decay", "windows_per_octave"),
+    ("fractal", "build", "[run]\nexperiment = fractal\n[fractal]\nm = 2\n", "fractal", "depth"),
+    ("lemma", "check", "[run]\nexperiment = lemma\n[body]\nkind = disk\n", "lemma", "n_theta"),
+    ("lemma", "check", "[run]\nexperiment = lemma\n[body]\nkind = disk\n", "lemma", "annulus_theta"),
+]
+
+
+@pytest.mark.parametrize("group, action, text, section, key", _KEY_MINIMUM_CASES,
+                         ids=[f"{c[3]}.{c[4]}" for c in _KEY_MINIMUM_CASES])
+def test_count_keys_must_be_positive(tmp_path, capsys, group, action, text, section, key):
+    # the section may already exist; configparser rejects a duplicate header
+    if f"[{section}]\n" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 0\n")
+    else:
+        text += f"[{section}]\n{key} = 0\n"
+    path = _cfg(tmp_path, text)
+    rc = main([group, action, "--config", path, "--out", str(tmp_path / "a")])
+    assert rc == 1
+    assert f"{path}: [{section}] {key}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not any((tmp_path / "a").glob("*.json"))
+
+
+def test_threads_flag_must_be_positive(tmp_path, capsys):
+    path = _cfg(tmp_path, "[run]\nexperiment = body\n[body]\nkind = square\n")
+    rc = main(["body", "inspect", "--config", path, "--out", str(tmp_path / "a"),
+               "--threads", "0"])
+    assert rc == 1
+    assert "--threads: must be >= 1, got 0" in capsys.readouterr().err
+
+
 _ROOT = Path(__file__).resolve().parent.parent
 _BUNDLED = [
     (["body", "inspect"], "body_square"),
