@@ -128,8 +128,9 @@ class Polygon2D(ConvexBody):
         # central symmetry: every vertex must have its antipode in the set
         n = V.shape[0]
         half = n // 2
+        tol = 1e-9 * max(scale, 1.0)
         anti = np.roll(V, -half, axis=0)
-        if not np.allclose(anti, -V, atol=1e-9 * max(scale, 1.0)):
+        if not np.allclose(anti, -V, rtol=0.0, atol=tol):
             raise ValidationError("polygon is not symmetric about the origin")
         self.vertices = V
         self.exact_vertices = None
@@ -137,6 +138,10 @@ class Polygon2D(ConvexBody):
             ev = [(Fraction(a), Fraction(b)) for a, b in exact_vertices]
             if len(ev) != n:
                 raise ValidationError("exact_vertices length mismatch")
+            if not np.allclose(np.array(ev, dtype=float), V, rtol=0.0, atol=tol):
+                raise ValidationError("exact_vertices differ from vertices")
+            if any(ev[k + half] != (-x, -y) for k, (x, y) in enumerate(ev[:half])):
+                raise ValidationError("exact_vertices are not exactly symmetric about the origin")
             self.exact_vertices = ev
         # outward normals and offsets; origin must be strictly inside
         nx = E[:, 1]

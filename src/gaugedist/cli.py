@@ -28,7 +28,7 @@ from . import bodies as B
 from . import fourier as F
 from . import distset as D
 from . import fractal as X
-from .errors import ConfigError, GaugedistError
+from .errors import ConfigError, GaugedistError, InsufficientDataError
 from .svgplot import svg_decay_plot
 
 _REQUIRED = object()
@@ -332,13 +332,27 @@ def _distset_family(cfg: ScanConfig, sec: str):
     raise ConfigError(f"{cfg.path}: [{sec}] family: unknown family {family!r}")
 
 
+def _q_list(cfg: ScanConfig, sec: str) -> list:
+    """q_list, sorted and checked before any point set is built."""
+    qs = sorted(cfg.get_list(sec, "q_list", cast=int))
+    where = f"{cfg.path}: [{sec}] q_list"
+    if qs[0] < 1:
+        raise ConfigError(f"{where}: every q must be >= 1, got {qs[0]}")
+    for a, b in zip(qs, qs[1:]):
+        if a == b:
+            raise ConfigError(f"{where}: q = {a} is repeated")
+    try:
+        D.fit_window(qs)
+    except InsufficientDataError as exc:
+        raise ConfigError(f"{where}: {exc}, got {qs[0]}..{qs[-1]}") from None
+    return qs
+
+
 def _run_distset_scan(cfg: ScanConfig, report: Report):
     rng = np.random.default_rng(cfg.seed)
     body = _body_from(cfg, rng)
     sec = "distset"
-    q_list = sorted(cfg.get_list(sec, "q_list", cast=int))
-    if not q_list:
-        raise ConfigError(f"{cfg.path}: [distset] q_list: empty")
+    q_list = _q_list(cfg, sec)
     mode = cfg.get(sec, "mode", "float_tol")
     alpha = cfg.get_float(sec, "alpha", None)
     slack = cfg.get_float(sec, "slack", 0.1)
@@ -347,11 +361,11 @@ def _run_distset_scan(cfg: ScanConfig, report: Report):
     rows = []
     counts = []
     for q in q_list:
-        ds = D.distance_set(family(q), body, mode, threads=cfg.threads)
+        S = family(q)
+        ds = D.distance_set(S, body, mode, threads=cfg.threads)
         rows.append((q, ds.count, ds.min_gap))
         counts.append(ds.count)
-    grow = D.growth_scan(family, body, q_list, alpha=alpha, slack=slack,
-                         mode=mode, threads=cfg.threads)
+    grow = D.growth_fit(q_list, counts, S.dim, alpha=alpha, slack=slack)
     probe = D.polygonality_probe(grow)
     report.tables["scan"] = [
         {"q": int(q), "count": int(c), "min_gap": float(g)} for q, c, g in rows]
@@ -476,7 +490,7 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
     rng = np.random.default_rng(cfg.seed)
     body = _body_from(cfg, rng)
     sec = "convert"
-    q_list = sorted(cfg.get_list(sec, "q_list", cast=int))
+    q_list = _q_list(cfg, sec)
     s = cfg.get_float(sec, "s", 1.0)
     alpha = cfg.get_float(sec, "alpha", 4.0 / 3.0)
     slack = cfg.get_float(sec, "slack", 0.1)
@@ -488,10 +502,8 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
         S = family(q)
         cover = X.delta_cover(X.DioSpec(S, q, s), body, mode=mode)
         rows.append((q, cover.count, cover.total_length, cover.half_width))
-    grow = D.growth_scan(family, body, q_list, alpha=alpha, slack=slack,
-                         mode=mode, threads=cfg.threads)
-    d = family(q_list[0]).dim
-    dim_bound = s * grow.beta / d
+    grow = D.growth_fit(q_list, [r[1] for r in rows], S.dim, alpha=alpha, slack=slack)
+    dim_bound = s * grow.beta / S.dim
     report.tables["ladder"] = [
         {"q": int(q), "count": int(c), "cover_length": float(L),
          "half_width": float(h)} for q, c, L, h in rows]

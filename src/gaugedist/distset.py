@@ -36,6 +36,21 @@ _DEDUP_RTOL = 1e-9
 # fixed independent of thread count so results are bit-stable.
 _CHUNK_ROWS = 1 << 18
 
+# Hard caps on the lattice grid (q+1)^d and on the half difference grid
+# ((2q+1)^d - 1)/2, checked before anything is allocated.  Both admit
+# q <= 2047 in the plane.
+_LATTICE_CAP = 1 << 22
+_DIFFERENCE_CAP = 1 << 23
+
+
+def _unique_rows(pts: np.ndarray) -> np.ndarray:
+    """The distinct rows of pts in lexicographic order, as np.unique(pts, axis=0)."""
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.empty(len(pts), dtype=bool)
+    keep[0] = True
+    np.any(pts[1:] != pts[:-1], axis=1, out=keep[1:])
+    return pts[keep]
+
 
 class PointSet:
     """A finite point set with provenance.
@@ -52,8 +67,7 @@ class PointSet:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValidationError("points must be a nonempty (n, d) array")
-        pts = np.unique(pts, axis=0)
-        self.points = pts
+        self.points = _unique_rows(pts)
         self.provenance = provenance
         self.q = q
         self.angle = angle
@@ -81,6 +95,9 @@ class PointSet:
         """Integer grid Z^d cap [0, q]^d, exactly (q+1)^d points."""
         if q < 1:
             raise ValidationError("lattice needs q >= 1")
+        if (q + 1) ** d > _LATTICE_CAP:
+            raise BudgetError(f"(q+1)^d = {(q + 1) ** d} lattice points exceeds the cap of "
+                              f"{_LATTICE_CAP}")
         axes = [np.arange(q + 1)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         return cls(grid.astype(float), "lattice", q=q, exact=grid.astype(np.int64))
@@ -311,18 +328,32 @@ def _finish(values: np.ndarray, weights: np.ndarray, exact: bool) -> DistanceSet
 
 def _difference_grid(q: int, d: int):
     """Half of the difference grid [-q, q]^d (one of each +-a pair), with
-    per-vector unordered-pair multiplicities prod_i (q + 1 - |a_i|)."""
-    axes = [np.arange(-q, q + 1)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    # keep a where the first nonzero coordinate is positive
-    keep = np.zeros(len(grid), dtype=bool)
-    decided = np.zeros(len(grid), dtype=bool)
-    for j in range(d):
-        col = grid[:, j]
-        keep |= (~decided) & (col > 0)
-        decided |= col != 0
-    grid = grid[keep]
-    weights = np.prod(q + 1 - np.abs(grid), axis=1).astype(np.int64)
+    per-vector unordered-pair multiplicities prod_i (q + 1 - |a_i|).
+
+    The half keeps the vectors whose first nonzero coordinate is
+    positive, in lexicographic order.  It is built as one block per
+    position j of that coordinate: zeros before j, a = 1..q at j, and
+    the full grid [-q, q]^(d-1-j) after it.
+    """
+    n = ((2 * q + 1) ** d - 1) // 2
+    if n > _DIFFERENCE_CAP:
+        raise BudgetError(f"{n} difference vectors exceeds the cap of {_DIFFERENCE_CAP}")
+    span = np.arange(-q, q + 1)
+    pos = np.arange(1, q + 1)
+    tail = np.zeros((1, 0), dtype=np.int64)  # full grid of the trailing coordinates
+    tail_w = np.ones(1, dtype=np.int64)      # and its multiplicities
+    grid = np.zeros((n, d), dtype=np.int64)
+    weights = np.empty(n, dtype=np.int64)
+    start = 0
+    for j in range(d - 1, -1, -1):  # blocks in increasing lexicographic order
+        stop = start + q * len(tail)
+        grid[start:stop, j] = np.repeat(pos, len(tail))
+        grid[start:stop, j + 1:] = np.tile(tail, (q, 1))
+        weights[start:stop] = (q + 1) ** j * np.multiply.outer(q + 1 - pos, tail_w).ravel()
+        start = stop
+        if j:
+            tail = np.column_stack([np.repeat(span, len(tail)), np.tile(tail, (len(span), 1))])
+            tail_w = np.multiply.outer(q + 1 - np.abs(span), tail_w).ravel()
     return grid, weights
 
 
@@ -502,29 +533,35 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     return _finish(values, weights, exact=False)
 
 
-def growth_scan(family: Callable[[int], PointSet], body: ConvexBody,
-                q_list: Sequence[int], *, alpha: Optional[float] = None,
-                slack: float = 0.1, mode: str = "float_tol",
-                threads: int = 1) -> GrowthReport:
-    """Distinct-distance counts across q with a power-law fit.
+def fit_window(q_values) -> np.ndarray:
+    """Mask of the scan points the growth fit uses: the largest three octaves.
 
-    The exponent beta comes from a log-log least-squares fit restricted
-    to the largest three octaves of q (small q carries boundary bias).
-    With alpha supplied, verdict = (beta >= d/alpha - slack).
+    Raises InsufficientDataError unless the sorted q values span at
+    least three dyadic octaves with at least two points in the window.
     """
-    qs = np.array(sorted(set(int(q) for q in q_list)))
+    qs = np.asarray(q_values)
     if len(qs) < 2 or math.log2(qs[-1] / qs[0]) < 3.0 - 1e-9:
-        raise InsufficientDataError("q_list must span at least 3 dyadic octaves")
-    counts = []
-    d = None
-    for q in qs:
-        S = family(int(q))
-        d = S.dim
-        counts.append(distance_set(S, body, mode, threads=threads).count)
-    counts = np.array(counts, dtype=np.int64)
+        raise InsufficientDataError("q values must span at least 3 dyadic octaves")
     window = qs >= qs[-1] / 8 * (1 - 1e-9)
     if window.sum() < 2:
         raise InsufficientDataError("need at least 2 scan points in the largest 3 octaves")
+    return window
+
+
+def growth_fit(q_values: Sequence[int], counts: Sequence[int], d: int, *,
+               alpha: Optional[float] = None, slack: float = 0.1) -> GrowthReport:
+    """Power-law fit of distinct-distance counts already computed per q.
+
+    q_values must be strictly increasing.  The exponent beta comes from
+    a log-log least-squares fit over the largest three octaves of q
+    (small q carries boundary bias).  With alpha supplied,
+    verdict = (beta >= d/alpha - slack).
+    """
+    qs = np.asarray(q_values, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if len(qs) != len(counts) or np.any(np.diff(qs) <= 0):
+        raise ValidationError("need one count per q, with q strictly increasing")
+    window = fit_window(qs)
     lg_q = np.log(qs[window].astype(float))
     lg_c = np.log(counts[window].astype(float))
     A = np.stack([np.ones_like(lg_q), lg_q], axis=1)
@@ -536,6 +573,20 @@ def growth_scan(family: Callable[[int], PointSet], body: ConvexBody,
         verdict = bool(beta >= bound - slack)
     return GrowthReport(qs, counts, beta, float(math.exp(coef[0])), bound, verdict,
                         int(window.sum()))
+
+
+def growth_scan(family: Callable[[int], PointSet], body: ConvexBody,
+                q_list: Sequence[int], *, alpha: Optional[float] = None,
+                slack: float = 0.1, mode: str = "float_tol",
+                threads: int = 1) -> GrowthReport:
+    """Distinct-distance counts of family(q) for each distinct q, fitted by growth_fit."""
+    qs = sorted(set(int(q) for q in q_list))
+    fit_window(qs)  # fail before counting anything
+    counts = []
+    for q in qs:
+        S = family(q)
+        counts.append(distance_set(S, body, mode, threads=threads).count)
+    return growth_fit(qs, counts, S.dim, alpha=alpha, slack=slack)
 
 
 def min_gap_trend(family: Callable[[int], PointSet], body: ConvexBody,
@@ -557,8 +608,7 @@ def polygonality_probe(report: GrowthReport, d: int = 2) -> str:
     """
     if d != 2:
         raise CapabilityError("the polygonality probe is calibrated for d = 2")
-    if math.log2(report.q_values[-1] / report.q_values[0]) < 3.0 - 1e-9:
-        raise InsufficientDataError("probe needs counts over at least 3 octaves")
+    fit_window(report.q_values)
     if report.beta < 1.25:
         return "polygon_like"
     if report.beta > 1.4:

@@ -208,6 +208,22 @@ def test_polygon_requires_symmetry():
         Polygon2D(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]))
 
 
+def test_polygon_exact_vertices_must_match():
+    V = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    # such a list made exact mode count 24 distances on the q = 8 lattice,
+    # float mode 16
+    with pytest.raises(ValidationError, match="differ from vertices"):
+        Polygon2D(V, exact_vertices=[(2, 0), (0, 1), (-1, 0), (0, -1)])
+    # equal to the floats within 1e-9 but not the exact negation of its first half
+    near = [(1 + Fraction(1, 10**12), 0), (0, 1), (-1, 0), (0, -1)]
+    with pytest.raises(ValidationError, match="exactly symmetric"):
+        Polygon2D(V, exact_vertices=near)
+    assert Polygon2D(V, exact_vertices=V).exact_vertices[2] == (-1, 0)
+    # float antipodes agree within 1e-9 * scale, not numpy's default 1e-5 relative
+    with pytest.raises(ValidationError, match="not symmetric"):
+        Polygon2D([(1, 0), (0, 1), (-1 - 1e-7, 0), (0, -1)])
+
+
 def test_body_from_config_all_kinds(rng):
     cases = [
         {"kind": "disk", "radius": "2"},

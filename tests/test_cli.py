@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gaugedist import PlotDataError, decay_fit, svg_decay_plot
+from gaugedist import distset as D
 from gaugedist.cli import ScanConfig, main
 from gaugedist.errors import ConfigError
 
@@ -300,6 +301,32 @@ def test_threads_flag_must_be_positive(tmp_path, capsys):
                "--threads", "0"])
     assert rc == 1
     assert "--threads: must be >= 1, got 0" in capsys.readouterr().err
+
+
+_Q_LIST_CASES = [
+    ("4 4 8 16 32", "q = 4 is repeated"),
+    ("4 8", "q values must span at least 3 dyadic octaves, got 4..8"),
+    ("0 8 16 32", "every q must be >= 1, got 0"),
+    ("1 2 1000", "need at least 2 scan points in the largest 3 octaves, got 1..1000"),
+    ("4 8.5 16 32", "expected int, got '8.5'"),
+]
+
+
+@pytest.mark.parametrize("group, action, section", [("distset", "scan", "distset"),
+                                                    ("convert", "demo", "convert")])
+@pytest.mark.parametrize("value, message", _Q_LIST_CASES)
+def test_q_list_checked_before_any_point_set(tmp_path, capsys, monkeypatch,
+                                             group, action, section, value, message):
+    def no_point_sets(*args, **kwargs):
+        raise AssertionError("a point set was built")
+
+    monkeypatch.setattr(D.PointSet, "__init__", no_point_sets)
+    path = _cfg(tmp_path, f"[run]\nexperiment = {group}\n[body]\nkind = disk\n"
+                          f"[{section}]\nq_list = {value}\n")
+    rc = main([group, action, "--config", path, "--out", str(tmp_path / "a")])
+    assert rc == 1
+    assert f"{path}: [{section}] q_list: {message}" in capsys.readouterr().err
+    assert not any((tmp_path / "a").glob("*.json"))
 
 
 _ROOT = Path(__file__).resolve().parent.parent

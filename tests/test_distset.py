@@ -1,22 +1,25 @@
 """Distance-set counting: exact oracles, fast-path equivalence, scans."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gaugedist import (
     BudgetError,
     CapabilityError,
     InsufficientDataError,
     LpBall,
+    Polygon2D,
     PointSet,
     ValidationError,
     diamond,
     disk,
     distance_set,
+    growth_fit,
     growth_scan,
     min_gap_trend,
     polygonality_probe,
@@ -25,6 +28,7 @@ from gaugedist import (
     square,
     well_distributed_check,
 )
+from gaugedist.distset import _DIFFERENCE_CAP, _LATTICE_CAP, _difference_grid
 
 linf = LpBall(np.inf, (1.0, 1.0))
 l1 = LpBall(1.0, (1.0, 1.0))
@@ -263,3 +267,131 @@ def test_threads_bit_identical(rng):
     a = distance_set(S, hexg, "float_tol", threads=1)
     b = distance_set(S, hexg, "float_tol", threads=4)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the code they replace
+
+
+def test_row_dedupe_matches_np_unique():
+    q = 64
+    ij = np.stack(np.meshgrid(np.arange(q + 1), np.arange(q + 1), indexing="ij"),
+                  axis=-1).reshape(-1, 2).astype(float)
+    c, s = math.cos(0.7), math.sin(0.7)
+    noise = np.random.default_rng(5).uniform(-0.3, 0.3, size=ij.shape)
+    cases = [
+        (PointSet.lattice(q), ij),
+        (PointSet.rotated_lattice(q, 0.7), ij @ np.array([[c, -s], [s, c]]).T),
+        (PointSet.perturbed_lattice(q, 5, 0.3), ij + noise),
+    ]
+    rng = np.random.default_rng(1)
+    for raw in (rng.integers(-3, 4, size=(500, 2)), rng.integers(0, 2, size=(40, 3)),
+                np.repeat(rng.normal(size=(30, 2)), 3, axis=0)[rng.permutation(90)]):
+        cases.append((PointSet.explicit(raw), raw.astype(float)))
+    for S, raw in cases:
+        want = np.unique(raw, axis=0)
+        assert S.points.shape == want.shape
+        assert S.points.tobytes() == want.tobytes()
+
+
+def _full_grid_half(q, d):
+    axes = [np.arange(-q, q + 1)] * d
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    keep = np.zeros(len(grid), dtype=bool)
+    decided = np.zeros(len(grid), dtype=bool)
+    for j in range(d):
+        keep |= ~decided & (grid[:, j] > 0)
+        decided |= grid[:, j] != 0
+    grid = grid[keep]
+    return grid, np.prod(q + 1 - np.abs(grid), axis=1).astype(np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 5])
+def test_half_difference_grid_matches_full_grid_filter(q, d):
+    grid, weights = _difference_grid(q, d)
+    want_grid, want_weights = _full_grid_half(q, d)
+    assert grid.dtype == want_grid.dtype and weights.dtype == want_weights.dtype
+    np.testing.assert_array_equal(grid, want_grid)
+    np.testing.assert_array_equal(weights, want_weights)
+    # every unordered pair of [0, q]^d is counted once
+    n = (q + 1) ** d
+    assert weights.sum() == n * (n - 1) // 2
+
+
+def test_growth_fit_matches_growth_scan(rng):
+    qs = [4, 8, 16, 32]
+    for body, mode, alpha in ((linf, "exact_rational", 2.0), (disk(), "float_tol", None),
+                              (random_symmetric_hexagon(rng), "float_tol", 4.0 / 3.0)):
+        scan = growth_scan(PointSet.lattice, body, [32, 8, 16, 4, 8], alpha=alpha,
+                           mode=mode)
+        counts = [distance_set(PointSet.lattice(q), body, mode).count for q in qs]
+        fit = growth_fit(qs, counts, 2, alpha=alpha)
+        for name in ("beta", "amplitude", "bound", "verdict", "n_fit"):
+            assert getattr(fit, name) == getattr(scan, name), name
+        np.testing.assert_array_equal(fit.q_values, scan.q_values)
+        np.testing.assert_array_equal(fit.counts, scan.counts)
+        assert fit.q_values.dtype == scan.q_values.dtype == np.int64
+
+
+def test_growth_fit_input_checks():
+    with pytest.raises(ValidationError):
+        growth_fit([8, 4, 16, 64], [1, 2, 3, 4], 2)
+    with pytest.raises(ValidationError):
+        growth_fit([4, 8, 16, 32], [1, 2, 3], 2)
+    with pytest.raises(InsufficientDataError):
+        growth_fit([4, 8, 16], [1, 2, 3], 2)
+    with pytest.raises(InsufficientDataError):  # one point in the fit window
+        growth_fit([1, 2, 1000], [1, 2, 3], 2)
+
+
+def test_lattice_grids_capped_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"cap of {_LATTICE_CAP}"):
+            PointSet.lattice(10**6)
+        with pytest.raises(BudgetError, match=f"cap of {_DIFFERENCE_CAP}"):
+            _difference_grid(10**6, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # both caps admit q = 2047 in the plane and nothing larger
+    assert (2047 + 1) ** 2 <= _LATTICE_CAP < (2048 + 1) ** 2
+    assert ((2 * 2047 + 1) ** 2 - 1) // 2 <= _DIFFERENCE_CAP < ((2 * 2048 + 1) ** 2 - 1) // 2
+    with pytest.raises(BudgetError):
+        PointSet.lattice(8, d=8)
+
+
+@st.composite
+def _rational_zonotopes(draw):
+    """A random centrally symmetric convex polygon with rational vertices.
+
+    The Minkowski sum of segments [-g, g] over 2..4 generators of distinct
+    directions; its edges are 2g then -2g in order of angle.
+    """
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    gens = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=4))
+    gens = [(-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y) for x, y in gens]
+    gens = [g for g in gens if g != (0, 0)]
+    assume(len(gens) >= 2)
+    assume(all(a[0] * b[1] != a[1] * b[0] for i, a in enumerate(gens) for b in gens[:i]))
+    gens.sort(key=lambda g: math.atan2(g[1], g[0]))
+    v = (-sum(g[0] for g in gens), -sum(g[1] for g in gens))
+    verts = []
+    for sign in (2, -2):
+        for gx, gy in gens:
+            verts.append(v)
+            v = (v[0] + sign * gx, v[1] + sign * gy)
+    return Polygon2D(np.array(verts, dtype=float), verts)
+
+
+@given(_rational_zonotopes(), st.integers(1, 24))
+@settings(max_examples=40)
+def test_exact_matches_float_on_rational_polygons(body, q):
+    S = PointSet.lattice(q)
+    exact = distance_set(S, body, "exact_rational")
+    fl = distance_set(S, body, "float_tol")
+    assert exact.count == fl.count
+    np.testing.assert_allclose(fl.values, exact.values, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(fl.multiplicities, exact.multiplicities)
