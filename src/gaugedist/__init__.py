@@ -22,12 +22,12 @@ from .bodies import (
     Polygon2D,
     Ellipsoid,
     LpBall,
-    Radial2D,
     disk,
     ellipse,
     square,
     diamond,
     regular_polygon,
+    radial_polygon,
     random_symmetric_hexagon,
     gauge_norm,
     support,
@@ -95,8 +95,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GaugedistError", "ValidationError", "GeometryError", "CapabilityError",
     "BudgetError", "InsufficientDataError", "ConfigError", "PlotDataError",
-    "ConvexBody", "Polygon2D", "Ellipsoid", "LpBall", "Radial2D",
-    "disk", "ellipse", "square", "diamond", "regular_polygon",
+    "ConvexBody", "Polygon2D", "Ellipsoid", "LpBall",
+    "disk", "ellipse", "square", "diamond", "regular_polygon", "radial_polygon",
     "random_symmetric_hexagon", "gauge_norm", "support", "perimeter",
     "chord_length", "chord_length_exact", "curvature_condition",
     "CurvatureReport", "body_from_config",

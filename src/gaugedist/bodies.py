@@ -7,8 +7,9 @@ whose unit ball is K.  Four concrete families are provided:
                  rationals), gauge/support evaluated from face functionals;
 * Ellipsoid   -- axis-aligned ellipsoid in any dimension;
 * LpBall      -- axis-scaled l^p ball, p in [1, inf];
-* Radial2D    -- piecewise-linear star body from radial samples at equally
-                 spaced angles (a convenience wrapper over Polygon2D).
+
+and ``radial_polygon`` builds the Polygon2D whose vertices are radial
+samples at equally spaced angles.
 
 On top of the gauge the module computes support values, chord lengths at a
 prescribed depth below a support line, and a curvature-condition report that
@@ -310,60 +311,6 @@ class LpBall(ConvexBody):
         return Polygon2D(np.array(V), ev)
 
 
-class Radial2D(ConvexBody):
-    """Piecewise-linear symmetric star body from radii r_k at angles 2*pi*k/N.
-
-    N must be even and the resulting vertex polygon convex; both are
-    validated.  All queries delegate to the underlying Polygon2D, so gauges,
-    supports and chords are those of the polygon with these vertices (the
-    radial profile is interpolated linearly between sample angles in the
-    chordal sense).
-    """
-
-    dim = 2
-
-    def __init__(self, radii):
-        r = np.asarray(radii, dtype=float).ravel()
-        n = r.size
-        if n < 4 or n % 2 != 0:
-            raise ValidationError("radial profile needs an even count >= 4")
-        if np.any(r <= 0) or not np.all(np.isfinite(r)):
-            raise ValidationError("radii must be positive finite numbers")
-        if not np.allclose(r, np.roll(r, n // 2), rtol=0, atol=1e-12 * r.max()):
-            raise ValidationError("radii must repeat under the antipodal map "
-                                  "(r[k] == r[k + N/2])")
-        th = 2.0 * math.pi * np.arange(n) / n
-        V = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        try:
-            self._poly = Polygon2D(V)
-        except ValidationError as e:
-            raise ValidationError("radial profile is not convex: %s" % e) from None
-        self.radii = r
-
-    def gauge(self, x) -> np.ndarray:
-        return self._poly.gauge(x)
-
-    def support(self, omega) -> np.ndarray:
-        return self._poly.support(omega)
-
-    def circumradius(self) -> float:
-        return self._poly.circumradius()
-
-    def inradius(self) -> float:
-        return self._poly.inradius()
-
-    def volume(self) -> float:
-        return self._poly.volume()
-
-    def scaled(self, s: float) -> "Radial2D":
-        if s <= 0:
-            raise ValidationError("scale factor must be positive")
-        return Radial2D(self.radii * s)
-
-    def as_polygon(self) -> Polygon2D:
-        return self._poly
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -396,6 +343,28 @@ def regular_polygon(n_vertices: int, circumradius: float = 1.0,
     th = 2.0 * math.pi * np.arange(n_vertices) / n_vertices + phase
     V = circumradius * np.stack([np.cos(th), np.sin(th)], axis=1)
     return Polygon2D(V)
+
+
+def radial_polygon(radii) -> Polygon2D:
+    """The polygon with vertices at radii r_k and angles 2*pi*k/N.
+
+    N must be even and >= 4, the radii positive, finite and repeated under
+    the antipodal map, and the vertex polygon convex; each is validated.
+    """
+    r = np.asarray(radii, dtype=float).ravel()
+    n = r.size
+    if n < 4 or n % 2 != 0:
+        raise ValidationError("radial profile needs an even count >= 4")
+    if np.any(r <= 0) or not np.all(np.isfinite(r)):
+        raise ValidationError("radii must be positive finite numbers")
+    if not np.allclose(r, np.roll(r, n // 2), rtol=0, atol=1e-12 * r.max()):
+        raise ValidationError("radii must repeat under the antipodal map "
+                              "(r[k] == r[k + N/2])")
+    th = 2.0 * math.pi * np.arange(n) / n
+    try:
+        return Polygon2D(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+    except ValidationError as e:
+        raise ValidationError("radial profile is not convex: %s" % e) from None
 
 
 def random_symmetric_hexagon(rng: np.random.Generator) -> Polygon2D:
@@ -435,18 +404,6 @@ class Direction:
     @property
     def perp(self) -> np.ndarray:
         return np.array([-math.sin(self.theta), math.cos(self.theta)])
-
-
-@dataclass(frozen=True)
-class ChordQuery:
-    """A direction plus a depth below the support line in that direction."""
-
-    direction: Direction
-    depth: float
-
-    def __post_init__(self):
-        if not (self.depth > 0.0) or not math.isfinite(self.depth):
-            raise ValidationError("chord depth must be positive and finite")
 
 
 def gauge_norm(body: ConvexBody, x) -> np.ndarray:
@@ -837,12 +794,12 @@ def body_from_config(section: dict, rng: Optional[np.random.Generator] = None) -
             for _ in range(1000):
                 half = rng.uniform(0.7, 1.3, size=n // 2)
                 try:
-                    return Radial2D(np.concatenate([half, half]))
+                    return radial_polygon(np.concatenate([half, half]))
                 except ValidationError:
                     continue
             raise ConfigError("[body] radii: failed to sample a convex profile")
         vals = _parse_floats(raw, "[body] radii")
-        return Radial2D(vals)
+        return radial_polygon(vals)
     if kind == "hexagon":
         if rng is None:
             raise ConfigError("[body] kind=hexagon needs a seed")

@@ -68,9 +68,6 @@ class ScanConfig:
             raise ConfigError(f"{path}: {exc}") from None
         return cls(parser, path, **overrides)
 
-    def has_section(self, section: str) -> bool:
-        return self._p.has_section(section)
-
     def section(self, name: str) -> dict:
         if not self._p.has_section(name):
             raise ConfigError(f"{self.path}: missing required section [{name}]")
@@ -193,6 +190,8 @@ def _jsonable(x):
         return [_jsonable(v) for v in x.tolist()]
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, Fraction):
         return str(x)
     return x
@@ -250,13 +249,13 @@ def _run_body_inspect(cfg: ScanConfig, report: Report):
     report.tables["boundary"] = [
         {"theta": t, "support": s, "radial": r} for t, s, r in rows]
     report.fits["summary"] = body.summary()
-    do_curv = cfg.get_bool("inspect", "curvature", True) if cfg.has_section("inspect") else True
+    do_curv = cfg.get_bool("inspect", "curvature", True)
     if do_curv and body.dim == 2:
         curv = B.curvature_condition(body)
         report.fits["curvature"] = {"satisfied": bool(curv.satisfied),
                                     "c_sup": float(curv.c_sup),
                                     "flat_directions": _jsonable(curv.flat_directions)}
-        expect = cfg.get("inspect", "expect_curvature", None) if cfg.has_section("inspect") else None
+        expect = cfg.get("inspect", "expect_curvature", None)
         if expect is not None:
             want = cfg.get_bool("inspect", "expect_curvature")
             report.add_verdict("curvature_satisfied", bool(curv.satisfied),
@@ -608,16 +607,8 @@ def run(experiment: str, cfg: ScanConfig) -> Report:
     csv_name = cfg.get("out", "csv", f"{base}.csv")
     json_name = cfg.get("out", "json", f"{base}.json")
     _write_csv(cfg.out_dir / csv_name, table[0], table[1:])
-    _write_json(cfg.out_dir / json_name, _jsonable_deep(report.to_json()))
+    _write_json(cfg.out_dir / json_name, _jsonable(report.to_json()))
     return report
-
-
-def _jsonable_deep(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable_deep(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable_deep(v) for v in obj]
-    return _jsonable(obj)
 
 
 def main(argv=None) -> int:

@@ -14,13 +14,13 @@ float artifacts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._blocks import map_blocks
 from .bodies import ConvexBody, LpBall, Polygon2D
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
@@ -32,15 +32,22 @@ _PAIR_CAP = 200_000_000
 # differ by far more than this unless genuinely equal.
 _DEDUP_RTOL = 1e-9
 
-# Row-chunk size for threaded gauge evaluation.  Chunk boundaries are
-# fixed independent of thread count so results are bit-stable.
-_CHUNK_ROWS = 1 << 18
-
 # Hard caps on the lattice grid (q+1)^d and on the half difference grid
 # ((2q+1)^d - 1)/2, checked before anything is allocated.  Both admit
 # q <= 2047 in the plane.
 _LATTICE_CAP = 1 << 22
 _DIFFERENCE_CAP = 1 << 23
+
+
+def _grid(q: int, d: int, dtype) -> np.ndarray:
+    """The integer grid [0, q]^d in lexicographic order, as ``dtype``."""
+    if q < 1:
+        raise ValidationError("lattice needs q >= 1")
+    if (q + 1) ** d > _LATTICE_CAP:
+        raise BudgetError(f"(q+1)^d = {(q + 1) ** d} lattice points exceeds the cap of "
+                          f"{_LATTICE_CAP}")
+    axes = [np.arange(q + 1, dtype=dtype)] * d
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def _unique_rows(pts: np.ndarray) -> np.ndarray:
@@ -93,14 +100,8 @@ class PointSet:
     @classmethod
     def lattice(cls, q: int, d: int = 2) -> "PointSet":
         """Integer grid Z^d cap [0, q]^d, exactly (q+1)^d points."""
-        if q < 1:
-            raise ValidationError("lattice needs q >= 1")
-        if (q + 1) ** d > _LATTICE_CAP:
-            raise BudgetError(f"(q+1)^d = {(q + 1) ** d} lattice points exceeds the cap of "
-                              f"{_LATTICE_CAP}")
-        axes = [np.arange(q + 1)] * d
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        return cls(grid.astype(float), "lattice", q=q, exact=grid.astype(np.int64))
+        grid = _grid(q, d, np.int64)
+        return cls(grid.astype(float), "lattice", q=q, exact=grid)
 
     @classmethod
     def rotated_lattice(cls, q: int, angle: float, d: int = 2) -> "PointSet":
@@ -112,20 +113,19 @@ class PointSet:
         """
         if d != 2:
             raise CapabilityError("rotated lattices are 2d only")
-        base = cls.lattice(q, d)
         c, s = math.cos(angle), math.sin(angle)
         R = np.array([[c, -s], [s, c]])
-        return cls(base.points @ R.T, "rotated_lattice", q=q, angle=angle, rot=(c, s))
+        return cls(_grid(q, d, float) @ R.T, "rotated_lattice", q=q, angle=angle, rot=(c, s))
 
     @classmethod
     def perturbed_lattice(cls, q: int, seed: int, max_jitter: float, d: int = 2) -> "PointSet":
         """Lattice grid with iid uniform jitter in [-max_jitter, max_jitter]^d."""
         if not 0 <= max_jitter < 0.5:
             raise ValidationError("max_jitter must lie in [0, 0.5) to keep points distinct")
-        base = cls.lattice(q, d)
+        grid = _grid(q, d, float)
         rng = np.random.default_rng(seed)
-        noise = rng.uniform(-max_jitter, max_jitter, size=base.points.shape)
-        return cls(base.points + noise, "perturbed_lattice", q=q, seed=seed, jitter=max_jitter)
+        noise = rng.uniform(-max_jitter, max_jitter, size=grid.shape)
+        return cls(grid + noise, "perturbed_lattice", q=q, seed=seed, jitter=max_jitter)
 
     @classmethod
     def explicit(cls, points) -> "PointSet":
@@ -213,16 +213,21 @@ def well_distributed_check(S: PointSet, C: float) -> WellDistributedReport:
     if np.any(kmax < 0):
         return WellDistributedReport(True, C, None)  # box thinner than one cube
     shape = tuple(int(k) + 1 for k in kmax)
-    covered = np.zeros(shape, dtype=bool)
     # A point at offset t = (p - lo)/half covers cube indices ceil(t) - 2 .. floor(t).
     t = (S.points - lo) / half
     los = np.maximum(np.ceil(t - 2.0 - 1e-12).astype(int), 0)
-    his = np.minimum(np.floor(t + 1e-12).astype(int), np.array(kmax))
-    for p_lo, p_hi in zip(los, his):
-        if np.any(p_lo > p_hi):
-            continue
-        sl = tuple(slice(a, b + 1) for a, b in zip(p_lo, p_hi))
-        covered[sl] = True
+    his = np.minimum(np.floor(t + 1e-12).astype(int), kmax) + 1
+    keep = np.all(los < his, axis=1)
+    los, his = los[keep], his[keep]
+    # difference array: +-1 at the 2^d corners of each point's index box,
+    # then a running sum along every axis counts the points covering a cube
+    marks = np.zeros(tuple(k + 1 for k in shape), dtype=np.int32)
+    for corner in np.ndindex(*([2] * d)):
+        idx = tuple(his[:, j] if bit else los[:, j] for j, bit in enumerate(corner))
+        np.add.at(marks, idx, (-1) ** sum(corner))
+    for axis in range(d):
+        np.cumsum(marks, axis=axis, out=marks)
+    covered = marks[tuple(slice(k) for k in shape)] > 0
     if covered.all():
         return WellDistributedReport(True, C, None)
     idx = np.unravel_index(np.argmin(covered), shape)
@@ -230,72 +235,25 @@ def well_distributed_check(S: PointSet, C: float) -> WellDistributedReport:
     return WellDistributedReport(False, C, origin)
 
 
-def _grid_min_pair(pts: np.ndarray, cell: float) -> float:
-    """Smallest pair distance among points in the same or adjacent cells.
-
-    Exact for any pair closer than ``cell``; may miss wider pairs, so
-    callers refine with cell = found minimum to get the global value.
-    """
-    keys = np.floor(pts / cell).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    pts_s = pts[order]
-    uniq, starts = np.unique(keys, axis=0, return_index=True)
-    starts = np.append(starts, len(keys))
-    cells = {tuple(k): (starts[i], starts[i + 1]) for i, k in enumerate(uniq)}
-    d = pts.shape[1]
-    offsets = []
-    for off in np.ndindex(*([3] * d)):
-        o = np.array(off) - 1
-        nz = o[o != 0]
-        if len(nz) == 0 or nz[0] > 0:  # same cell once, each neighbor pair once
-            offsets.append(o)
-    best = math.inf
-    for i, k in enumerate(uniq):
-        a0, a1 = starts[i], starts[i + 1]
-        block_a = pts_s[a0:a1]
-        for o in offsets:
-            nb = cells.get(tuple(k + o))
-            if nb is None:
-                continue
-            b0, b1 = nb
-            block_b = pts_s[b0:b1]
-            diff = block_a[:, None, :] - block_b[None, :, :]
-            dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-            if b0 == a0:  # same cell: upper triangle only
-                iu = np.triu_indices(a1 - a0, k=1)
-                if len(iu[0]) == 0:
-                    continue
-                m = dist2[iu].min()
-            else:
-                m = dist2.min()
-            if m < best * best:
-                best = math.sqrt(m)
-    return best
-
-
 def separated_check(S: PointSet, c: float) -> SeparatedReport:
-    """Test min Euclidean pair distance >= c via a spatial hash grid.
+    """Test min Euclidean pair distance >= c.
 
-    The first pass uses cell size c, which decides the check exactly;
-    a refinement pass at the found minimum (doubling the cell when the
-    first pass sees no neighbors) pins down the global minimum.
+    A k-d tree query for each point's two nearest points gives the point
+    itself and its nearest other point: rows are distinct after PointSet's
+    dedupe.
     """
     if c <= 0:
         raise ValidationError("separation c must be positive")
     if S.n < 2:
         return SeparatedReport(True, math.inf)
-    cell = c
-    m = _grid_min_pair(S.points, cell)
-    lo, hi = S.bounding_box()
-    span = float(np.max(hi - lo)) or c
-    while not math.isfinite(m) and cell < 2.0 * span:
-        cell *= 2.0
-        m = _grid_min_pair(S.points, cell)
-    if math.isfinite(m) and m > cell:
-        m = _grid_min_pair(S.points, m)
+    # imported here: the import alone costs about 0.4 s, which every CLI run
+    # would pay at start-up
+    from scipy.spatial import cKDTree
+
+    dist, _ = cKDTree(S.points).query(S.points, k=2)
+    m = float(dist[:, 1].min())
     # boundary slop: isometries move exact-c distances by a few ulps
-    return SeparatedReport(bool(m >= c * (1.0 - 1e-12)), float(m))
+    return SeparatedReport(bool(m >= c * (1.0 - 1e-12)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +313,6 @@ def _difference_grid(q: int, d: int):
             tail = np.column_stack([np.repeat(span, len(tail)), np.tile(tail, (len(span), 1))])
             tail_w = np.multiply.outer(q + 1 - np.abs(span), tail_w).ravel()
     return grid, weights
-
-
-def _chunked_gauge(body: ConvexBody, diffs: np.ndarray, threads: int) -> np.ndarray:
-    """Gauge of each difference vector, chunked for thread dispatch.
-
-    Chunk boundaries are fixed regardless of thread count, so the
-    reassembled array is bit-identical across pools.
-    """
-    n = len(diffs)
-    if threads <= 1 or n <= _CHUNK_ROWS:
-        return np.asarray(body.gauge(diffs), dtype=float)
-    bounds = list(range(0, n, _CHUNK_ROWS)) + [n]
-    chunks = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    out = np.empty(n)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        for (a, b), res in zip(chunks, ex.map(lambda ab: body.gauge(diffs[ab[0]:ab[1]]), chunks)):
-            out[a:b] = res
-    return out
 
 
 def _exact_int_values(body: ConvexBody, diffs: np.ndarray):
@@ -502,7 +442,7 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
         if S._rot is not None:
             c, s = S._rot
             vecs = vecs @ np.array([[c, s], [-s, c]])  # row-vector rotation
-        vals = _chunked_gauge(body, vecs, threads)
+        vals = map_blocks(body.gauge, vecs, vecs.shape[1], threads)
         return _finish(vals, weights, exact=False)
 
     n_pairs = S.n * (S.n - 1) // 2
@@ -516,21 +456,17 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
         weights = np.ones(len(diffs), dtype=np.int64)
         return _exact_distance_set(S, body, diffs, weights, scale)
 
-    block = max(1, int(4_000_000 // max(S.n, 1)))
-    pieces_v, pieces_w = [], []
-    for a in range(0, S.n - 1, block):
-        b = min(a + block, S.n - 1)
+    def pieces(first):
+        """Distinct gauge values, with counts, of the pairs (i, j > i), i in first."""
+        a, b = first.start, first.stop
         rows = S.points[a:b, None, :] - S.points[None, :, :]
         ii, jj = np.indices((b - a, S.n), sparse=True)
-        mask = jj > (ii + a)
-        flat = rows[np.broadcast_to(mask, rows.shape[:2])]
-        vals = _chunked_gauge(body, flat, threads)
-        u, cts = np.unique(vals, return_counts=True)
-        pieces_v.append(u)
-        pieces_w.append(cts.astype(np.int64))
-    values = np.concatenate(pieces_v)
-    weights = np.concatenate(pieces_w)
-    return _finish(values, weights, exact=False)
+        u, cts = np.unique(body.gauge(rows[jj > ii + a]), return_counts=True)
+        return np.column_stack([u, cts])
+
+    # one block of first indices per piece; counts stay exact in float64
+    found = map_blocks(pieces, range(S.n - 1), S.n, threads)
+    return _finish(found[:, 0], found[:, 1].astype(np.int64), exact=False)
 
 
 def fit_window(q_values) -> np.ndarray:

@@ -32,13 +32,13 @@ for flat-sided bodies.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import bodies as _bodies
+from ._blocks import map_blocks
 from .bodies import ConvexBody, Ellipsoid, LpBall, Polygon2D
 from .errors import (CapabilityError, InsufficientDataError, ValidationError)
 
@@ -55,8 +55,6 @@ _NODES_PER_PANEL = 16
 # full-circle budget, ~5x past the integrand's angular band limit.
 _ANGULAR_PER_UNIT = 16.0
 _MIN_ANGULAR = 128
-# cap on the (Q/2)*A entries of the one phase buffer per quadrature block
-_BLOCK_ENTRIES = 24_000_000
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,8 @@ def annulus_ft(body: ConvexBody, xi, spec: AnnulusSpec):
 # ---------------------------------------------------------------------------
 # transform dispatch
 
-def _transform(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
+def _transform(body: ConvexBody, rows: np.ndarray, kind: str,
+               threads: int = 1) -> np.ndarray:
     if kind not in ("surface", "body"):
         raise ValidationError("kind must be 'surface' or 'body'")
     if rows.shape[1] != body.dim:
@@ -160,7 +159,7 @@ def _transform(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
     if body.dim == 2:
         poly = body.as_polygon()
         if poly is not None:
-            return _polygon_ft(poly, rows, kind)
+            return _polygon_ft(poly, rows, kind, threads)
         if isinstance(body, Ellipsoid):
             # closed Bessel form covers the body transform always and the
             # surface transform of round disks; arc length does not push
@@ -168,9 +167,9 @@ def _transform(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
             # still needs the quadrature engine
             if kind == "body" or np.ptp(body.semi_axes) == 0.0:
                 return _ellipsoid_ft_closed(body, rows, kind)
-            return _smooth_ft(body, rows, kind)
+            return _smooth_ft(body, rows, kind, threads)
         if isinstance(body, LpBall) and 1.0 < body.p < math.inf:
-            return _smooth_ft(body, rows, kind)
+            return _smooth_ft(body, rows, kind, threads)
         raise CapabilityError("no planar transform for %s" % type(body).__name__)
     # higher dimensions: closed-form families only
     if isinstance(body, LpBall) and body.p == 2.0:
@@ -184,7 +183,8 @@ def _transform(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
         % (body.dim, type(body).__name__))
 
 
-def _polygon_ft(poly: Polygon2D, rows: np.ndarray, kind: str) -> np.ndarray:
+def _polygon_ft(poly: Polygon2D, rows: np.ndarray, kind: str,
+                threads: int = 1) -> np.ndarray:
     """Exact per-edge formula: an edge from A to B of length L contributes
     L * sinc((B-A).xi) * e(-(A+B)/2 . xi) to the arc-length transform.
 
@@ -196,11 +196,15 @@ def _polygon_ft(poly: Polygon2D, rows: np.ndarray, kind: str) -> np.ndarray:
     h = len(V) // 2
     D = (np.roll(V, -1, axis=0) - V)[:h]
     return _half_sum(V[:h] + 0.5 * D, np.hypot(D[:, 0], D[:, 1]),
-                     poly._face_n[:h], rows, kind, poly.volume(),
-                     max(256, int(4e6 / h)), edges=D)
+                     poly._face_n[:h], rows, kind, poly.volume(), threads, edges=D)
 
 
-def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
+def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str,
+               threads: int = 1) -> np.ndarray:
+    """Quadrature transform, each |xi| on the power-of-two panel count >= 4
+    that covers its phase.  Node k + Q/2 of such a rule is the antipode of
+    node k, with its weight and the opposite normal, so the first half of
+    the rule feeds the half sum."""
     diam = body.diameter()
     mags = np.hypot(rows[:, 0], rows[:, 1])
     need = np.maximum(4, np.ceil(_PANELS_PER_UNIT * mags * diam)).astype(int)
@@ -209,22 +213,13 @@ def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str) -> np.ndarray:
     for p in np.unique(buckets):
         idx = np.nonzero(buckets == p)[0]
         x, w, n = _bodies.boundary_quadrature(body, int(p))
-        out[idx] = _quad_eval(x, w, n, rows[idx], kind, body.volume())
+        h = x.shape[0] // 2
+        out[idx] = _half_sum(x[:h], w[:h], n[:h], rows[idx], kind, body.volume(),
+                             threads)
     return out
 
 
-def _quad_eval(x, w, n, xi, kind, volume) -> np.ndarray:
-    """Half sum over the first Q/2 nodes of a full-boundary rule.
-
-    Reached only through _smooth_ft's power-of-two panel counts >= 4, so
-    node k + Q/2 is the antipode of node k, with its weight and the
-    opposite normal."""
-    h = x.shape[0] // 2
-    return _half_sum(x[:h], w[:h], n[:h], xi, kind, volume,
-                     max(16, int(_BLOCK_ENTRIES / h)))
-
-
-def _half_sum(x, w, n, rows, kind, volume, block, edges=None) -> np.ndarray:
+def _half_sum(x, w, n, rows, kind, volume, threads=1, edges=None) -> np.ndarray:
     """Transform of a symmetric boundary from the nodes x, weights w and
     normals n of its first half, each node's term times sinc(D.xi) when
     ``edges`` gives its edge vector D.  The surface value is the sum of
@@ -234,16 +229,23 @@ def _half_sum(x, w, n, rows, kind, volume, block, edges=None) -> np.ndarray:
     x2pi, w2 = 2.0 * math.pi * x, 2.0 * w
     wn = w2[:, None] * n
     trig = np.cos if kind == "surface" else np.sin
-    s = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], block):
-        xi = rows[lo:lo + block]
-        P = x2pi @ xi.T
-        trig(P, out=P)
-        if edges is not None:
-            P *= np.sinc(edges @ xi.T)
-        s[lo:lo + block] = (w2 @ P if kind == "surface"
-                            else ((wn.T @ P) * xi.T).sum(axis=0))
-    out = s.astype(complex)
+
+    def block(xi):
+        if edges is None:
+            P = x2pi @ xi.T
+            trig(P, out=P)
+        else:
+            # np.sinc(edges @ xi.T) times the trig term in two buffers: the
+            # temporaries of np.sinc cost more in page faults than in flops
+            S = edges @ xi.T
+            S[S == 0] = 1.0e-20
+            S *= math.pi
+            P = np.sin(S)
+            P /= S
+            P *= trig(np.matmul(x2pi, xi.T, out=S), out=S)
+        return w2 @ P if kind == "surface" else ((wn.T @ P) * xi.T).sum(axis=0)
+
+    out = map_blocks(block, rows, len(x), threads).astype(complex)
     if kind == "body":
         r2 = np.einsum("ij,ij->i", rows, rows)
         zero = r2 < 1e-24
@@ -326,26 +328,10 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
                       int(math.ceil(_ANGULAR_PER_UNIT * R * body.diameter())))
     th = math.pi * np.arange(n_nodes) / n_nodes
     xi = R * np.stack([np.cos(th), np.sin(th)], axis=1)
-    vals = np.abs(_transform_threaded(body, xi, kind, threads))
+    vals = np.abs(_transform(body, xi, kind, threads))
     if p == 1:
         return float(vals.mean())
     return float(math.sqrt(np.mean(vals * vals)))
-
-
-def _transform_threaded(body: ConvexBody, rows: np.ndarray, kind: str,
-                        threads: int) -> np.ndarray:
-    threads = max(1, int(threads))
-    if threads == 1 or rows.shape[0] < 4 * threads:
-        return _transform(body, rows, kind)
-    # fixed contiguous chunks, reassembled by index: the result is
-    # bit-identical to the serial evaluation regardless of scheduling
-    chunks = np.array_split(np.arange(rows.shape[0]), threads)
-    out = np.empty(rows.shape[0], dtype=complex)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [(c, ex.submit(_transform, body, rows[c], kind)) for c in chunks]
-        for c, f in futs:
-            out[c] = f.result()
-    return out
 
 
 def radial_samples(body: ConvexBody, R_values, theta: float,
@@ -422,14 +408,9 @@ def decay_fit(R_values, values, log_power: int = 0,
                         log_power=log_power, R=R, values=v)
 
 
-def octave_envelope(R_values, values, windows_per_octave: int = 2):
-    """Per-window maxima of an oscillatory decay curve.
-
-    Splits the R range into geometric windows (``windows_per_octave`` per
-    factor of 2) and keeps the sample of largest value in each, which tracks
-    the upper envelope and is immune to zeros of the oscillation landing on
-    the grid.  Returns (R_env, v_env).
-    """
+def _windows(R_values, values, windows_per_octave: int):
+    """R and value arrays with the index arrays of their geometric windows,
+    ``windows_per_octave`` per factor of 2 above min R, in increasing order."""
     R = np.asarray(R_values, dtype=float).ravel()
     v = np.asarray(values, dtype=float).ravel()
     if R.size != v.size or R.size == 0:
@@ -438,15 +419,21 @@ def octave_envelope(R_values, values, windows_per_octave: int = 2):
         raise ValidationError("R values must be positive")
     if windows_per_octave < 1:
         raise ValidationError("windows_per_octave must be >= 1")
-    lo = R.min()
-    k = np.floor(windows_per_octave * np.log2(R / lo) * (1 - 1e-12)).astype(int)
-    R_env, v_env = [], []
-    for kk in np.unique(k):
-        idx = np.nonzero(k == kk)[0]
-        j = idx[np.argmax(v[idx])]
-        R_env.append(R[j])
-        v_env.append(v[j])
-    return np.array(R_env), np.array(v_env)
+    k = np.floor(windows_per_octave * np.log2(R / R.min()) * (1 - 1e-12)).astype(int)
+    return R, v, [np.nonzero(k == kk)[0] for kk in np.unique(k)]
+
+
+def octave_envelope(R_values, values, windows_per_octave: int = 2):
+    """Per-window maxima of an oscillatory decay curve.
+
+    Splits the R range into geometric windows (``windows_per_octave`` per
+    factor of 2) and keeps the sample of largest value in each, which tracks
+    the upper envelope and is immune to zeros of the oscillation landing on
+    the grid.  Returns (R_env, v_env).
+    """
+    R, v, windows = _windows(R_values, values, windows_per_octave)
+    best = [idx[np.argmax(v[idx])] for idx in windows]
+    return R[best], v[best]
 
 
 def window_aggregate(R_values, values, windows_per_octave: int = 2,
@@ -459,27 +446,13 @@ def window_aggregate(R_values, values, windows_per_octave: int = 2,
     instead of whichever phase the grid happened to sample.  Returns
     (R_agg, v_agg).
     """
-    R = np.asarray(R_values, dtype=float).ravel()
-    v = np.asarray(values, dtype=float).ravel()
-    if R.size != v.size or R.size == 0:
-        raise ValidationError("need matching nonempty R and value arrays")
-    if np.any(R <= 0):
-        raise ValidationError("R values must be positive")
-    if agg not in ("rms", "mean", "max"):
+    R, v, windows = _windows(R_values, values, windows_per_octave)
+    reduce = {"rms": lambda a: np.sqrt(np.mean(a ** 2)), "mean": np.mean,
+              "max": np.max}.get(agg)
+    if reduce is None:
         raise ValidationError("agg must be rms, mean, or max")
-    lo = R.min()
-    k = np.floor(windows_per_octave * np.log2(R / lo) * (1 - 1e-12)).astype(int)
-    R_out, v_out = [], []
-    for kk in np.unique(k):
-        idx = np.nonzero(k == kk)[0]
-        R_out.append(float(np.exp(np.mean(np.log(R[idx])))))
-        if agg == "rms":
-            v_out.append(float(np.sqrt(np.mean(v[idx] ** 2))))
-        elif agg == "mean":
-            v_out.append(float(np.mean(v[idx])))
-        else:
-            v_out.append(float(np.max(v[idx])))
-    return np.array(R_out), np.array(v_out)
+    return (np.array([float(np.exp(np.mean(np.log(R[idx])))) for idx in windows]),
+            np.array([float(reduce(v[idx])) for idx in windows]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._blocks import map_blocks
 from .bodies import ConvexBody
 from .distset import PointSet, distance_set
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
@@ -374,18 +375,15 @@ class AtomicMeasure:
             return sum(self.exact_weights, Fraction(0))
         return float(self.weights.sum())
 
-    def ft(self, xi: np.ndarray) -> np.ndarray:
+    def ft(self, xi: np.ndarray, threads: int = 1) -> np.ndarray:
         """mu-hat(xi) = sum_j w_j exp(-2 pi i x_j . xi), exact finite sum.
 
-        Evaluated in row blocks so large polar grids stay within a few
-        hundred MB regardless of atom count.
+        Evaluated in row blocks, so the phase buffer stays small whatever
+        the atom count.
         """
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        block = max(1, 16_000_000 // len(self.points))
-        out = np.empty(len(xi), dtype=complex)
-        for a in range(0, len(xi), block):
-            out[a:a + block] = np.exp(-2j * np.pi * (xi[a:a + block] @ self.points.T)) @ self.weights
-        return out
+        return map_blocks(lambda b: np.exp(-2j * np.pi * (b @ self.points.T)) @ self.weights,
+                          xi, len(self.points), threads)
 
 
 class CantorMeasure(AtomicMeasure):

@@ -12,7 +12,6 @@ from gaugedist import (
     GeometryError,
     LpBall,
     Polygon2D,
-    Radial2D,
     ValidationError,
     body_from_config,
     chord_length,
@@ -23,6 +22,7 @@ from gaugedist import (
     ellipse,
     gauge_norm,
     perimeter,
+    radial_polygon,
     random_symmetric_hexagon,
     regular_polygon,
     square,
@@ -187,20 +187,29 @@ def test_curvature_condition_hexagon_flat():
     assert len(hexg.flat_directions) > 0
 
 
-def test_radial2d_round_profile_constructs():
+def test_radial_polygon_round_profile_constructs():
     thetas = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-    body = Radial2D(np.full(64, 1.5))
+    body = radial_polygon(np.full(64, 1.5))
+    assert type(body) is Polygon2D
     w = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     np.testing.assert_allclose(body.support(w), 1.5, rtol=1e-3)
+    np.testing.assert_allclose(body.vertices, 1.5 * w, rtol=0, atol=1e-15)
 
 
-def test_radial2d_convexity_guard():
+def test_radial_polygon_convexity_guard():
     thetas = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     r = 1.0 + 0.8 * np.abs(np.sin(3 * thetas))  # star-shaped, not convex
-    with pytest.raises(ValidationError):
-        Radial2D(r)
-    with pytest.raises(ValidationError):
-        Radial2D(np.array([1.0, 2.0, 1.0, 0.5]))  # breaks antipodal symmetry
+    with pytest.raises(ValidationError, match="not convex"):
+        radial_polygon(r)
+    with pytest.raises(ValidationError, match="antipodal"):
+        radial_polygon(np.array([1.0, 2.0, 1.0, 0.5]))
+    for bad in ([1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0], np.ones(7)):
+        with pytest.raises(ValidationError, match="even count"):
+            radial_polygon(bad)
+    for bad in ([1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 0.0],
+                [1.0, np.nan, 1.0, np.nan], [1.0, np.inf, 1.0, np.inf]):
+        with pytest.raises(ValidationError, match="positive finite"):
+            radial_polygon(bad)
 
 
 def test_polygon_requires_symmetry():
@@ -237,6 +246,8 @@ def test_body_from_config_all_kinds(rng):
          "denominator": "2"},
         {"kind": "regular", "n_vertices": "8"},
         {"kind": "hexagon"},
+        {"kind": "radial", "radii": "1, 1.2, 1, 1.2"},
+        {"kind": "radial", "radii": "random:8"},
     ]
     for sec in cases:
         body = body_from_config(sec, rng)

@@ -397,6 +397,30 @@ def test_body_inspect_curvature_verdict(tmp_path, capsys):
     assert doc["fits"]["curvature"]["satisfied"] is False
 
 
+@pytest.mark.parametrize("radii", ["1, 1.2, 1, 1.2", "random:8"])
+def test_body_inspect_radial_profile(tmp_path, radii):
+    # no [inspect] section: the curvature scan runs by default
+    path = _cfg(tmp_path, f"""
+        [run]
+        experiment = body
+        seed = 3
+        [body]
+        kind = radial
+        radii = {radii}
+    """)
+    rc = main(["body", "inspect", "--config", path, "--out", str(tmp_path / "a")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "a" / "body_inspect.json").read_text())
+    summary = doc["fits"]["summary"]
+    assert summary["kind"] == "Polygon2D"
+    assert "satisfied" in doc["fits"]["curvature"]
+    if radii.startswith("random"):
+        assert 0 < summary["inradius"] < summary["circumradius"] <= 1.3
+    else:
+        assert summary["volume"] == pytest.approx(2.4, rel=1e-15)
+        assert summary["circumradius"] == pytest.approx(1.2, rel=1e-15)
+
+
 def test_fractal_build_exact_strings(tmp_path):
     path = _cfg(tmp_path, """
         [run]

@@ -1,6 +1,8 @@
 """Distance-set counting: exact oracles, fast-path equivalence, scans."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from gaugedist import (
     square,
     well_distributed_check,
 )
+from gaugedist._blocks import _BLOCK_ENTRIES
 from gaugedist.distset import _DIFFERENCE_CAP, _LATTICE_CAP, _difference_grid
 
 linf = LpBall(np.inf, (1.0, 1.0))
@@ -213,6 +216,42 @@ def test_well_distributed_perturbed():
     assert well_distributed_check(S, 2.0).ok
 
 
+def _covered_by_loop(S, C):
+    """The cube-coverage grid of well_distributed_check, marked point by point."""
+    lo, hi = S.bounding_box()
+    half = C / 2.0
+    kmax = np.floor((hi - lo - C) / half + 1e-12).astype(int)
+    covered = np.zeros(tuple(int(k) + 1 for k in kmax), dtype=bool)
+    t = (S.points - lo) / half
+    los = np.maximum(np.ceil(t - 2.0 - 1e-12).astype(int), 0)
+    his = np.minimum(np.floor(t + 1e-12).astype(int), kmax)
+    for p_lo, p_hi in zip(los, his):
+        if np.any(p_lo > p_hi):
+            continue
+        covered[tuple(slice(a, b + 1) for a, b in zip(p_lo, p_hi))] = True
+    return lo, half, covered
+
+
+def test_well_distributed_matches_point_loop():
+    rng = np.random.default_rng(7)
+    cases = [(PointSet.lattice(16), 1.5), (PointSet.perturbed_lattice(20, 4, 0.45), 1.2),
+             (PointSet.rotated_lattice(12, 0.7), 1.1), (PointSet.lattice(5, 3), 1.5)]
+    cases += [(PointSet.explicit(rng.uniform(0, 10, size=(n, 2))), C)
+              for n in (30, 120, 400) for C in (0.7, 1.3, 2.5)]
+    cases += [(PointSet.explicit(rng.uniform(0, 4, size=(60, 3))), 1.0)]
+    verdicts = set()
+    for S, C in cases:
+        lo, half, covered = _covered_by_loop(S, C)
+        rep = well_distributed_check(S, C)
+        assert rep.ok == bool(covered.all())
+        verdicts.add(rep.ok)
+        if not rep.ok:
+            idx = np.unravel_index(np.argmin(covered), covered.shape)
+            want = lo + half * np.array(idx, dtype=float)
+            assert rep.witness.tobytes() == want.tobytes()
+    assert verdicts == {True, False}
+
+
 def test_separated_lattice():
     rep = separated_check(PointSet.lattice(8), 1.0)
     assert rep.ok
@@ -229,6 +268,39 @@ def test_separated_lattice():
 def test_separated_rotation_invariant(angle):
     rep = separated_check(PointSet.rotated_lattice(6, angle), 1.0)
     assert rep.ok
+
+
+def _brute_min_distance(pts):
+    i, j = np.triu_indices(len(pts), k=1)
+    return float(np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=1)).min())
+
+
+def test_separated_check_matches_brute_force():
+    rng = np.random.default_rng(11)
+    triples = np.array([[0, 0], [3, 4], [6, 8], [9, 12], [4, -3], [-3, 4]], dtype=float)
+    cases = [(rng.uniform(0, 10, size=(n, 2)), c) for n in (2, 3, 17, 200) for c in (0.1, 0.5)]
+    cases += [(rng.uniform(0, 1, size=(150, 3)), 0.05),
+              # repeated rows collapse in PointSet
+              (np.repeat(rng.integers(0, 6, size=(40, 2)), 3, axis=0).astype(float), 1.0),
+              # points exactly c apart, at several scales
+              (triples, 5.0), (0.1 * triples, 0.5), (7.0 * triples, 35.0),
+              (PointSet.rotated_lattice(20, 0.7).points, 1.0),
+              (np.array([[0.0, 0.0], [1e-3, 0.0]]), 1e-3)]
+    for pts, c in cases:
+        S = PointSet.explicit(pts)
+        want = _brute_min_distance(S.points)
+        rep = separated_check(S, c)
+        assert rep.min_distance == pytest.approx(want, rel=1e-15, abs=0)
+        assert rep.ok == (want >= c * (1.0 - 1e-12))
+    assert separated_check(PointSet.explicit(triples), 5.0).ok
+    assert not separated_check(PointSet.explicit(triples), 5.0 * (1 + 1e-9)).ok
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    code = "import sys, gaugedist.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_growth_scan_octave_guard():
@@ -263,10 +335,17 @@ def test_min_gap_trend_nonincreasing():
 
 def test_threads_bit_identical(rng):
     hexg = random_symmetric_hexagon(rng)
-    S = PointSet.lattice(32)
-    a = distance_set(S, hexg, "float_tol", threads=1)
-    b = distance_set(S, hexg, "float_tol", threads=4)
-    np.testing.assert_array_equal(a.values, b.values)
+    lattice = PointSet.lattice(512)  # gauge rows: the half difference grid
+    assert ((2 * 512 + 1) ** 2 - 1) // 2 >= 3 * (_BLOCK_ENTRIES // 2)
+    scattered = PointSet.explicit(rng.uniform(0, 40, size=(1000, 2)))  # brute force
+    assert scattered.n - 1 >= 3 * (_BLOCK_ENTRIES // scattered.n)
+    for S in (lattice, scattered):
+        a = distance_set(S, hexg, "float_tol", threads=1)
+        for threads in (2, 4):
+            b = distance_set(S, hexg, "float_tol", threads=threads)
+            assert b.values.tobytes() == a.values.tobytes()
+            assert b.multiplicities.tobytes() == a.multiplicities.tobytes()
+            assert b.min_gap == a.min_gap
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +371,18 @@ def test_row_dedupe_matches_np_unique():
         want = np.unique(raw, axis=0)
         assert S.points.shape == want.shape
         assert S.points.tobytes() == want.tobytes()
+
+
+def test_lattice_families_match_deduped_lattice_construction():
+    # the construction these families used before building their float grid directly
+    for q in (1, 7, 64):
+        base = PointSet.lattice(q).points
+        c, s = math.cos(0.7), math.sin(0.7)
+        rotated = PointSet(base @ np.array([[c, -s], [s, c]]).T)
+        noise = np.random.default_rng(5).uniform(-0.3, 0.3, size=base.shape)
+        perturbed = PointSet(base + noise)
+        assert PointSet.rotated_lattice(q, 0.7).points.tobytes() == rotated.points.tobytes()
+        assert PointSet.perturbed_lattice(q, 5, 0.3).points.tobytes() == perturbed.points.tobytes()
 
 
 def _full_grid_half(q, d):

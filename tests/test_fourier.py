@@ -32,7 +32,8 @@ from gaugedist import (
     window_aggregate,
 )
 from gaugedist.bodies import boundary_quadrature
-from gaugedist.fourier import Frequency, _PANELS_PER_UNIT, _quad_eval, _smooth_ft
+from gaugedist._blocks import _BLOCK_ENTRIES
+from gaugedist.fourier import Frequency, _PANELS_PER_UNIT, _half_sum, _smooth_ft
 
 
 # leggauss(4000) costs seconds and the oracle needs the same rule each call
@@ -190,7 +191,7 @@ def test_half_boundary_real_sum_vs_full_complex_sum(rng, name, make):
 @pytest.mark.parametrize("body", [disk(), ellipse(2.0, 1.0), LpBall(1.5, (1.0, 1.0)),
                                   LpBall(4.0, (2.0, 0.5))])
 def test_quadrature_nodes_pair_with_antipodes(body):
-    # the layout the half sum in _quad_eval relies on
+    # the layout the half sum in _smooth_ft relies on
     for k in range(2, 13):
         x, w, n = boundary_quadrature(body, 2 ** k)
         h = len(x) // 2
@@ -240,8 +241,9 @@ def test_quadrature_panel_doubling(rng):
             vals = []
             for p in (panels, 2 * panels):
                 x, w, n = boundary_quadrature(body, p)
-                vals.append(_quad_eval(x, w, n, xi, "surface",
-                                       body.volume())[0])
+                h = len(x) // 2
+                vals.append(_half_sum(x[:h], w[:h], n[:h], xi, "surface",
+                                      body.volume())[0])
             assert abs(vals[1] - vals[0]) < 1e-7 * max(abs(vals[1]), 1e-30)
 
 
@@ -321,10 +323,19 @@ def test_spherical_average_rotation_invariance():
 
 
 def test_spherical_average_thread_stability():
-    for body in (square(), ellipse(2.0, 1.0)):
-        a = spherical_average(body, 33.0, kind="body", p=2, threads=1)
-        b = spherical_average(body, 33.0, kind="body", p=2, threads=4)
-        assert a == b  # bit-identical by fixed chunking
+    # the polygon path and the quadrature path at R = 128, where the half
+    # sums span several row blocks; threads must not move a bit
+    cases = [(square(), 33.0, "body"), (ellipse(2.0, 1.0), 33.0, "body"),
+             (regular_polygon(256), 512.0, "body"),
+             (LpBall(4.0, (1.0, 1.0)), 128.0, "surface")]
+    for body, R, kind in cases:
+        a = spherical_average(body, R, kind=kind, p=2, threads=1)
+        for threads in (2, 4):
+            assert spherical_average(body, R, kind=kind, p=2, threads=threads) == a
+    lp = LpBall(4.0, (1.0, 1.0))
+    n_rows = math.ceil(16.0 * 128.0 * lp.diameter())
+    half_nodes = 8 * (1 << math.ceil(math.log2(128.0 * lp.diameter())))
+    assert n_rows >= 3 * (_BLOCK_ENTRIES // half_nodes)
 
 
 def test_decay_fit_exact_power_law():
