@@ -414,6 +414,13 @@ def _exact_coords(S: PointSet):
     return ints, Fraction(1, den)
 
 
+def _gauges(body: ConvexBody, vecs: np.ndarray, threads: int = 1) -> np.ndarray:
+    """body.gauge of each row of vecs, in blocks sized by the gauge's buffer:
+    rows x faces for a polygon, rows x d for the other bodies."""
+    width = len(body.vertices) if isinstance(body, Polygon2D) else vecs.shape[1]
+    return map_blocks(body.gauge, vecs, width, threads)
+
+
 def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
                  threads: int = 1, pair_cap: int = _PAIR_CAP) -> DistanceSet:
     """Distinct nonzero gauge distances of S with multiplicities.
@@ -442,7 +449,7 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
         if S._rot is not None:
             c, s = S._rot
             vecs = vecs @ np.array([[c, s], [-s, c]])  # row-vector rotation
-        vals = map_blocks(body.gauge, vecs, vecs.shape[1], threads)
+        vals = _gauges(body, vecs, threads)
         return _finish(vals, weights, exact=False)
 
     n_pairs = S.n * (S.n - 1) // 2
@@ -459,12 +466,13 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     def pieces(first):
         """Distinct gauge values, with counts, of the pairs (i, j > i), i in first."""
         a, b = first.start, first.stop
-        rows = S.points[a:b, None, :] - S.points[None, :, :]
-        ii, jj = np.indices((b - a, S.n), sparse=True)
-        u, cts = np.unique(body.gauge(rows[jj > ii + a]), return_counts=True)
+        rows = S.points[a:b, None, :] - S.points[None, a + 1:, :]  # j = a + 1 + jj
+        ii, jj = np.indices(rows.shape[:2], sparse=True)
+        u, cts = np.unique(_gauges(body, rows[jj >= ii]), return_counts=True)
         return np.column_stack([u, cts])
 
-    # one block of first indices per piece; counts stay exact in float64
+    # one block of first indices per piece, counted in pairs so that each
+    # piece still dedupes many of them; counts stay exact in float64
     found = map_blocks(pieces, range(S.n - 1), S.n, threads)
     return _finish(found[:, 0], found[:, 1].astype(np.int64), exact=False)
 

@@ -375,15 +375,19 @@ class AtomicMeasure:
             return sum(self.exact_weights, Fraction(0))
         return float(self.weights.sum())
 
-    def ft(self, xi: np.ndarray, threads: int = 1) -> np.ndarray:
+    def ft(self, xi: np.ndarray) -> np.ndarray:
         """mu-hat(xi) = sum_j w_j exp(-2 pi i x_j . xi), exact finite sum.
 
         Evaluated in row blocks, so the phase buffer stays small whatever
-        the atom count.
+        the atom count, as two real sums: cos minus i sin.
         """
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        return map_blocks(lambda b: np.exp(-2j * np.pi * (b @ self.points.T)) @ self.weights,
-                          xi, len(self.points), threads)
+
+        def block(b):
+            phase = (b @ self.points.T) * (2.0 * np.pi)
+            return np.cos(phase) @ self.weights - 1j * (np.sin(phase) @ self.weights)
+
+        return map_blocks(block, xi, len(self.points))
 
 
 class CantorMeasure(AtomicMeasure):

@@ -26,6 +26,7 @@ from gaugedist import (
     min_gap_trend,
     polygonality_probe,
     random_symmetric_hexagon,
+    regular_polygon,
     separated_check,
     square,
     well_distributed_check,
@@ -336,7 +337,7 @@ def test_min_gap_trend_nonincreasing():
 def test_threads_bit_identical(rng):
     hexg = random_symmetric_hexagon(rng)
     lattice = PointSet.lattice(512)  # gauge rows: the half difference grid
-    assert ((2 * 512 + 1) ** 2 - 1) // 2 >= 3 * (_BLOCK_ENTRIES // 2)
+    assert ((2 * 512 + 1) ** 2 - 1) // 2 >= 3 * (_BLOCK_ENTRIES // len(hexg.vertices))
     scattered = PointSet.explicit(rng.uniform(0, 40, size=(1000, 2)))  # brute force
     assert scattered.n - 1 >= 3 * (_BLOCK_ENTRIES // scattered.n)
     for S in (lattice, scattered):
@@ -452,6 +453,21 @@ def test_lattice_grids_capped_before_allocating():
     assert ((2 * 2047 + 1) ** 2 - 1) // 2 <= _DIFFERENCE_CAP < ((2 * 2048 + 1) ** 2 - 1) // 2
     with pytest.raises(BudgetError):
         PointSet.lattice(8, d=8)
+
+
+def test_polygon_gauge_blocked_by_face_count():
+    # a 256-gon gauge holds rows x 256 entries: unblocked, the lattice sweep
+    # below peaks near 33 MiB and the brute-force one near 1 GiB
+    body = regular_polygon(256)
+    for S, cap in ((PointSet.lattice(64), 16 << 20),
+                   (PointSet.explicit(PointSet.lattice(40).points), 32 << 20)):
+        tracemalloc.start()
+        try:
+            distance_set(S, body)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cap
 
 
 @st.composite
