@@ -36,7 +36,6 @@ from .bodies import (
     chord_length_exact,
     curvature_condition,
     CurvatureReport,
-    body_from_config,
 )
 from .fourier import (
     surface_ft,
@@ -99,7 +98,7 @@ __all__ = [
     "disk", "ellipse", "square", "diamond", "regular_polygon", "radial_polygon",
     "random_symmetric_hexagon", "gauge_norm", "support", "perimeter",
     "chord_length", "chord_length_exact", "curvature_condition",
-    "CurvatureReport", "body_from_config",
+    "CurvatureReport",
     "surface_ft", "body_ft", "annulus_ft", "AnnulusSpec",
     "spherical_average", "radial_samples", "DecayProfile", "decay_fit",
     "octave_envelope", "window_aggregate", "chord_bound_report",

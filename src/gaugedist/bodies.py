@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, GeometryError, ValidationError
+from .errors import BudgetError, CapabilityError, GeometryError, ValidationError
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -653,6 +653,11 @@ class CurvatureReport:
     n_skipped: int
 
 
+# Hard cap on the (direction, depth) grid of curvature_condition, checked
+# before it is allocated.
+_CURVATURE_CAP = 1 << 20
+
+
 def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360,
                         c_threshold: float = 100.0, run_length: int = 5,
                         growth_factor: float = 2.0) -> CurvatureReport:
@@ -674,6 +679,9 @@ def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360,
         raise ValidationError("eps grid must be positive")
     if n_theta < 4:
         raise ValidationError("n_theta must be at least 4")
+    if n_theta * eps_grid.size > _CURVATURE_CAP:
+        raise BudgetError(f"{n_theta} directions x {eps_grid.size} depths exceeds the "
+                          f"cap of {_CURVATURE_CAP}")
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     widths = body.support(omegas) + body.support(-omegas)
@@ -713,115 +721,3 @@ def _has_growth_run(row: np.ndarray, run_length: int, growth_factor: float) -> b
         if np.all(np.diff(seg) > 0) and seg[-1] >= growth_factor * seg[0]:
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# config-driven construction
-
-def body_from_config(section: dict, rng: Optional[np.random.Generator] = None) -> ConvexBody:
-    """Build a body from a flat string-valued mapping (a parsed INI section).
-
-    Recognized kinds: disk, ellipse, square, diamond, polygon, lp, radial,
-    hexagon, regular.  Numeric fields accept plain decimals; polygon vertices
-    accept integer pairs with an optional common ``denominator`` so exact
-    chord queries stay available.
-    """
-    from .errors import ConfigError
-
-    kind = section.get("kind", "").strip().lower()
-    if not kind:
-        raise ConfigError("[body] kind: missing")
-
-    def num(key, default=None):
-        raw = section.get(key, None)
-        if raw is None:
-            if default is None:
-                raise ConfigError("[body] %s: missing" % key)
-            return default
-        try:
-            return float(Fraction(raw.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError("[body] %s: expected a number, got %r" % (key, raw)) from None
-
-    if kind == "disk":
-        return disk(num("radius", 1.0))
-    if kind == "ellipse":
-        axes = _parse_floats(section.get("semi_axes", ""), "[body] semi_axes")
-        if len(axes) < 2:
-            raise ConfigError("[body] semi_axes: need at least two values")
-        return Ellipsoid(axes)
-    if kind == "square":
-        return square(num("half", 1.0))
-    if kind == "diamond":
-        return diamond(num("half", 1.0))
-    if kind == "lp":
-        p_raw = section.get("p", "").strip().lower()
-        if p_raw in ("inf", "infinity", "oo"):
-            p = math.inf
-        else:
-            p = num("p")
-        axes = _parse_floats(section.get("semi_axes", "1, 1"), "[body] semi_axes")
-        return LpBall(p, axes)
-    if kind == "polygon":
-        raw = section.get("vertices", "")
-        if not raw.strip():
-            raise ConfigError("[body] vertices: missing")
-        den = int(num("denominator", 1.0))
-        pairs = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise ConfigError("[body] vertices: expected 'x, y' pairs "
-                                  "separated by ';', got %r" % chunk)
-            try:
-                pairs.append((Fraction(parts[0].strip()) / den,
-                              Fraction(parts[1].strip()) / den))
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError("[body] vertices: bad number in %r" % chunk) from None
-        V = np.array([[float(a), float(b)] for a, b in pairs])
-        return Polygon2D(V, pairs)
-    if kind == "radial":
-        raw = section.get("radii", "").strip()
-        if raw.startswith("random:"):
-            if rng is None:
-                raise ConfigError("[body] radii: random profile needs a seed")
-            n = int(raw.split(":", 1)[1])
-            if n < 4 or n % 2:
-                raise ConfigError("[body] radii: random count must be even >= 4")
-            for _ in range(1000):
-                half = rng.uniform(0.7, 1.3, size=n // 2)
-                try:
-                    return radial_polygon(np.concatenate([half, half]))
-                except ValidationError:
-                    continue
-            raise ConfigError("[body] radii: failed to sample a convex profile")
-        vals = _parse_floats(raw, "[body] radii")
-        return radial_polygon(vals)
-    if kind == "hexagon":
-        if rng is None:
-            raise ConfigError("[body] kind=hexagon needs a seed")
-        return random_symmetric_hexagon(rng)
-    if kind == "regular":
-        return regular_polygon(int(num("n_vertices")), num("circumradius", 1.0),
-                               num("phase", 0.0))
-    raise ConfigError("[body] kind: unknown kind %r" % kind)
-
-
-def _parse_floats(raw: str, where: str):
-    from .errors import ConfigError
-
-    out = []
-    for chunk in raw.replace(";", ",").split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            out.append(float(Fraction(chunk)))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError("%s: expected numbers, got %r" % (where, chunk)) from None
-    if not out:
-        raise ConfigError("%s: missing" % where)
-    return out

@@ -28,7 +28,7 @@ from . import bodies as B
 from . import fourier as F
 from . import distset as D
 from . import fractal as X
-from .errors import ConfigError, GaugedistError, InsufficientDataError
+from .errors import ConfigError, GaugedistError, InsufficientDataError, ValidationError
 from .svgplot import svg_decay_plot
 
 _REQUIRED = object()
@@ -67,11 +67,6 @@ class ScanConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
         return cls(parser, path, **overrides)
-
-    def section(self, name: str) -> dict:
-        if not self._p.has_section(name):
-            raise ConfigError(f"{self.path}: missing required section [{name}]")
-        return dict(self._p.items(name))
 
     def get(self, section: str, key: str, default=_REQUIRED) -> str:
         if self._p.has_option(section, key):
@@ -122,6 +117,13 @@ class ScanConfig:
             raise ConfigError(f"{self.path}: [{section}] {key}: list is empty")
         caster, what = (_number, "a number") if cast is float else (cast, cast.__name__)
         return [self._cast(section, key, t, caster, what) for t in items]
+
+    def build(self, section, keys, fn, *args):
+        """fn(*args), its ValidationError reported against [section] keys."""
+        try:
+            return fn(*args)
+        except ValidationError as exc:
+            raise ConfigError(f"{self.path}: [{section}] {keys}: {exc}") from None
 
     def echo(self) -> dict:
         return {s: dict(self._p.items(s)) for s in self._p.sections()}
@@ -213,24 +215,73 @@ def _band_verdict(report: Report, cfg: ScanConfig, section: str, name: str, valu
     report.add_verdict(name, value, f"[{_num(lo)}, {_num(hi)}]", lo <= value <= hi)
 
 
-def _body_from(cfg: ScanConfig, rng) -> B.ConvexBody:
-    return B.body_from_config(cfg.section("body"), rng)
+def _body_from(cfg: ScanConfig) -> B.ConvexBody:
+    """The body that [body] describes.  Polygon vertices stay exact rationals,
+    so exact chord queries and counts stay available; random kinds draw from
+    the run seed."""
+    sec = "body"
+    rng = np.random.default_rng(cfg.seed)
+    kind = cfg.get(sec, "kind").lower()
+    if kind == "disk":
+        return cfg.build(sec, "radius", B.disk, cfg.get_float(sec, "radius", 1.0))
+    if kind == "ellipse":
+        axes = cfg.get_list(sec, "semi_axes")
+        if len(axes) < 2:
+            raise ConfigError(f"{cfg.path}: [body] semi_axes: need at least two values")
+        return cfg.build(sec, "semi_axes", B.Ellipsoid, axes)
+    if kind in ("square", "diamond"):
+        return cfg.build(sec, "half", getattr(B, kind), cfg.get_float(sec, "half", 1.0))
+    if kind == "lp":
+        p = (math.inf if cfg.get(sec, "p").lower() in ("inf", "infinity", "oo")
+             else cfg.get_float(sec, "p"))
+        return cfg.build(sec, "p/semi_axes", B.LpBall, p,
+                         cfg.get_list(sec, "semi_axes", [1.0, 1.0]))
+    if kind == "polygon":
+        den = cfg.get_int(sec, "denominator", 1, minimum=1)
+        pairs = []
+        for chunk in filter(str.strip, cfg.get(sec, "vertices").split(";")):
+            xy = [cfg._cast(sec, "vertices", t, Fraction, "a number")
+                  for t in chunk.replace(",", " ").split()]
+            if len(xy) != 2:
+                raise ConfigError(f"{cfg.path}: [body] vertices: expected 'x, y' pairs "
+                                  f"separated by ';', got {chunk.strip()!r}")
+            pairs.append((xy[0] / den, xy[1] / den))
+        return cfg.build(sec, "vertices", B.Polygon2D, np.array(pairs, dtype=float), pairs)
+    if kind == "radial":
+        raw = cfg.get(sec, "radii")
+        if not raw.startswith("random:"):
+            return cfg.build(sec, "radii", B.radial_polygon, cfg.get_list(sec, "radii"))
+        n = cfg._cast(sec, "radii", raw[len("random:"):], int, "random:<even count>")
+        if n < 4 or n % 2:
+            raise ConfigError(f"{cfg.path}: [body] radii: random count must be even >= 4, "
+                              f"got {n}")
+        for _ in range(1000):
+            half = rng.uniform(0.7, 1.3, size=n // 2)
+            try:
+                return B.radial_polygon(np.concatenate([half, half]))
+            except ValidationError:
+                continue
+        raise ConfigError(f"{cfg.path}: [body] radii: failed to sample a convex profile")
+    if kind == "hexagon":
+        return B.random_symmetric_hexagon(rng)
+    if kind == "regular":
+        return cfg.build(sec, "n_vertices/circumradius", B.regular_polygon,
+                         cfg.get_int(sec, "n_vertices"),
+                         cfg.get_float(sec, "circumradius", 1.0),
+                         cfg.get_float(sec, "phase", 0.0))
+    raise ConfigError(f"{cfg.path}: [body] kind: unknown kind {kind!r}")
 
 
-def _r_grid(cfg: ScanConfig, section: str) -> np.ndarray:
-    if cfg.get(section, "r_list", None) is not None:
-        grid = np.array(cfg.get_list(section, "r_list"), dtype=float)
-    else:
-        r_min = cfg.get_float(section, "r_min", 8.0)
-        r_max = cfg.get_float(section, "r_max", 512.0)
-        spo = cfg.get_int(section, "samples_per_octave", 8)
-        if not 0 < r_min < r_max:
-            raise ConfigError(f"{cfg.path}: [{section}] r_min/r_max: need 0 < r_min < r_max")
-        n = int(round(spo * math.log2(r_max / r_min))) + 1
-        grid = np.geomspace(r_min, r_max, n)
-    if len(grid) == 0 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
-        raise ConfigError(f"{cfg.path}: [{section}]: R grid must be positive and sorted")
-    return grid
+def _geometric_grid(cfg: ScanConfig, sec: str, name: str, lo: float, hi: float,
+                    per_key: str, per: int) -> np.ndarray:
+    """<name>_min .. <name>_max, geometric, with per_key points per octave."""
+    lo = cfg.get_float(sec, f"{name}_min", lo)
+    hi = cfg.get_float(sec, f"{name}_max", hi)
+    spo = cfg.get_int(sec, per_key, per, minimum=1)
+    if not 0 < lo < hi:
+        raise ConfigError(f"{cfg.path}: [{sec}] {name}_min/{name}_max: "
+                          f"need 0 < {name}_min < {name}_max")
+    return np.geomspace(lo, hi, int(round(spo * math.log2(hi / lo))) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +289,7 @@ def _r_grid(cfg: ScanConfig, section: str) -> np.ndarray:
 
 
 def _run_body_inspect(cfg: ScanConfig, report: Report):
-    rng = np.random.default_rng(cfg.seed)
-    body = _body_from(cfg, rng)
+    body = _body_from(cfg)
     n_theta = cfg.get_int("inspect", "n_theta", 16, minimum=1)
     thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
@@ -264,8 +314,7 @@ def _run_body_inspect(cfg: ScanConfig, report: Report):
 
 
 def _run_decay_scan(cfg: ScanConfig, report: Report):
-    rng = np.random.default_rng(cfg.seed)
-    body = _body_from(cfg, rng)
+    body = _body_from(cfg)
     sec = "decay"
     kind = cfg.get(sec, "kind", "body")
     if kind not in ("body", "surface"):
@@ -273,7 +322,12 @@ def _run_decay_scan(cfg: ScanConfig, report: Report):
     average = cfg.get(sec, "average", "l2")
     if average not in ("l1", "l2", "pointwise"):
         raise ConfigError(f"{cfg.path}: [decay] average: expected l1, l2 or pointwise")
-    grid = _r_grid(cfg, sec)
+    if cfg.get(sec, "r_list", None) is None:
+        grid = _geometric_grid(cfg, sec, "r", 8.0, 512.0, "samples_per_octave", 8)
+    else:
+        grid = np.array(cfg.get_list(sec, "r_list"), dtype=float)
+        if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
+            raise ConfigError(f"{cfg.path}: [decay] r_list: R grid must be positive and sorted")
     theta = cfg.get_float(sec, "theta", 0.0)
     wpo = cfg.get_int(sec, "windows_per_octave", 2, minimum=1)
     if average == "pointwise":
@@ -326,7 +380,8 @@ def _distset_family(cfg: ScanConfig, sec: str):
     if family == "rotated_lattice":
         return (lambda q: D.PointSet.rotated_lattice(q, angle)), f"rotated_lattice(angle={angle})"
     if family == "perturbed_lattice":
-        return (lambda q: D.PointSet.perturbed_lattice(q, seed, jitter)), \
+        return (lambda q: cfg.build(sec, "jitter", D.PointSet.perturbed_lattice,
+                                    q, seed, jitter)), \
             f"perturbed_lattice(seed={seed}, jitter={jitter})"
     raise ConfigError(f"{cfg.path}: [{sec}] family: unknown family {family!r}")
 
@@ -348,8 +403,7 @@ def _q_list(cfg: ScanConfig, sec: str) -> list:
 
 
 def _run_distset_scan(cfg: ScanConfig, report: Report):
-    rng = np.random.default_rng(cfg.seed)
-    body = _body_from(cfg, rng)
+    body = _body_from(cfg)
     sec = "distset"
     q_list = _q_list(cfg, sec)
     mode = cfg.get(sec, "mode", "float_tol")
@@ -423,7 +477,7 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
         gammas, T_list = _energy_keys(cfg, sec)
         m = cfg.get_int(sec, "m", 2)
         depth = cfg.get_int(sec, "depth", 8, minimum=1)
-        spec = X.CantorSpec(m, depth)
+        spec = cfg.build(sec, "m", X.CantorSpec, m, depth)
         iterate = X.cantor_build(spec)
         rows += [(str(a), str(b)) for a, b in iterate.intervals]
         report.fits["cantor"] = {
@@ -447,7 +501,7 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
         if exps is None:
             bits = max(1, int(round(math.log2(2 * m))))
             exps = [bits * j for j in range(1, depth + 1)]
-        dims = cfg.get_int(sec, "dims", 1)
+        dims = cfg.get_int(sec, "dims", 1, minimum=1)
         scales = [Fraction(1, 2 ** e) for e in exps]
         target = iterate if dims == 1 else tuple([iterate] * dims)
         dim_val = X.box_dim(target, scales)
@@ -467,11 +521,11 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
                 report.add_verdict(key, ladder.trend, f"expected {expect}",
                                    ladder.trend == expect)
     else:
-        q = cfg.get_int(sec, "q", 4)
+        q = cfg.get_int(sec, "q", 4, minimum=1)
         s = cfg.get_float(sec, "s", 1.0)
         family, fam_label = _distset_family(cfg, sec)
         S = family(q)
-        dio = X.dio_build(X.DioSpec(S, q, s))
+        dio = X.dio_build(cfg.build(sec, "s", X.DioSpec, S, q, s))
         rows += list(dio.axis_union())
         report.fits["dio"] = {"q": q, "s": s, "family": fam_label,
                               "cubes": dio.count, "half_side": dio.half_side,
@@ -486,8 +540,7 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
     matching diophantine stage, and compares the fitted growth exponent
     against the conversion bound d/alpha.
     """
-    rng = np.random.default_rng(cfg.seed)
-    body = _body_from(cfg, rng)
+    body = _body_from(cfg)
     sec = "convert"
     q_list = _q_list(cfg, sec)
     s = cfg.get_float(sec, "s", 1.0)
@@ -499,7 +552,7 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
     rows = []
     for q in q_list:
         S = family(q)
-        cover = X.delta_cover(X.DioSpec(S, q, s), body, mode=mode)
+        cover = X.delta_cover(cfg.build(sec, "s", X.DioSpec, S, q, s), body, mode=mode)
         rows.append((q, cover.count, cover.total_length, cover.half_width))
     grow = D.growth_fit(q_list, [r[1] for r in rows], S.dim, alpha=alpha, slack=slack)
     dim_bound = s * grow.beta / S.dim
@@ -516,8 +569,7 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
 
 
 def _run_lemma_check(cfg: ScanConfig, report: Report):
-    rng = np.random.default_rng(cfg.seed)
-    body = _body_from(cfg, rng)
+    body = _body_from(cfg)
     sec = "lemma"
     which = cfg.get(sec, "which", "both")
     if which not in ("chord", "annulus", "both"):
@@ -527,11 +579,7 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
     annulus_theta = cfg.get_int(sec, "annulus_theta", 16, minimum=1)
 
     if which in ("chord", "both"):
-        t_min = cfg.get_float(sec, "t_min", 4.0)
-        t_max = cfg.get_float(sec, "t_max", 1024.0)
-        spo = cfg.get_int(sec, "t_per_octave", 4)
-        n = int(round(spo * math.log2(t_max / t_min))) + 1
-        t_grid = np.geomspace(t_min, t_max, n)
+        t_grid = _geometric_grid(cfg, sec, "t", 4.0, 1024.0, "t_per_octave", 4)
         rep = F.chord_bound_report(body, t_grid, n_theta=n_theta)
         for i, t in enumerate(rep.t_values):
             row = rep.ratios[i]
@@ -552,7 +600,8 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
         R_list = cfg.get_list(sec, "r_list", [1.0, 2.0, 4.0, 8.0])
         xi_list = cfg.get_list(sec, "xi_list", [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
         d_list = cfg.get_list(sec, "delta_list", [1e-3, 1e-2, 1e-1])
-        rep = F.annulus_bound_report(body, R_list, xi_list, d_list, n_theta=annulus_theta)
+        rep = cfg.build(sec, "r_list/xi_list/delta_list", F.annulus_bound_report,
+                        body, R_list, xi_list, d_list, annulus_theta)
         for r in rep.rows:
             rows.append(("annulus", r[0], r[1], r[2], r[3], r[4], r[5], r[6]))
         report.fits["annulus_bound"] = {

@@ -32,11 +32,13 @@ _PAIR_CAP = 200_000_000
 # differ by far more than this unless genuinely equal.
 _DEDUP_RTOL = 1e-9
 
-# Hard caps on the lattice grid (q+1)^d and on the half difference grid
-# ((2q+1)^d - 1)/2, checked before anything is allocated.  Both admit
-# q <= 2047 in the plane.
+# Hard caps on the lattice grid (q+1)^d, on the half difference grid
+# ((2q+1)^d - 1)/2 and on vectors x faces in the rational fallback of exact
+# polygon gauges, checked before anything is allocated.  The first two
+# admit q <= 2047 in the plane.
 _LATTICE_CAP = 1 << 22
 _DIFFERENCE_CAP = 1 << 23
+_FRACTION_CAP = 1 << 20
 
 
 def _grid(q: int, d: int, dtype) -> np.ndarray:
@@ -372,11 +374,10 @@ def _exact_distance_set(S: PointSet, body: ConvexBody, diffs: np.ndarray,
         # common denominator L turns the gauge into integer keys:
         # gauge(x) = max_i (N_i . x)/C_i = (max_i M_i . x) / L
         L = math.lcm(*(c for _, _, c in faces))
-        M = np.array([[nx * (L // c), ny * (L // c)] for nx, ny, c in faces],
-                     dtype=np.int64)
-        bound = int(np.abs(M).sum(axis=1).max()) * int(np.abs(diffs).max() or 1)
+        M = [(nx * (L // c), ny * (L // c)) for nx, ny, c in faces]
+        bound = max(abs(a) + abs(b) for a, b in M) * int(np.abs(diffs).max() or 1)
         if bound < 2**52:  # keys stay exact through the float rendering
-            raw = diffs @ M.T
+            raw = diffs @ np.array(M, dtype=np.int64).T
             keys = raw.max(axis=1)
             nz = keys != 0
             uniq, inv = np.unique(keys[nz], return_inverse=True)
@@ -385,6 +386,9 @@ def _exact_distance_set(S: PointSet, body: ConvexBody, diffs: np.ndarray,
             vals = uniq.astype(float) * (float(scale) / L)
             return _finish(vals, mult, exact=True)
         # overflow-safe fallback: rational arithmetic per vector
+        if len(diffs) * len(faces) > _FRACTION_CAP:
+            raise BudgetError(f"{len(diffs)} vectors x {len(faces)} faces of rational "
+                              f"gauges exceeds the cap of {_FRACTION_CAP}")
         acc: dict = {}
         for (dx, dy), w in zip(diffs.tolist(), weights.tolist()):
             if dx == 0 and dy == 0:

@@ -40,7 +40,7 @@ import numpy as np
 from . import bodies as _bodies
 from ._blocks import map_blocks
 from .bodies import ConvexBody, Ellipsoid, LpBall, Polygon2D
-from .errors import (CapabilityError, InsufficientDataError, ValidationError)
+from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
 # boundary rule: one 16-node panel per unit of |xi| * diam(K), i.e. a node
 # budget of max(64, 16 |xi| diam).  The boundary sees at most |xi| * perimeter
@@ -55,6 +55,9 @@ _NODES_PER_PANEL = 16
 # full-circle budget, ~5x past the integrand's angular band limit.
 _ANGULAR_PER_UNIT = 16.0
 _MIN_ANGULAR = 128
+# Hard cap on the transform evaluations of the chord and annulus bound
+# scans, checked before their grids are allocated.
+_SCAN_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -488,6 +491,9 @@ def chord_bound_report(body: ConvexBody, t_values, n_theta: int = 64) -> ChordBo
     t = np.sort(np.asarray(t_values, dtype=float).ravel())
     if np.any(t <= 0):
         raise ValidationError("t values must be positive")
+    if t.size * n_theta > _SCAN_CAP:
+        raise BudgetError(f"{t.size} t values x {n_theta} directions exceeds the cap "
+                          f"of {_SCAN_CAP}")
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     widths = body.support(omegas) + body.support(-omegas)
@@ -547,6 +553,9 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
     deltas = np.asarray(deltas, dtype=float).ravel()
     if np.any(R_values <= 0) or np.any(xi_mags <= 0) or np.any(deltas <= 0):
         raise ValidationError("grids must be positive")
+    n = R_values.size * deltas.size * xi_mags.size * n_theta
+    if n > _SCAN_CAP:
+        raise BudgetError(f"{n} annulus ratios exceeds the cap of {_SCAN_CAP}")
     th = math.pi * np.arange(n_theta) / n_theta
     omegas = np.stack([np.cos(th), np.sin(th)], axis=1)
     cache: dict = {}

@@ -1,6 +1,7 @@
 """Gauge axioms, chord queries, curvature scans, and config parsing."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gaugedist import (
+    BudgetError,
     ConfigError,
     GeometryError,
     LpBall,
     Polygon2D,
     ValidationError,
-    body_from_config,
     chord_length,
     chord_length_exact,
     curvature_condition,
@@ -27,6 +28,8 @@ from gaugedist import (
     regular_polygon,
     square,
 )
+from gaugedist.bodies import _CURVATURE_CAP
+from gaugedist.cli import ScanConfig, _body_from
 
 
 def _bodies(rng):
@@ -187,6 +190,20 @@ def test_curvature_condition_hexagon_flat():
     assert len(hexg.flat_directions) > 0
 
 
+def test_curvature_grid_capped_before_allocating():
+    tracemalloc.start()
+    try:
+        # 10^6 directions x 17 default depths
+        with pytest.raises(BudgetError, match=f"cap of {_CURVATURE_CAP}"):
+            curvature_condition(disk(), n_theta=10**6)
+        with pytest.raises(BudgetError, match=f"cap of {_CURVATURE_CAP}"):
+            curvature_condition(disk(), eps_grid=[0.01, 0.02], n_theta=_CURVATURE_CAP // 2 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_radial_polygon_round_profile_constructs():
     thetas = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     body = radial_polygon(np.full(64, 1.5))
@@ -233,42 +250,60 @@ def test_polygon_exact_vertices_must_match():
         Polygon2D([(1, 0), (0, 1), (-1 - 1e-7, 0), (0, -1)])
 
 
-def test_body_from_config_all_kinds(rng):
+def _body_from_ini(tmp_path, text):
+    path = tmp_path / "body.ini"
+    path.write_text("[body]\n" + text, encoding="utf-8")
+    return _body_from(ScanConfig.load(str(path)))
+
+
+def test_body_from_config_all_kinds(tmp_path):
     cases = [
-        {"kind": "disk", "radius": "2"},
-        {"kind": "ellipse", "semi_axes": "2, 1"},
-        {"kind": "square", "half": "1"},
-        {"kind": "diamond", "half": "0.5"},
-        {"kind": "lp", "p": "3", "semi_axes": "1, 1"},
-        {"kind": "lp", "p": "inf"},
-        {"kind": "polygon", "vertices": "2,1; -1,2; -2,-1; 1,-2"},
-        {"kind": "polygon", "vertices": "2,1; -1,2; -2,-1; 1,-2",
-         "denominator": "2"},
-        {"kind": "regular", "n_vertices": "8"},
-        {"kind": "hexagon"},
-        {"kind": "radial", "radii": "1, 1.2, 1, 1.2"},
-        {"kind": "radial", "radii": "random:8"},
+        "kind = disk\nradius = 2",
+        "kind = ellipse\nsemi_axes = 2, 1",
+        "kind = ellipse\nsemi_axes = 2 1",
+        "kind = square\nhalf = 1",
+        "kind = diamond\nhalf = 0.5",
+        "kind = lp\np = 3\nsemi_axes = 1, 1",
+        "kind = lp\np = inf",
+        "kind = polygon\nvertices = 2,1; -1,2; -2,-1; 1,-2",
+        "kind = polygon\nvertices = 2,1; -1,2; -2,-1; 1,-2\ndenominator = 2",
+        "kind = regular\nn_vertices = 8",
+        "kind = hexagon",
+        "kind = radial\nradii = 1, 1.2, 1, 1.2",
+        "kind = radial\nradii = 1 1.2 1 1.2",
+        "kind = radial\nradii = random:8",
     ]
-    for sec in cases:
-        body = body_from_config(sec, rng)
-        assert body.dim == 2
+    for text in cases:
+        body = _body_from_ini(tmp_path, text)
+        assert body.dim == 2, text
 
 
-def test_body_from_config_diagnostics(rng):
-    with pytest.raises(ConfigError, match=r"\[body\] kind"):
-        body_from_config({}, rng)
-    with pytest.raises(ConfigError, match=r"\[body\] radius"):
-        body_from_config({"kind": "disk", "radius": "wide"}, rng)
-    with pytest.raises(ConfigError, match=r"\[body\] vertices"):
-        body_from_config({"kind": "polygon"}, rng)
-    with pytest.raises(ConfigError, match="unknown"):
-        body_from_config({"kind": "pentagram"}, rng)
+def test_body_from_config_diagnostics(tmp_path):
+    where = str(tmp_path / "body.ini") + ": "
+    cases = [
+        ("", "[body] kind: missing required key"),
+        ("kind = disk\nradius = wide", "[body] radius: expected a number, got 'wide'"),
+        ("kind = polygon", "[body] vertices: missing required key"),
+        ("kind = pentagram", "[body] kind: unknown kind 'pentagram'"),
+        ("kind = ellipse\nsemi_axes = 2; 1", "[body] semi_axes: expected a number"),
+        ("kind = disk\nradius = -1", "[body] radius: semi_axes must be positive"),
+        ("kind = regular\nn_vertices = 6.5", "[body] n_vertices: expected an integer"),
+        ("kind = regular\nn_vertices = 5", "[body] n_vertices/circumradius: symmetric"),
+        ("kind = radial\nradii = random:eight", "[body] radii: expected random:<even"),
+        ("kind = radial\nradii = random:7", "[body] radii: random count must be even"),
+        ("kind = radial\nradii = 1 1.2 1", "[body] radii: radial profile needs an even"),
+        ("kind = polygon\nvertices = 2,1,0; -2,-1,0", "[body] vertices: expected 'x, y'"),
+        ("kind = polygon\nvertices = 1,0; 0,1; -1,0", "[body] vertices: polygon needs"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ConfigError) as info:
+            _body_from_ini(tmp_path, text)
+        assert str(info.value).startswith(where + message), text
 
 
-def test_config_rational_vertices(rng):
-    body = body_from_config(
-        {"kind": "polygon", "vertices": "3,1; -1,3; -3,-1; 1,-3",
-         "denominator": "3"}, rng)
+def test_config_rational_vertices(tmp_path):
+    body = _body_from_ini(tmp_path, "kind = polygon\nvertices = 3,1; -1,3; -3,-1; 1,-3\n"
+                                    "denominator = 3")
     v = body.exact_vertices
     assert v is not None
     assert v[0][0] == Fraction(1)

@@ -95,8 +95,6 @@ def test_config_diagnostics_name_the_field(tmp_path):
         cfg.get_float("grid", "spacing")
     with pytest.raises(ConfigError, match=r"\[grid\] missing_key: missing required"):
         cfg.get("grid", "missing_key")
-    with pytest.raises(ConfigError, match="missing required section"):
-        cfg.section("nope")
 
 
 def test_config_missing_file():
@@ -277,6 +275,14 @@ _KEY_MINIMUM_CASES = [
     ("fractal", "build", "[run]\nexperiment = fractal\n[fractal]\nm = 2\n", "fractal", "depth"),
     ("lemma", "check", "[run]\nexperiment = lemma\n[body]\nkind = disk\n", "lemma", "n_theta"),
     ("lemma", "check", "[run]\nexperiment = lemma\n[body]\nkind = disk\n", "lemma", "annulus_theta"),
+    ("lemma", "check", "[run]\nexperiment = lemma\n[body]\nkind = disk\n", "lemma", "t_per_octave"),
+    ("decay", "scan", "[run]\nexperiment = decay\n[body]\nkind = square\n", "decay",
+     "samples_per_octave"),
+    ("fractal", "build", "[run]\nexperiment = fractal\n[fractal]\nm = 2\n", "fractal", "dims"),
+    ("fractal", "build", "[run]\nexperiment = fractal\n[fractal]\nconstruction = dio\n",
+     "fractal", "q"),
+    ("body", "inspect", "[run]\nexperiment = body\n[body]\nkind = polygon\n"
+     "vertices = 2,1; -1,2; -2,-1; 1,-2\n", "body", "denominator"),
 ]
 
 
@@ -292,6 +298,36 @@ def test_count_keys_must_be_positive(tmp_path, capsys, group, action, text, sect
     rc = main([group, action, "--config", path, "--out", str(tmp_path / "a")])
     assert rc == 1
     assert f"{path}: [{section}] {key}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not any((tmp_path / "a").glob("*.json"))
+
+
+_PROBES = [
+    ("body", "inspect", "[body]\nkind = disk\nradius = wide\n", "[body] radius"),
+    ("body", "inspect", "[body]\nkind = radial\nradii = random:eight\n", "[body] radii"),
+    ("body", "inspect", "[body]\nkind = regular\nn_vertices = 6.5\n", "[body] n_vertices"),
+    ("lemma", "check", "[body]\nkind = disk\n[lemma]\nwhich = chord\nt_min = 0\n",
+     "[lemma] t_min/t_max"),
+    ("lemma", "check", "[body]\nkind = disk\n[lemma]\nwhich = chord\nt_min = 64\n"
+     "t_max = 8\n", "[lemma] t_min/t_max"),
+    ("lemma", "check", "[body]\nkind = disk\n[lemma]\nwhich = annulus\nr_list = 1 2\n"
+     "delta_list = 0.01 0.15\n", "[lemma] r_list/xi_list/delta_list"),
+    ("fractal", "build", "[fractal]\nm = 1\n", "[fractal] m"),
+    ("fractal", "build", "[fractal]\nconstruction = dio\ns = 5\n", "[fractal] s"),
+    ("distset", "scan", "[body]\nkind = disk\n[distset]\nq_list = 2 4 8 16\n"
+     "family = perturbed_lattice\njitter = 0.7\n", "[distset] jitter"),
+    ("convert", "demo", "[body]\nkind = disk\n[convert]\nq_list = 2 4 8 16\ns = 0\n",
+     "[convert] s"),
+]
+
+
+@pytest.mark.parametrize("group, action, text, where", _PROBES, ids=[c[3] for c in _PROBES])
+def test_config_errors_name_file_section_and_key(tmp_path, capsys, group, action, text, where):
+    path = _cfg(tmp_path, text)
+    rc = main([group, action, "--config", path, "--out", str(tmp_path / "a")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: {where}: " in err
+    assert "Traceback" not in err
     assert not any((tmp_path / "a").glob("*.json"))
 
 

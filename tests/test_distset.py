@@ -32,7 +32,8 @@ from gaugedist import (
     well_distributed_check,
 )
 from gaugedist._blocks import _BLOCK_ENTRIES
-from gaugedist.distset import _DIFFERENCE_CAP, _LATTICE_CAP, _difference_grid
+from gaugedist.distset import (_DIFFERENCE_CAP, _FRACTION_CAP, _LATTICE_CAP,
+                               _difference_grid, _exact_distance_set)
 
 linf = LpBall(np.inf, (1.0, 1.0))
 l1 = LpBall(1.0, (1.0, 1.0))
@@ -453,6 +454,38 @@ def test_lattice_grids_capped_before_allocating():
     assert ((2 * 2047 + 1) ** 2 - 1) // 2 <= _DIFFERENCE_CAP < ((2 * 2048 + 1) ** 2 - 1) // 2
     with pytest.raises(BudgetError):
         PointSet.lattice(8, d=8)
+
+
+def _fine_rational_polygon(n=64, den=10**6):
+    """A regular n-gon with rational vertices whose cleared face keys overflow int64."""
+    half = [(Fraction(math.cos(2 * math.pi * k / n)).limit_denominator(den),
+             Fraction(math.sin(2 * math.pi * k / n)).limit_denominator(den))
+            for k in range(n // 2)]
+    ev = half + [(-x, -y) for x, y in half]
+    return Polygon2D(np.array(ev, dtype=float), ev)
+
+
+def test_exact_polygon_rational_fallback():
+    body = _fine_rational_polygon()
+    S = PointSet.lattice(3)
+    exact = distance_set(S, body, "exact_rational")
+    assert exact.exact
+    assert exact.count == distance_set(S, body).count
+    assert exact.multiplicities.sum() == S.n * (S.n - 1) // 2
+
+
+def test_exact_polygon_rational_fallback_capped_before_allocating():
+    body = _fine_rational_polygon()
+    diffs, weights = _difference_grid(91, 2)  # 16 744 vectors x 64 faces
+    assert len(diffs) * 64 > _FRACTION_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"cap of {_FRACTION_CAP}"):
+            _exact_distance_set(None, body, diffs, weights, Fraction(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_polygon_gauge_blocked_by_face_count():

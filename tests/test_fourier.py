@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from scipy.special import j0, j1
 
 from gaugedist import (
     AnnulusSpec,
+    BudgetError,
     CapabilityError,
     InsufficientDataError,
     LpBall,
     ValidationError,
+    annulus_bound_report,
     annulus_ft,
     body_ft,
     chord_bound_report,
@@ -33,7 +36,8 @@ from gaugedist import (
 )
 from gaugedist.bodies import boundary_quadrature
 from gaugedist._blocks import _BLOCK_ENTRIES
-from gaugedist.fourier import Frequency, _PANELS_PER_UNIT, _half_sum, _smooth_ft
+from gaugedist.fourier import (Frequency, _PANELS_PER_UNIT, _SCAN_CAP, _half_sum,
+                               _smooth_ft)
 
 
 # leggauss(4000) costs seconds and the oracle needs the same rule each call
@@ -432,6 +436,22 @@ def test_chord_bound_report_shapes():
     assert rep.ratios.shape == (13, 16)
     assert rep.octave_spread >= 1.0
     assert rep.max_ratio > 0
+
+
+def test_bound_scans_capped_before_allocating():
+    t = np.geomspace(4, 1024, 33)  # the lemma default: 4..1024 at 4 per octave
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"cap of {_SCAN_CAP}"):
+            chord_bound_report(disk(), t, n_theta=10**6)
+        # 4 R x 7 xi x 3 delta, the lemma defaults, at 10^5 directions
+        with pytest.raises(BudgetError, match=f"cap of {_SCAN_CAP}"):
+            annulus_bound_report(disk(), [1, 2, 4, 8], 4.0 * 2.0 ** np.arange(7),
+                                 [1e-3, 1e-2, 1e-1], n_theta=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_capability_errors():
