@@ -77,6 +77,12 @@ class ConvexBody:
         """Exact polygon view when the boundary is genuinely polygonal."""
         return None
 
+    def symmetry(self) -> tuple:
+        """(k, mirror): the body is invariant under rotation by 2*pi/k and,
+        when ``mirror``, under the reflection (x, y) -> (x, -y).  The
+        default is the central symmetry every body here has."""
+        return 2, False
+
     def kind(self) -> str:
         return type(self).__name__
 
@@ -195,6 +201,29 @@ class Polygon2D(ConvexBody):
     def as_polygon(self) -> "Polygon2D":
         return self
 
+    def symmetry(self) -> tuple:
+        """(k, mirror) read from the vertices within 1e-12 * scale: k is the
+        largest even divisor of n whose rotation by 2*pi/k is the roll by n/k,
+        and the mirror maps the reversed vertex list onto one roll of itself.
+        A polygon symmetric only within the 1e-9 acceptance tolerance keeps
+        the default (2, False)."""
+        V = self.vertices
+        n = len(V)
+        tol = 1e-12 * max(float(np.abs(V).max()), 1.0)
+
+        def rolled_to(W, shift):
+            return np.allclose(W, np.roll(V, -shift, axis=0), rtol=0.0, atol=tol)
+
+        k = 2
+        for cand in (c for c in range(n, 2, -2) if n % c == 0):
+            c, s = math.cos(2.0 * math.pi / cand), math.sin(2.0 * math.pi / cand)
+            if rolled_to(V @ np.array([[c, s], [-s, c]]), n // cand):
+                k = cand
+                break
+        W = (V * [1.0, -1.0])[::-1]
+        shift = int(np.argmin(((V - W[0]) ** 2).sum(axis=1)))
+        return k, rolled_to(W, shift)
+
 
 class Ellipsoid(ConvexBody):
     """Axis-aligned ellipsoid {sum (x_i/a_i)^2 <= 1}."""
@@ -297,6 +326,10 @@ class LpBall(ConvexBody):
             raise ValidationError("scale factor must be positive")
         return LpBall(self.p, self.semi_axes * s)
 
+    def symmetry(self) -> tuple:
+        # the quarter turn swaps the axes; the reflection flips one sign
+        return (4 if np.all(self.semi_axes == self.semi_axes[0]) else 2), True
+
     def as_polygon(self) -> Optional[Polygon2D]:
         if self.dim != 2:
             return None
@@ -313,6 +346,16 @@ class LpBall(ConvexBody):
 
 # ---------------------------------------------------------------------------
 # constructors
+
+# Hard cap on the vertex count of generated polygons, checked before their
+# vertices are allocated.
+_VERTEX_CAP = 1 << 16
+
+
+def check_vertex_count(n: int) -> None:
+    if n > _VERTEX_CAP:
+        raise BudgetError(f"{n} vertices exceeds the cap of {_VERTEX_CAP}")
+
 
 def disk(radius: float = 1.0) -> Ellipsoid:
     return Ellipsoid((radius, radius))
@@ -340,6 +383,7 @@ def regular_polygon(n_vertices: int, circumradius: float = 1.0,
                     phase: float = 0.0) -> Polygon2D:
     if n_vertices < 4 or n_vertices % 2 != 0:
         raise ValidationError("symmetric regular polygon needs even n >= 4")
+    check_vertex_count(n_vertices)
     th = 2.0 * math.pi * np.arange(n_vertices) / n_vertices + phase
     V = circumradius * np.stack([np.cos(th), np.sin(th)], axis=1)
     return Polygon2D(V)

@@ -28,7 +28,8 @@ from . import bodies as B
 from . import fourier as F
 from . import distset as D
 from . import fractal as X
-from .errors import ConfigError, GaugedistError, InsufficientDataError, ValidationError
+from .errors import (BudgetError, ConfigError, GaugedistError, InsufficientDataError,
+                     ValidationError)
 from .svgplot import svg_decay_plot
 
 _REQUIRED = object()
@@ -119,11 +120,14 @@ class ScanConfig:
         return [self._cast(section, key, t, caster, what) for t in items]
 
     def build(self, section, keys, fn, *args):
-        """fn(*args), its ValidationError reported against [section] keys."""
+        """fn(*args), its ValidationError or BudgetError reported against
+        [section] keys."""
         try:
             return fn(*args)
         except ValidationError as exc:
             raise ConfigError(f"{self.path}: [{section}] {keys}: {exc}") from None
+        except BudgetError as exc:
+            raise BudgetError(f"{self.path}: [{section}] {keys}: {exc}") from None
 
     def echo(self) -> dict:
         return {s: dict(self._p.items(s)) for s in self._p.sections()}
@@ -255,6 +259,7 @@ def _body_from(cfg: ScanConfig) -> B.ConvexBody:
         if n < 4 or n % 2:
             raise ConfigError(f"{cfg.path}: [body] radii: random count must be even >= 4, "
                               f"got {n}")
+        cfg.build(sec, "radii", B.check_vertex_count, n)
         for _ in range(1000):
             half = rng.uniform(0.7, 1.3, size=n // 2)
             try:
@@ -281,7 +286,11 @@ def _geometric_grid(cfg: ScanConfig, sec: str, name: str, lo: float, hi: float,
     if not 0 < lo < hi:
         raise ConfigError(f"{cfg.path}: [{sec}] {name}_min/{name}_max: "
                           f"need 0 < {name}_min < {name}_max")
-    return np.geomspace(lo, hi, int(round(spo * math.log2(hi / lo))) + 1)
+    n = int(round(spo * math.log2(hi / lo))) + 1
+    if n > F._SCAN_CAP:
+        raise BudgetError(f"{cfg.path}: [{sec}] {per_key}: {n} grid points exceeds "
+                          f"the cap of {F._SCAN_CAP}")
+    return np.geomspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +417,8 @@ def _run_distset_scan(cfg: ScanConfig, report: Report):
     q_list = _q_list(cfg, sec)
     mode = cfg.get(sec, "mode", "float_tol")
     alpha = cfg.get_float(sec, "alpha", None)
+    if alpha is not None:
+        cfg.build(sec, "alpha", D.conversion_bound, body.dim, alpha)
     slack = cfg.get_float(sec, "slack", 0.1)
     family, fam_label = _distset_family(cfg, sec)
 
@@ -545,6 +556,7 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
     q_list = _q_list(cfg, sec)
     s = cfg.get_float(sec, "s", 1.0)
     alpha = cfg.get_float(sec, "alpha", 4.0 / 3.0)
+    cfg.build(sec, "alpha", D.conversion_bound, body.dim, alpha)
     slack = cfg.get_float(sec, "slack", 0.1)
     mode = cfg.get(sec, "mode", "float_tol")
     family, fam_label = _distset_family(cfg, sec)

@@ -496,6 +496,13 @@ def fit_window(q_values) -> np.ndarray:
     return window
 
 
+def conversion_bound(d: int, alpha: float) -> float:
+    """The growth exponent d/alpha that the conversion argument predicts."""
+    if not 0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
+    return d / alpha
+
+
 def growth_fit(q_values: Sequence[int], counts: Sequence[int], d: int, *,
                alpha: Optional[float] = None, slack: float = 0.1) -> GrowthReport:
     """Power-law fit of distinct-distance counts already computed per q.
@@ -517,7 +524,7 @@ def growth_fit(q_values: Sequence[int], counts: Sequence[int], d: int, *,
     beta = float(coef[1])
     bound = verdict = None
     if alpha is not None:
-        bound = d / alpha
+        bound = conversion_bound(d, alpha)
         verdict = bool(beta >= bound - slack)
     return GrowthReport(qs, counts, beta, float(math.exp(coef[0])), bound, verdict,
                         int(window.sum()))
@@ -530,6 +537,8 @@ def growth_scan(family: Callable[[int], PointSet], body: ConvexBody,
     """Distinct-distance counts of family(q) for each distinct q, fitted by growth_fit."""
     qs = sorted(set(int(q) for q in q_list))
     fit_window(qs)  # fail before counting anything
+    if alpha is not None:
+        conversion_bound(1, alpha)
     counts = []
     for q in qs:
         S = family(q)

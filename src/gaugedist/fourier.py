@@ -310,7 +310,7 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
     """L^p average of |transform| over the frequency circle of radius R.
 
     Rectangle rule over a half circle (the integrand has period pi for a
-    symmetric body); the node count grows linearly with R * diam(K).  For
+    symmetric body); the node count N grows linearly with R * diam(K).  For
     p = 2 the integrand |transform|^2 is smooth and band-limited, the rule
     stays far past its angular band limit, and the value agrees with a much
     finer rule to about 1e-14.  For p = 1 that claim does not hold:
@@ -318,6 +318,14 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
     spectral accuracy.  On the square the p = 1 average is off by a
     relative 1e-4 to 1e-3 at the default count, and the error falls only
     algebraically, and unevenly, as nodes are added.
+
+    Only one symmetry cell of the N-node rule is evaluated.  For a body
+    with ``symmetry()`` (k, mirror) the integrand has period 2 pi / k, hence
+    period pi / g with g = gcd(k/2, N), a shift of M = N / g nodes: the mean
+    over all N nodes is the mean over the first M.  With the mirror, node
+    M - j repeats node j, so nodes 0 .. M/2 are evaluated and every node
+    other than 0 and M/2 counts twice.  The value is the N-node value up to
+    summation rounding; with g = 1 and no mirror it is the N-node value.
     """
     if body.dim != 2:
         raise CapabilityError("spherical averages are planar only")
@@ -329,12 +337,24 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
         # half-circle count; equals the max(256, 32 R diam) full-circle rule
         n_nodes = max(_MIN_ANGULAR,
                       int(math.ceil(_ANGULAR_PER_UNIT * R * body.diameter())))
-    th = math.pi * np.arange(n_nodes) / n_nodes
+    if n_nodes < 1:
+        raise ValidationError("n_nodes must be >= 1")
+    k, mirror = body.symmetry()
+    M = n_nodes // math.gcd(k // 2, n_nodes)
+    th = math.pi * np.arange(M // 2 + 1 if mirror else M) / n_nodes
     xi = R * np.stack([np.cos(th), np.sin(th)], axis=1)
     vals = np.abs(_transform(body, xi, kind, threads))
-    if p == 1:
-        return float(vals.mean())
-    return float(math.sqrt(np.mean(vals * vals)))
+    if p == 2:
+        vals = vals * vals
+    if mirror:
+        w = np.full(th.size, 2.0)
+        w[0] = 1.0
+        if M % 2 == 0:
+            w[-1] = 1.0
+        mean = float(w @ vals) / M
+    else:
+        mean = float(vals.mean())
+    return mean if p == 1 else math.sqrt(mean)
 
 
 def radial_samples(body: ConvexBody, R_values, theta: float,

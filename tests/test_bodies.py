@@ -28,7 +28,7 @@ from gaugedist import (
     regular_polygon,
     square,
 )
-from gaugedist.bodies import _CURVATURE_CAP
+from gaugedist.bodies import _CURVATURE_CAP, _VERTEX_CAP
 from gaugedist.cli import ScanConfig, _body_from
 
 
@@ -248,6 +248,49 @@ def test_polygon_exact_vertices_must_match():
     # float antipodes agree within 1e-9 * scale, not numpy's default 1e-5 relative
     with pytest.raises(ValidationError, match="not symmetric"):
         Polygon2D([(1, 0), (0, 1), (-1 - 1e-7, 0), (0, -1)])
+
+
+def test_symmetry_detection():
+    assert square().symmetry() == (4, True)
+    assert diamond().symmetry() == (4, True)
+    assert square(0.3).rotated(math.pi / 4).symmetry() == (4, True)
+    assert regular_polygon(256).symmetry() == (256, True)
+    assert regular_polygon(6).symmetry() == (6, True)
+    assert regular_polygon(6, phase=0.3).symmetry() == (6, False)
+    assert regular_polygon(12, phase=math.pi / 12).symmetry() == (12, True)
+    assert LpBall(4.0).symmetry() == (4, True)
+    assert LpBall(1.0, (2.0, 2.0)).symmetry() == (4, True)
+    assert LpBall(4.0, (1.0, 0.6)).symmetry() == (2, True)
+    assert LpBall(math.inf, (1.0, 2.0)).symmetry() == (2, True)
+    assert disk().symmetry() == (2, False)
+    assert ellipse(2.0, 1.0).symmetry() == (2, False)
+    assert random_symmetric_hexagon(np.random.default_rng(7)).symmetry() == (2, False)
+    # a rectangle: the half turn and the mirror, no quarter turn
+    assert Polygon2D([(2, 1), (-2, 1), (-2, -1), (2, -1)]).symmetry() == (2, True)
+    # the mirror is found at whatever roll offset it sits
+    for shift in range(6):
+        V = np.roll(regular_polygon(6).vertices, shift, axis=0)
+        assert Polygon2D(V).symmetry() == (6, True)
+    # symmetric only within the 1e-9 acceptance tolerance: the default
+    V = regular_polygon(6).vertices.copy()
+    V[0, 1] += 1e-10
+    assert Polygon2D(V).symmetry() == (2, False)
+
+
+def test_vertex_count_capped_before_allocating(tmp_path):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"cap of {_VERTEX_CAP}"):
+            regular_polygon(10**9)
+        with pytest.raises(BudgetError, match=r"body\.ini: \[body\] radii: .*cap of"):
+            _body_from_ini(tmp_path, "kind = radial\nradii = random:1000000000")
+        with pytest.raises(BudgetError, match=r"body\.ini: \[body\] n_vertices"):
+            _body_from_ini(tmp_path, "kind = regular\nn_vertices = 1000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(regular_polygon(_VERTEX_CAP).vertices) == _VERTEX_CAP
 
 
 def _body_from_ini(tmp_path, text):

@@ -2,6 +2,7 @@
 
 import json
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from gaugedist import PlotDataError, decay_fit, svg_decay_plot
 from gaugedist import distset as D
 from gaugedist.cli import ScanConfig, main
 from gaugedist.errors import ConfigError
+from gaugedist.fourier import _SCAN_CAP
 
 
 def _cfg(tmp_path, text, name="run.ini"):
@@ -317,6 +319,10 @@ _PROBES = [
      "family = perturbed_lattice\njitter = 0.7\n", "[distset] jitter"),
     ("convert", "demo", "[body]\nkind = disk\n[convert]\nq_list = 2 4 8 16\ns = 0\n",
      "[convert] s"),
+    ("distset", "scan", "[body]\nkind = disk\n[distset]\nq_list = 2 4 8 16\nalpha = 0\n",
+     "[distset] alpha"),
+    ("convert", "demo", "[body]\nkind = disk\n[convert]\nq_list = 2 4 8 16\nalpha = -1\n",
+     "[convert] alpha"),
 ]
 
 
@@ -363,6 +369,44 @@ def test_q_list_checked_before_any_point_set(tmp_path, capsys, monkeypatch,
     assert rc == 1
     assert f"{path}: [{section}] q_list: {message}" in capsys.readouterr().err
     assert not any((tmp_path / "a").glob("*.json"))
+
+
+@pytest.mark.parametrize("group, action, section", [("distset", "scan", "distset"),
+                                                    ("convert", "demo", "convert")])
+def test_alpha_checked_before_any_point_set(tmp_path, capsys, monkeypatch,
+                                            group, action, section):
+    def no_point_sets(*args, **kwargs):
+        raise AssertionError("a point set was built")
+
+    monkeypatch.setattr(D.PointSet, "__init__", no_point_sets)
+    path = _cfg(tmp_path, f"[run]\nexperiment = {group}\n[body]\nkind = disk\n"
+                          f"[{section}]\nq_list = 2 4 8 16\nalpha = 0\n")
+    rc = main([group, action, "--config", path, "--out", str(tmp_path / "a")])
+    assert rc == 1
+    assert (f"{path}: [{section}] alpha: alpha must be positive and finite, got 0.0"
+            in capsys.readouterr().err)
+
+
+# 10^9 points per octave over the default ranges, 4..1024 and 8..512
+@pytest.mark.parametrize("group, action, text, key, n", [
+    ("lemma", "check", "[body]\nkind = disk\n[lemma]\nwhich = chord\n", "t_per_octave",
+     8 * 10**9 + 1),
+    ("decay", "scan", "[body]\nkind = disk\n[decay]\n", "samples_per_octave",
+     6 * 10**9 + 1),
+])
+def test_geometric_grids_capped_before_allocating(tmp_path, capsys, group, action, text,
+                                                  key, n):
+    path = _cfg(tmp_path, f"[run]\nexperiment = {group}\n{text}{key} = 1000000000\n")
+    tracemalloc.start()
+    try:
+        rc = main([group, action, "--config", path, "--out", str(tmp_path / "a")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert (f"{path}: [{group}] {key}: {n} grid points exceeds the cap of {_SCAN_CAP}"
+            in capsys.readouterr().err)
+    assert peak < 1 << 20
 
 
 _ROOT = Path(__file__).resolve().parent.parent

@@ -436,6 +436,11 @@ def test_growth_fit_input_checks():
         growth_fit([4, 8, 16], [1, 2, 3], 2)
     with pytest.raises(InsufficientDataError):  # one point in the fit window
         growth_fit([1, 2, 1000], [1, 2, 3], 2)
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="alpha must be positive and finite"):
+            growth_fit([4, 8, 16, 32], [1, 2, 3, 4], 2, alpha=alpha)
+        with pytest.raises(ValidationError, match="alpha must be positive and finite"):
+            growth_scan(PointSet.lattice, disk(), [4, 8, 16, 32], alpha=alpha)
 
 
 def test_lattice_grids_capped_before_allocating():

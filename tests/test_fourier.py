@@ -26,6 +26,7 @@ from gaugedist import (
     disk,
     ellipse,
     octave_envelope,
+    radial_polygon,
     radial_samples,
     random_symmetric_hexagon,
     regular_polygon,
@@ -34,10 +35,10 @@ from gaugedist import (
     surface_ft,
     window_aggregate,
 )
+from gaugedist import fourier
 from gaugedist.bodies import boundary_quadrature
-from gaugedist._blocks import _BLOCK_ENTRIES
-from gaugedist.fourier import (Frequency, _PANELS_PER_UNIT, _SCAN_CAP, _half_sum,
-                               _smooth_ft)
+from gaugedist.fourier import (Frequency, _ANGULAR_PER_UNIT, _MIN_ANGULAR, _PANELS_PER_UNIT,
+                               _SCAN_CAP, _half_sum, _smooth_ft)
 
 
 # leggauss(4000) costs seconds and the oracle needs the same rule each call
@@ -326,20 +327,94 @@ def test_spherical_average_rotation_invariance():
         assert avg == pytest.approx(pointwise, rel=1e-10)
 
 
-def test_spherical_average_thread_stability():
-    # the polygon path and the quadrature path at R = 128, where the half
-    # sums span several row blocks; threads must not move a bit
-    cases = [(square(), 33.0, "body"), (ellipse(2.0, 1.0), 33.0, "body"),
-             (regular_polygon(256), 512.0, "body"),
-             (LpBall(4.0, (1.0, 1.0)), 128.0, "surface")]
-    for body, R, kind in cases:
+def _default_nodes(body, R):
+    return max(_MIN_ANGULAR, math.ceil(_ANGULAR_PER_UNIT * R * body.diameter()))
+
+
+def _full_rule_values(body, R, kind, n_nodes):
+    """|transform| on every node pi j / N, j < N, of the half-circle rule."""
+    th = math.pi * np.arange(n_nodes) / n_nodes
+    xi = R * np.stack([np.cos(th), np.sin(th)], axis=1)
+    return np.abs(body_ft(body, xi) if kind == "body" else surface_ft(body, xi))
+
+
+def _full_rule(vals, p):
+    # the N-node mean exactly as spherical_average computed it before the
+    # symmetry cell
+    return float(vals.mean()) if p == 1 else float(math.sqrt(np.mean(vals * vals)))
+
+
+_POLYGON_RADII = (5.3, 8.0, 33.0, 100.7, 128.0, 300.2, 512.0, 1000.3, 1024.0)
+_CELL_CASES = [
+    ("square", square, _POLYGON_RADII),
+    ("diamond", diamond, _POLYGON_RADII),
+    ("256-gon", lambda: regular_polygon(256), _POLYGON_RADII),
+    ("lp4", lambda: LpBall(4.0), (8.0, 33.3, 128.0)),
+    ("lp4-unequal", lambda: LpBall(4.0, (1.0, 0.6)), (8.0, 33.3, 128.0)),
+    ("hexagon-phase", lambda: regular_polygon(6, phase=0.3), _POLYGON_RADII),
+    ("seeded-hexagon", lambda: random_symmetric_hexagon(np.random.default_rng(7)),
+     _POLYGON_RADII),
+    ("disk", disk, _POLYGON_RADII),
+]
+
+
+def test_spherical_average_cell_rule_vs_full_rule():
+    # one symmetry cell of the N-node rule against all N nodes, at the
+    # default N and at explicit ones; the measured worst cases are 6.4e-14
+    # (R <= 128) and 9.8e-13 (R <= 1024).  Bodies with only the half turn
+    # run the N-node rule itself, bit for bit
+    seen = set()
+    for name, make, radii in _CELL_CASES:
+        body = make()
+        k, mirror = body.symmetry()
+        runs = [(R, _default_nodes(body, R)) for R in radii]
+        runs += [(8.3, n) for n in (1, 2, 3, 4, 6, 129, 256, 1000)]
+        for R, n in runs:
+            M = n // math.gcd(k // 2, n)
+            seen.add((n % 2, M % 2, mirror, M < n))
+            for kind in ("body", "surface"):
+                vals = _full_rule_values(body, R, kind, n)
+                for p in (1, 2):
+                    got = spherical_average(body, R, kind=kind, p=p, n_nodes=n)
+                    want = _full_rule(vals, p)
+                    if k == 2 and not mirror:
+                        assert got == want, (name, R, n, kind, p)
+                    rtol = 1e-12 if R <= 128 else 1e-11
+                    assert abs(got - want) <= rtol * want, (name, R, n, kind, p)
+    # odd and even N, with and without the mirror; with it an odd and an
+    # even cell shortened by the rotation; without it a shortened cell
+    assert {(1, True), (0, True), (1, False), (0, False)} <= {c[::2] for c in seen}
+    assert {(0, 1, True, True), (0, 0, True, True)} <= seen
+    assert any(not mirror and shorter for _, _, mirror, shorter in seen)
+
+
+def test_spherical_average_thread_stability(monkeypatch):
+    # the polygon and quadrature paths; the radial 256-gon (no symmetry
+    # beyond the half turn) and LpBall(4) at R = 128 span several row blocks
+    # of the half sum, the 256-gon's 65 cell rows fit in one; threads must
+    # not move a bit
+    h = np.random.default_rng(11).uniform(1 - 1e-4, 1 + 1e-4, 128)
+    cases = [(square(), 33.0, "body", False), (ellipse(2.0, 1.0), 33.0, "body", False),
+             (regular_polygon(256), 512.0, "body", False),
+             (radial_polygon(np.concatenate([h, h])), 512.0, "body", True),
+             (LpBall(4.0, (1.0, 1.0)), 128.0, "surface", True)]
+    blocks = []
+    map_blocks = fourier.map_blocks
+
+    def counting(fn, rows, width, threads):
+        def counted(block):
+            blocks.append(len(block))
+            return fn(block)
+        return map_blocks(counted, rows, width, threads)
+
+    monkeypatch.setattr(fourier, "map_blocks", counting)
+    for body, R, kind, spans in cases:
+        blocks.clear()
         a = spherical_average(body, R, kind=kind, p=2, threads=1)
+        if spans:
+            assert len(blocks) >= 3, (body.kind(), R)
         for threads in (2, 4):
             assert spherical_average(body, R, kind=kind, p=2, threads=threads) == a
-    lp = LpBall(4.0, (1.0, 1.0))
-    n_rows = math.ceil(16.0 * 128.0 * lp.diameter())
-    half_nodes = 8 * (1 << math.ceil(math.log2(128.0 * lp.diameter())))
-    assert n_rows >= 3 * (_BLOCK_ENTRIES // half_nodes)
 
 
 def test_decay_fit_exact_power_law():
