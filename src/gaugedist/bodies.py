@@ -258,6 +258,11 @@ class Ellipsoid(ConvexBody):
             raise ValidationError("scale factor must be positive")
         return Ellipsoid(self.semi_axes * s)
 
+    def symmetry(self) -> tuple:
+        # every planar ellipse has the mirror; a round disk keeps the default,
+        # so its averages stay the N-node rule bit for bit
+        return 2, bool(self.dim == 2 and np.ptp(self.semi_axes) > 0.0)
+
 
 class LpBall(ConvexBody):
     """Axis-scaled l^p ball {||x / a||_p <= 1}, p in [1, inf]."""

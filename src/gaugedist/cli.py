@@ -119,12 +119,12 @@ class ScanConfig:
         caster, what = (_number, "a number") if cast is float else (cast, cast.__name__)
         return [self._cast(section, key, t, caster, what) for t in items]
 
-    def build(self, section, keys, fn, *args):
-        """fn(*args), its ValidationError or BudgetError reported against
-        [section] keys."""
+    def build(self, section, keys, fn, *args, **kwargs):
+        """fn(*args, **kwargs), its ValidationError, InsufficientDataError or
+        BudgetError reported against [section] keys."""
         try:
-            return fn(*args)
-        except ValidationError as exc:
+            return fn(*args, **kwargs)
+        except (ValidationError, InsufficientDataError) as exc:
             raise ConfigError(f"{self.path}: [{section}] {keys}: {exc}") from None
         except BudgetError as exc:
             raise BudgetError(f"{self.path}: [{section}] {keys}: {exc}") from None
@@ -332,8 +332,10 @@ def _run_decay_scan(cfg: ScanConfig, report: Report):
     if average not in ("l1", "l2", "pointwise"):
         raise ConfigError(f"{cfg.path}: [decay] average: expected l1, l2 or pointwise")
     if cfg.get(sec, "r_list", None) is None:
+        grid_keys = "r_min/r_max"
         grid = _geometric_grid(cfg, sec, "r", 8.0, 512.0, "samples_per_octave", 8)
     else:
+        grid_keys = "r_list"
         grid = np.array(cfg.get_list(sec, "r_list"), dtype=float)
         if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
             raise ConfigError(f"{cfg.path}: [decay] r_list: R grid must be positive and sorted")
@@ -364,7 +366,8 @@ def _run_decay_scan(cfg: ScanConfig, report: Report):
 
     log_power = (body.dim - 1) if cfg.get_bool(sec, "log_correction", False) else 0
     min_samples = min(8, len(R_fit))
-    profile = F.decay_fit(R_fit, v_fit, log_power=log_power, min_samples=min_samples)
+    profile = cfg.build(sec, grid_keys, F.decay_fit, R_fit, v_fit,
+                        log_power=log_power, min_samples=min_samples)
     report.fits["decay"] = _fit_summary(profile)
     report.tables["aggregated"] = [
         {"R": float(a), "value": float(b)} for a, b in zip(R_fit, v_fit)]

@@ -1,14 +1,16 @@
 """Discrete point sets and distinct-distance statistics.
 
 Point sets are float arrays in R^d, optionally carrying an exact
-integer representation.  Distance sets are computed either by a
-blocked all-pairs sweep or, for (rotated) lattices, by the
-translation-invariance shortcut: the distances of the grid [0, q]^d
-are the gauge values of the difference grid [-q, q]^d, with pair
-multiplicities recovered from the grid geometry.  Exact counting
-works on integer keys (squared Euclidean, l1, linf) or on rational
-polygon gauges, so the reported counts are identities rather than
-float artifacts.
+integer representation.  Distance sets come from one blocked pipeline
+in both modes: difference vectors, either all pairs or, for (rotated)
+lattices, the translation-invariance shortcut (the distances of the
+grid [0, q]^d are the gauge values of the difference grid [-q, q]^d,
+with pair multiplicities recovered from the grid geometry), are mapped
+block by block to keys, and each block keeps only its distinct keys
+with their multiplicities, so memory is bounded per block.  Exact
+counting keys by integers (squared Euclidean, l1, linf, or cleared
+rational polygon gauges), so the reported counts are identities rather
+than float artifacts.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ _PAIR_CAP = 200_000_000
 _DEDUP_RTOL = 1e-9
 
 # Hard caps on the lattice grid (q+1)^d, on the half difference grid
-# ((2q+1)^d - 1)/2 and on vectors x faces in the rational fallback of exact
-# polygon gauges, checked before anything is allocated.  The first two
+# ((2q+1)^d - 1)/2 and on vectors x faces of exact polygon keys held in
+# Python integers, checked before anything is allocated.  The first two
 # admit q <= 2047 in the plane.
 _LATTICE_CAP = 1 << 22
 _DIFFERENCE_CAP = 1 << 23
@@ -131,20 +133,15 @@ class PointSet:
 
     @classmethod
     def explicit(cls, points) -> "PointSet":
-        """Wrap user-supplied points; integer or Fraction input stays exact."""
-        exact = None
-        try:
-            arr = np.asarray(points)
-            if arr.dtype.kind in "iu":
-                exact = arr.astype(np.int64)
-            elif arr.dtype == object:
-                flat = [v for row in points for v in row]
-                if all(isinstance(v, (int, Fraction)) for v in flat):
-                    exact = [tuple(Fraction(v) for v in row) for row in points]
-        except (TypeError, ValueError):
-            pass
-        pts = np.asarray(points, dtype=float)
-        return cls(pts, "explicit", exact=exact)
+        """Wrap user-supplied points; integer or Fraction input stays exact,
+        deduplicated and sorted like the float points."""
+        S = cls(np.asarray(points, dtype=float), "explicit")
+        arr = np.asarray(points)
+        if arr.dtype.kind in "iu":
+            S._exact = _unique_rows(arr.astype(np.int64))
+        elif arr.dtype == object and all(isinstance(v, (int, Fraction)) for v in arr.flat):
+            S._exact = sorted({tuple(Fraction(v) for v in row) for row in arr.tolist()})
+        return S
 
 
 @dataclass
@@ -262,28 +259,19 @@ def separated_check(S: PointSet, c: float) -> SeparatedReport:
 # distance sets
 
 
-def _merge_close(values: np.ndarray, weights: np.ndarray, rtol: float = _DEDUP_RTOL):
-    """Single-pass merge of sorted values whose relative gap is below rtol."""
-    if len(values) == 0:
-        return values, weights.astype(np.int64)
-    keep = np.empty(len(values), dtype=bool)
+def _distinct(keys: np.ndarray, weights: Optional[np.ndarray] = None, rtol: float = 0.0):
+    """The sorted distinct keys with summed weights (unit weights when None).
+    A key whose gap to the previous key is at most rtol times itself merges
+    into that key."""
+    if weights is None:
+        return np.unique(keys, return_counts=True)
+    order = np.argsort(keys)
+    keys, weights = keys[order], weights[order]
+    keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
-    np.greater(np.diff(values), rtol * values[1:], out=keep[1:])
-    idx = np.cumsum(keep) - 1
-    out_v = values[keep]
-    out_w = np.zeros(len(out_v), dtype=np.int64)
-    np.add.at(out_w, idx, weights)
-    return out_v, out_w
-
-
-def _finish(values: np.ndarray, weights: np.ndarray, exact: bool) -> DistanceSet:
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    weights = weights[order]
-    if not exact:
-        values, weights = _merge_close(values, weights)
-    gap = float(np.min(np.diff(values))) if len(values) > 1 else math.inf
-    return DistanceSet(values, weights.astype(np.int64), gap, len(values), exact)
+    keep[1:] = keys[1:] - keys[:-1] > rtol * keys[1:]
+    starts = np.flatnonzero(keep)
+    return keys[starts], np.add.reduceat(weights, starts)
 
 
 def _difference_grid(q: int, d: int):
@@ -317,30 +305,10 @@ def _difference_grid(q: int, d: int):
     return grid, weights
 
 
-def _exact_int_values(body: ConvexBody, diffs: np.ndarray):
-    """Integer distance keys for integer difference vectors.
-
-    Returns (keys, take_sqrt, factor): squared Euclidean keys need a
-    square root to become distances; l1 and linf keys are distances up
-    to the float factor (1/radius for non-unit balls).  Distinctness
-    of keys is distinctness of distances either way.
-    """
-    axes = getattr(body, "semi_axes", None)
-    if axes is None or np.ptp(axes) != 0.0:
-        return None, False, 1.0
-    r = float(axes[0])
-    p = body.p if isinstance(body, LpBall) else 2
-    if p == 2:
-        return np.einsum("ij,ij->i", diffs, diffs), True, 1.0 / r
-    if p == 1:
-        return np.abs(diffs).sum(axis=1), False, 1.0 / r
-    if math.isinf(p):
-        return np.abs(diffs).max(axis=1), False, 1.0 / r
-    return None, False, 1.0
-
-
-def _exact_polygon_faces(body: Polygon2D):
-    """Integer-cleared face functionals (Nx, Ny, C) with gauge = max (N.x)/C."""
+def _cleared_faces(body: Polygon2D):
+    """Integer rows M_i and a denominator L with gauge(x) = max_i (M_i . x) / L:
+    each face functional (N_i . x) / C_i cleared to integers, then all of them
+    brought to the common denominator L = lcm C_i."""
     verts = body.exact_vertices
     faces = []
     m = len(verts)
@@ -353,53 +321,53 @@ def _exact_polygon_faces(body: Polygon2D):
             raise CapabilityError("polygon face data is not usable for exact gauges")
         den = math.lcm(nx.denominator, ny.denominator, c.denominator)
         faces.append((int(nx * den), int(ny * den), int(c * den)))
-    return faces
+    L = math.lcm(*(c for _, _, c in faces))
+    return [(nx * (L // c), ny * (L // c)) for nx, ny, c in faces], L
 
 
-def _exact_distance_set(S: PointSet, body: ConvexBody, diffs: np.ndarray,
-                        weights: np.ndarray, scale: Fraction) -> DistanceSet:
-    keys, take_sqrt, factor = _exact_int_values(body, diffs)
-    if keys is not None:
-        nz = keys != 0
-        keys = keys[nz]
-        w = weights[nz]
-        uniq, inv = np.unique(keys, return_inverse=True)
-        mult = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(mult, inv, w)
-        s = float(scale) * factor
-        vals = np.sqrt(uniq.astype(float)) * s if take_sqrt else uniq.astype(float) * s
-        return _finish(vals, mult, exact=True)
-    if isinstance(body, Polygon2D):
-        faces = _exact_polygon_faces(body)
-        # common denominator L turns the gauge into integer keys:
-        # gauge(x) = max_i (N_i . x)/C_i = (max_i M_i . x) / L
-        L = math.lcm(*(c for _, _, c in faces))
-        M = [(nx * (L // c), ny * (L // c)) for nx, ny, c in faces]
-        bound = max(abs(a) + abs(b) for a, b in M) * int(np.abs(diffs).max() or 1)
-        if bound < 2**52:  # keys stay exact through the float rendering
-            raw = diffs @ np.array(M, dtype=np.int64).T
-            keys = raw.max(axis=1)
-            nz = keys != 0
-            uniq, inv = np.unique(keys[nz], return_inverse=True)
-            mult = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(mult, inv, weights[nz])
-            vals = uniq.astype(float) * (float(scale) / L)
-            return _finish(vals, mult, exact=True)
-        # overflow-safe fallback: rational arithmetic per vector
-        if len(diffs) * len(faces) > _FRACTION_CAP:
-            raise BudgetError(f"{len(diffs)} vectors x {len(faces)} faces of rational "
+def _key_width(body: ConvexBody, d: int) -> int:
+    """Entries one d-vector costs in a gauge or key buffer: a polygon's
+    faces, otherwise its coordinates."""
+    return len(body.vertices) if isinstance(body, Polygon2D) else d
+
+
+def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
+    """(fn, render) for exact mode.
+
+    fn maps integer difference vectors, with coordinates at most ``reach``
+    in absolute value, to integer keys in the order of their distances:
+    the squared Euclidean, l1 or linf norm for round balls and the disk,
+    and max_i M_i . x of ``_cleared_faces`` for a rational polygon, in
+    int64 while that stays below 2^52 and in Python integers (at most
+    ``_FRACTION_CAP`` vectors x faces) beyond.  render turns distinct keys
+    into the float distances of the points ints * ``scale``.
+    """
+    axes = getattr(body, "semi_axes", None)
+    if axes is not None and np.ptp(axes) == 0.0:
+        p = body.p if isinstance(body, LpBall) else 2
+        s = float(scale) * (1.0 / float(axes[0]))
+        if p == 2:
+            return (lambda v: np.einsum("ij,ij->i", v, v)), \
+                (lambda k: np.sqrt(k.astype(float)) * s)
+        if p == 1:
+            return (lambda v: np.abs(v).sum(axis=1)), (lambda k: k.astype(float) * s)
+        if math.isinf(p):
+            return (lambda v: np.abs(v).max(axis=1)), (lambda k: k.astype(float) * s)
+    if isinstance(body, Polygon2D) and body.exact_vertices is not None:
+        M, L = _cleared_faces(body)
+        if max(abs(a) + abs(b) for a, b in M) * reach < 2**52:
+            # keys stay exact through the float rendering
+            Mt = np.array(M, dtype=np.int64).T
+            return (lambda v: (v @ Mt).max(axis=1)), \
+                (lambda k: k.astype(float) * (float(scale) / L))
+        if n_vecs * len(M) > _FRACTION_CAP:
+            raise BudgetError(f"{n_vecs} vectors x {len(M)} faces of Python-integer "
                               f"gauges exceeds the cap of {_FRACTION_CAP}")
-        acc: dict = {}
-        for (dx, dy), w in zip(diffs.tolist(), weights.tolist()):
-            if dx == 0 and dy == 0:
-                continue
-            # symmetric polygon: faces come in +- pairs, so the max is >= 0
-            val = max(Fraction(nx * dx + ny * dy, c) for nx, ny, c in faces)
-            acc[val] = acc.get(val, 0) + w
-        keys_sorted = sorted(acc)
-        vals = np.array([float(k * scale) for k in keys_sorted])
-        mult = np.array([acc[k] for k in keys_sorted], dtype=np.int64)
-        return _finish(vals, mult, exact=True)
+        Mt = np.array(M, dtype=object).T
+        num, den = scale.numerator, scale.denominator * L
+        # int / int is correctly rounded, as float(Fraction) is
+        return (lambda v: (v.astype(object) @ Mt).max(axis=1)), \
+            (lambda k: np.array([x * num / den for x in k.tolist()]))
     raise CapabilityError(
         "exact mode supports LpBall p in {1, 2, inf} and rational Polygon2D gauges")
 
@@ -418,67 +386,77 @@ def _exact_coords(S: PointSet):
     return ints, Fraction(1, den)
 
 
-def _gauges(body: ConvexBody, vecs: np.ndarray, threads: int = 1) -> np.ndarray:
-    """body.gauge of each row of vecs, in blocks sized by the gauge's buffer:
-    rows x faces for a polygon, rows x d for the other bodies."""
-    width = len(body.vertices) if isinstance(body, Polygon2D) else vecs.shape[1]
-    return map_blocks(body.gauge, vecs, width, threads)
-
-
 def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
                  threads: int = 1, pair_cap: int = _PAIR_CAP) -> DistanceSet:
     """Distinct nonzero gauge distances of S with multiplicities.
 
-    Lattice and rotated-lattice provenance route through the
-    difference-set fast path (O(q^d) gauge evaluations instead of
-    O(q^{2d}) pairs); everything else is a blocked all-pairs sweep
-    capped at ``pair_cap`` pairs.  mode 'exact_rational' demands
+    One pipeline for both modes.  A producer cuts the difference vectors
+    into blocks: for lattice and rotated-lattice provenance the half
+    difference grid with its pair weights (O(q^d) vectors instead of
+    O(q^{2d}) pairs), otherwise the pairs (i, j > i) by first index, capped
+    at ``pair_cap`` pairs, with unit weights.  Each block maps its vectors
+    to keys and returns the distinct keys with summed weights, so memory is
+    bounded per block.  Mode 'float_tol' keys by the float gauge and merges
+    keys within relative tolerance 1e-9; mode 'exact_rational' demands
     integer or rational points and an LpBall p in {1, 2, inf} or a
-    rational-face Polygon2D; mode 'float_tol' dedups at relative
-    tolerance 1e-9.
+    rational-face Polygon2D, keys by integers and merges equal keys only.
     """
     if mode not in ("exact_rational", "float_tol"):
         raise ValidationError(f"unknown mode {mode!r}; use exact_rational or float_tol")
+    exact = mode == "exact_rational"
     if S.n < 2:
-        return DistanceSet(np.empty(0), np.empty(0, dtype=np.int64), math.inf, 0,
-                           mode == "exact_rational")
+        return DistanceSet(np.empty(0), np.empty(0, dtype=np.int64), math.inf, 0, exact)
 
-    if S.provenance in ("lattice", "rotated_lattice") and S.q is not None:
-        diffs, weights = _difference_grid(S.q, S.dim)
-        if mode == "exact_rational":
-            if S.provenance == "rotated_lattice":
-                raise CapabilityError("exact mode needs rational points; rotated grids are not")
-            return _exact_distance_set(S, body, diffs, weights, Fraction(1))
-        vecs = diffs.astype(float)
-        if S._rot is not None:
-            c, s = S._rot
-            vecs = vecs @ np.array([[c, s], [-s, c]])  # row-vector rotation
-        vals = _gauges(body, vecs, threads)
-        return _finish(vals, weights, exact=False)
+    lattice = S.provenance in ("lattice", "rotated_lattice") and S.q is not None
+    if lattice:
+        n_vecs = ((2 * S.q + 1) ** S.dim - 1) // 2
+    else:
+        n_vecs = S.n * (S.n - 1) // 2
+        if n_vecs > pair_cap:
+            raise BudgetError(f"{n_vecs} pairs exceeds the cap of {pair_cap}; "
+                              "use a lattice fast path or a smaller set")
+    if exact:
+        P, scale = _exact_coords(S)
+        reach = S.q if lattice else int(np.ptp(P, axis=0).max())
+        fn, render = _exact_keys(body, scale, reach, n_vecs)
+    else:
+        P, fn, render = S.points, body.gauge, (lambda k: k)
 
-    n_pairs = S.n * (S.n - 1) // 2
-    if n_pairs > pair_cap:
-        raise BudgetError(f"{n_pairs} pairs exceeds the cap of {pair_cap}; "
-                          "use a lattice fast path or a smaller set")
-    if mode == "exact_rational":
-        ints, scale = _exact_coords(S)
-        iu = np.triu_indices(S.n, k=1)
-        diffs = ints[iu[0]] - ints[iu[1]]
-        weights = np.ones(len(diffs), dtype=np.int64)
-        return _exact_distance_set(S, body, diffs, weights, scale)
+    def keyed(vecs, weights=None):
+        """(key, weight) rows of the distinct keys of vecs, the keys computed
+        in blocks sized by their buffer."""
+        keys = map_blocks(fn, vecs, _key_width(body, vecs.shape[1]))
+        return np.column_stack(_distinct(keys, weights))
 
-    def pieces(first):
-        """Distinct gauge values, with counts, of the pairs (i, j > i), i in first."""
-        a, b = first.start, first.stop
-        rows = S.points[a:b, None, :] - S.points[None, a + 1:, :]  # j = a + 1 + jj
-        ii, jj = np.indices(rows.shape[:2], sparse=True)
-        u, cts = np.unique(_gauges(body, rows[jj >= ii]), return_counts=True)
-        return np.column_stack([u, cts])
+    if lattice:
+        grid, weights = _difference_grid(S.q, S.dim)
 
-    # one block of first indices per piece, counted in pairs so that each
-    # piece still dedupes many of them; counts stay exact in float64
-    found = map_blocks(pieces, range(S.n - 1), S.n, threads)
-    return _finish(found[:, 0], found[:, 1].astype(np.int64), exact=False)
+        def block(rows):
+            v = grid[rows.start:rows.stop]
+            if not exact:
+                v = v.astype(float)
+                if S._rot is not None:
+                    c, s = S._rot
+                    v = v @ np.array([[c, s], [-s, c]])  # row-vector rotation
+            return keyed(v, weights[rows.start:rows.stop])
+
+        # blocks sized by the key buffer, so that each is one key block
+        found = map_blocks(block, range(len(grid)), _key_width(body, S.dim), threads)
+    else:
+        def block(first):
+            a, b = first.start, first.stop
+            rows = P[a:b, None, :] - P[None, a + 1:, :]  # j = a + 1 + jj
+            ii, jj = np.indices(rows.shape[:2], sparse=True)
+            return keyed(rows[jj >= ii])
+
+        # one block of first indices per piece, counted in pairs
+        found = map_blocks(block, range(len(P) - 1), len(P), threads)
+
+    # float keys carry their weights as float64, exact below 2^53
+    keys, mult = _distinct(found[:, 0], found[:, 1], 0.0 if exact else _DEDUP_RTOL)
+    values = render(keys)
+    gap = float(np.min(np.diff(values))) if len(values) > 1 else math.inf
+    return DistanceSet(values, mult.astype(np.int64), gap, len(values), exact)
 
 
 def fit_window(q_values) -> np.ndarray:

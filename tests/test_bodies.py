@@ -263,7 +263,9 @@ def test_symmetry_detection():
     assert LpBall(4.0, (1.0, 0.6)).symmetry() == (2, True)
     assert LpBall(math.inf, (1.0, 2.0)).symmetry() == (2, True)
     assert disk().symmetry() == (2, False)
-    assert ellipse(2.0, 1.0).symmetry() == (2, False)
+    assert ellipse(2.0, 1.0).symmetry() == (2, True)
+    assert ellipse(1.0, 3.0).symmetry() == (2, True)
+    assert disk(2.0).symmetry() == (2, False)
     assert random_symmetric_hexagon(np.random.default_rng(7)).symmetry() == (2, False)
     # a rectangle: the half turn and the mirror, no quarter turn
     assert Polygon2D([(2, 1), (-2, 1), (-2, -1), (2, -1)]).symmetry() == (2, True)

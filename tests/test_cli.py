@@ -149,6 +149,15 @@ def test_distset_run_passes_and_writes(tmp_path, capsys):
         assert (tmp_path / "a" / name).exists()
 
 
+def test_exact_mode_on_a_float_polygon_is_one_error_line(tmp_path, capsys):
+    path = _cfg(tmp_path, "[run]\nexperiment = distset\n[body]\nkind = hexagon\n"
+                          "[distset]\nq_list = 2 4 8 16\nmode = exact_rational\n")
+    rc = main(["distset", "scan", "--config", path, "--out", str(tmp_path / "a")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: exact mode supports"), err
+
+
 def test_csv_format(tmp_path):
     path = _cfg(tmp_path, _DISTSET_INI)
     main(["distset", "scan", "--config", path, "--out", str(tmp_path / "a")])
@@ -323,6 +332,10 @@ _PROBES = [
      "[distset] alpha"),
     ("convert", "demo", "[body]\nkind = disk\n[convert]\nq_list = 2 4 8 16\nalpha = -1\n",
      "[convert] alpha"),
+    ("decay", "scan", "[body]\nkind = square\n[decay]\nr_min = 8\nr_max = 20\n",
+     "[decay] r_min/r_max"),
+    ("decay", "scan", "[body]\nkind = square\n[decay]\nr_list = 8 9 10 12 14 16 18 20\n",
+     "[decay] r_list"),
 ]
 
 

@@ -25,15 +25,17 @@ from gaugedist import (
     growth_scan,
     min_gap_trend,
     polygonality_probe,
+    radial_polygon,
     random_symmetric_hexagon,
     regular_polygon,
     separated_check,
     square,
     well_distributed_check,
 )
+from gaugedist import _blocks
 from gaugedist._blocks import _BLOCK_ENTRIES
 from gaugedist.distset import (_DIFFERENCE_CAP, _FRACTION_CAP, _LATTICE_CAP,
-                               _difference_grid, _exact_distance_set)
+                               _difference_grid)
 
 linf = LpBall(np.inf, (1.0, 1.0))
 l1 = LpBall(1.0, (1.0, 1.0))
@@ -49,6 +51,31 @@ def test_lattice_point_count():
 def test_explicit_dedup():
     S = PointSet.explicit(np.array([[0, 0], [1, 0], [0, 0], [1, 0]]))
     assert S.n == 2
+
+
+def test_explicit_exact_points_deduped_like_float_points():
+    assert distance_set(PointSet.explicit([[0, 0], [0, 0], [3, 0]]), linf,
+                        "exact_rational").count == 1
+    raw = np.random.default_rng(2).integers(-3, 4, size=(60, 2))
+    third = [(Fraction(int(a), 3), Fraction(int(b), 2)) for a, b in raw]
+    for pts in (raw, raw.tolist(), third, third[::-1]):
+        S = PointSet.explicit(pts)
+        assert S.n < len(pts)  # the input repeats points
+        for body in (disk(), linf, l1, diamond()):
+            exact = distance_set(S, body, "exact_rational")
+            fl = distance_set(S, body, "float_tol")
+            assert exact.count == fl.count
+            np.testing.assert_array_equal(exact.multiplicities, fl.multiplicities)
+            assert exact.multiplicities.sum() == S.n * (S.n - 1) // 2
+
+
+def test_exact_mode_needs_exact_polygon_vertices():
+    h = np.random.default_rng(4).uniform(0.9, 1.1, 4)
+    for body in (regular_polygon(6), random_symmetric_hexagon(np.random.default_rng(1)),
+                 radial_polygon(np.concatenate([h, h]))):
+        for S in (PointSet.lattice(4), PointSet.explicit([[0, 0], [1, 2], [3, 1]])):
+            with pytest.raises(CapabilityError, match="rational Polygon2D"):
+                distance_set(S, body, "exact_rational")
 
 
 def test_unit_square_distances():
@@ -481,12 +508,12 @@ def test_exact_polygon_rational_fallback():
 
 def test_exact_polygon_rational_fallback_capped_before_allocating():
     body = _fine_rational_polygon()
-    diffs, weights = _difference_grid(91, 2)  # 16 744 vectors x 64 faces
-    assert len(diffs) * 64 > _FRACTION_CAP
+    S = PointSet.lattice(91)  # 16 744 difference vectors x 64 faces
+    assert ((2 * 91 + 1) ** 2 - 1) // 2 * 64 > _FRACTION_CAP
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match=f"cap of {_FRACTION_CAP}"):
-            _exact_distance_set(None, body, diffs, weights, Fraction(1))
+            distance_set(S, body, "exact_rational")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -495,17 +522,26 @@ def test_exact_polygon_rational_fallback_capped_before_allocating():
 
 def test_polygon_gauge_blocked_by_face_count():
     # a 256-gon gauge holds rows x 256 entries: unblocked, the lattice sweep
-    # below peaks near 33 MiB and the brute-force one near 1 GiB
-    body = regular_polygon(256)
-    for S, cap in ((PointSet.lattice(64), 16 << 20),
-                   (PointSet.explicit(PointSet.lattice(40).points), 32 << 20)):
+    # below peaks near 33 MiB and the brute-force one near 1 GiB.  Exact keys
+    # used to be unblocked as well: the rational 16-gon on lattice(256)
+    # peaked at 26 MiB, on 1 681 explicit points at 304 MiB, and linf on
+    # those points at 132 MiB
+    gon = regular_polygon(256)
+    rational = _fine_rational_polygon(16, 10)
+    points = PointSet.explicit(PointSet.lattice(40).points.astype(np.int64))
+    for S, body, mode, cap in (
+            (PointSet.lattice(64), gon, "float_tol", 16 << 20),
+            (PointSet.explicit(PointSet.lattice(40).points), gon, "float_tol", 32 << 20),
+            (PointSet.lattice(256), rational, "exact_rational", 16 << 20),
+            (points, rational, "exact_rational", 24 << 20),
+            (points, linf, "exact_rational", 24 << 20)):
         tracemalloc.start()
         try:
-            distance_set(S, body)
+            distance_set(S, body, mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < cap
+        assert peak < cap, (S, mode)
 
 
 @st.composite
@@ -540,3 +576,121 @@ def test_exact_matches_float_on_rational_polygons(body, q):
     assert exact.count == fl.count
     np.testing.assert_allclose(fl.values, exact.values, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(fl.multiplicities, exact.multiplicities)
+
+
+# ---------------------------------------------------------------------------
+# the blocked pipeline against the unblocked computation it replaced
+
+
+def _reference_distance_set(S, body, mode):
+    """(values, multiplicities) as distance_set computed them before its
+    blocked pipeline: every difference vector at once and one sort, with
+    integer keys in exact mode, or one Fraction per vector where a rational
+    polygon's cleared keys reach 2^52."""
+    if S.provenance in ("lattice", "rotated_lattice"):
+        diffs, w = _difference_grid(S.q, S.dim)
+        vecs, den = diffs.astype(float), 1
+        if S._rot is not None:
+            c, s = S._rot
+            vecs = vecs @ np.array([[c, s], [-s, c]])
+    else:
+        i, j = np.triu_indices(S.n, k=1)
+        w = np.ones(len(i), dtype=np.int64)
+        vecs = S.points[i] - S.points[j]
+        if mode == "exact_rational":
+            rows = [[Fraction(v) for v in r] for r in (
+                S._exact.tolist() if isinstance(S._exact, np.ndarray) else S._exact)]
+            den = math.lcm(*(v.denominator for r in rows for v in r))
+            ints = np.array([[int(v * den) for v in r] for r in rows], dtype=np.int64)
+            diffs = ints[i] - ints[j]
+    if mode == "float_tol":
+        vals = body.gauge(vecs)
+        order = np.argsort(vals, kind="stable")
+        vals, w = vals[order], w[order]
+        keep = np.concatenate([[True], np.diff(vals) > 1e-9 * vals[1:]])
+        return vals[keep], np.add.reduceat(w, np.flatnonzero(keep))
+    scale = Fraction(1, den)
+    if isinstance(body, Polygon2D):
+        faces = []
+        V = body.exact_vertices
+        for (x1, y1), (x2, y2) in zip(V, V[1:] + V[:1]):
+            nx, ny = y2 - y1, x1 - x2
+            c = nx * x1 + ny * y1
+            d = math.lcm(nx.denominator, ny.denominator, c.denominator)
+            faces.append((int(nx * d), int(ny * d), int(c * d)))
+        L = math.lcm(*(c for _, _, c in faces))
+        M = [(nx * (L // c), ny * (L // c)) for nx, ny, c in faces]
+        if max(abs(a) + abs(b) for a, b in M) * int(np.abs(diffs).max()) >= 2**52:
+            acc = {}
+            for (dx, dy), wt in zip(diffs.tolist(), w.tolist()):
+                val = max(Fraction(nx * dx + ny * dy, c) for nx, ny, c in faces)
+                acc[val] = acc.get(val, 0) + wt
+            keys = sorted(acc)
+            return (np.array([float(k * scale) for k in keys]),
+                    np.array([acc[k] for k in keys], dtype=np.int64))
+        keys = (diffs @ np.array(M, dtype=np.int64).T).max(axis=1)
+        render = lambda u: u.astype(float) * (float(scale) / L)  # noqa: E731
+    else:
+        s = float(scale) * (1.0 / float(body.semi_axes[0]))
+        p = getattr(body, "p", 2.0)
+        if p == 2:
+            keys = np.einsum("ij,ij->i", diffs, diffs)
+            render = lambda u: np.sqrt(u.astype(float)) * s  # noqa: E731
+        else:
+            keys = np.abs(diffs).sum(axis=1) if p == 1 else np.abs(diffs).max(axis=1)
+            render = lambda u: u.astype(float) * s  # noqa: E731
+    uniq, inv = np.unique(keys, return_inverse=True)
+    mult = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(mult, inv, w)
+    return render(uniq), mult
+
+
+_INT_HEXAGON = [(3, -1), (2, 2), (-1, 3), (-3, 1), (-2, -2), (1, -3)]
+# the last two polygons take Python-integer keys: the 16-gon's keys on these
+# sets would still fit int64 but pass 2^52, the 64-gon's pass 2^63
+_EXACT_BODIES = [disk(), disk(3.0), disk(0.5), l1, linf, LpBall(np.inf, (2.0, 2.0)),
+                 LpBall(1.0, (3.0, 3.0)), LpBall(2.0), square(), diamond(),
+                 Polygon2D(np.array(_INT_HEXAGON, dtype=float), _INT_HEXAGON),
+                 _fine_rational_polygon(16, 10), _fine_rational_polygon(16, 10**4),
+                 _fine_rational_polygon()]
+_FLOAT_BODIES = _EXACT_BODIES[:-1] + [LpBall(3.0), LpBall(1.0, (1.0, 2.0)), regular_polygon(64),
+                                      random_symmetric_hexagon(np.random.default_rng(7))]
+_RNG = np.random.default_rng(13)
+_SETS = {
+    "lattice": lambda: PointSet.lattice(12),
+    "rotated": lambda: PointSet.rotated_lattice(9, 0.7),
+    "perturbed": lambda: PointSet.perturbed_lattice(8, 3, 0.3),
+    "integer": lambda: PointSet.explicit(_RNG.integers(-20, 21, size=(45, 2))),
+    "fraction": lambda: PointSet.explicit([(Fraction(int(a), 3), Fraction(int(b), 7))
+                                           for a, b in _RNG.integers(-9, 10, size=(30, 2))]),
+}
+
+
+@pytest.mark.parametrize("mode, family", [("float_tol", f) for f in _SETS]
+                         + [("exact_rational", f) for f in ("lattice", "integer", "fraction")])
+def test_distance_set_matches_unblocked_reference(monkeypatch, mode, family):
+    # bit for bit with the default blocks, which hold each set here whole,
+    # and with blocks of 64 entries, which cut it into many pieces; two
+    # threads give the bits of one
+    S = _SETS[family]()
+    for body in _EXACT_BODIES if mode == "exact_rational" else _FLOAT_BODIES:
+        values, mult = _reference_distance_set(S, body, mode)
+        mult = mult.astype(np.int64)
+        for entries in (_BLOCK_ENTRIES, 64):
+            monkeypatch.setattr(_blocks, "_BLOCK_ENTRIES", entries)
+            ds = distance_set(S, body, mode)
+            two = distance_set(S, body, mode, threads=2)
+            for name in ("values", "multiplicities", "min_gap", "count", "exact"):
+                assert np.array_equal(getattr(two, name), getattr(ds, name)), name
+            assert ds.values.dtype == np.float64 and ds.multiplicities.dtype == np.int64
+            assert ds.exact == (mode == "exact_rational")
+            assert ds.multiplicities.tobytes() == mult.tobytes(), (body, entries)
+            if mode == "float_tol" and entries != _BLOCK_ENTRIES:
+                # a polygon's gauge, a matrix product, may round a row of a
+                # block of a few rows by an ulp otherwise than in a long block
+                np.testing.assert_allclose(ds.values, values, rtol=1e-15, atol=0)
+                continue
+            assert ds.values.tobytes() == values.tobytes(), (body, entries)
+            assert ds.min_gap == (float(np.min(np.diff(values))) if len(values) > 1
+                                  else math.inf)
+            assert ds.count == len(values)

@@ -355,6 +355,7 @@ _CELL_CASES = [
     ("seeded-hexagon", lambda: random_symmetric_hexagon(np.random.default_rng(7)),
      _POLYGON_RADII),
     ("disk", disk, _POLYGON_RADII),
+    ("ellipse", lambda: ellipse(2.0, 1.0), (8.0, 33.3, 64.0)),
 ]
 
 
