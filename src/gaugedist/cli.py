@@ -407,10 +407,7 @@ def _q_list(cfg: ScanConfig, sec: str) -> list:
     for a, b in zip(qs, qs[1:]):
         if a == b:
             raise ConfigError(f"{where}: q = {a} is repeated")
-    try:
-        D.fit_window(qs)
-    except InsufficientDataError as exc:
-        raise ConfigError(f"{where}: {exc}, got {qs[0]}..{qs[-1]}") from None
+    cfg.build(sec, "q_list", D.fit_window, qs)
     return qs
 
 

@@ -16,6 +16,7 @@ than float artifacts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -134,13 +135,18 @@ class PointSet:
     @classmethod
     def explicit(cls, points) -> "PointSet":
         """Wrap user-supplied points; integer or Fraction input stays exact,
-        deduplicated and sorted like the float points."""
+        deduplicated and sorted like the float points.  Distinct exact points
+        that round to one float point are a ValidationError, since both
+        modes must count the same n points."""
         S = cls(np.asarray(points, dtype=float), "explicit")
         arr = np.asarray(points)
         if arr.dtype.kind in "iu":
             S._exact = _unique_rows(arr.astype(np.int64))
         elif arr.dtype == object and all(isinstance(v, (int, Fraction)) for v in arr.flat):
             S._exact = sorted({tuple(Fraction(v) for v in row) for row in arr.tolist()})
+        if S._exact is not None and len(S._exact) != S.n:
+            raise ValidationError(f"{len(S._exact)} distinct exact points round to "
+                                  f"{S.n} distinct float points")
         return S
 
 
@@ -261,15 +267,16 @@ def separated_check(S: PointSet, c: float) -> SeparatedReport:
 
 def _distinct(keys: np.ndarray, weights: Optional[np.ndarray] = None, rtol: float = 0.0):
     """The sorted distinct keys with summed weights (unit weights when None).
-    A key whose gap to the previous key is at most rtol times itself merges
-    into that key."""
+    With rtol > 0, a key whose gap to the previous key is at most rtol times
+    itself merges into that key; with rtol = 0 only equal keys merge, so
+    Python-integer keys are never converted to float."""
     if weights is None:
         return np.unique(keys, return_counts=True)
     order = np.argsort(keys)
     keys, weights = keys[order], weights[order]
     keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
-    keep[1:] = keys[1:] - keys[:-1] > rtol * keys[1:]
+    keep[1:] = keys[1:] - keys[:-1] > rtol * keys[1:] if rtol else keys[1:] != keys[:-1]
     starts = np.flatnonzero(keep)
     return keys[starts], np.add.reduceat(weights, starts)
 
@@ -332,7 +339,7 @@ def _key_width(body: ConvexBody, d: int) -> int:
 
 
 def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
-    """(fn, render) for exact mode.
+    """(fn, render, unit) for exact mode.
 
     fn maps integer difference vectors, with coordinates at most ``reach``
     in absolute value, to integer keys in the order of their distances:
@@ -340,7 +347,9 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
     and max_i M_i . x of ``_cleared_faces`` for a rational polygon, in
     int64 while that stays below 2^52 and in Python integers (at most
     ``_FRACTION_CAP`` vectors x faces) beyond.  render turns distinct keys
-    into the float distances of the points ints * ``scale``.
+    into the float distances of the points ints * ``scale``.  unit is the
+    number of 8-byte entries one key costs: 1 for int64, and for a Python
+    integer its pointer and its object.
     """
     axes = getattr(body, "semi_axes", None)
     if axes is not None and np.ptp(axes) == 0.0:
@@ -348,18 +357,19 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
         s = float(scale) * (1.0 / float(axes[0]))
         if p == 2:
             return (lambda v: np.einsum("ij,ij->i", v, v)), \
-                (lambda k: np.sqrt(k.astype(float)) * s)
+                (lambda k: np.sqrt(k.astype(float)) * s), 1
         if p == 1:
-            return (lambda v: np.abs(v).sum(axis=1)), (lambda k: k.astype(float) * s)
+            return (lambda v: np.abs(v).sum(axis=1)), (lambda k: k.astype(float) * s), 1
         if math.isinf(p):
-            return (lambda v: np.abs(v).max(axis=1)), (lambda k: k.astype(float) * s)
+            return (lambda v: np.abs(v).max(axis=1)), (lambda k: k.astype(float) * s), 1
     if isinstance(body, Polygon2D) and body.exact_vertices is not None:
         M, L = _cleared_faces(body)
-        if max(abs(a) + abs(b) for a, b in M) * reach < 2**52:
+        bound = max(abs(a) + abs(b) for a, b in M) * reach
+        if bound < 2**52:
             # keys stay exact through the float rendering
             Mt = np.array(M, dtype=np.int64).T
             return (lambda v: (v @ Mt).max(axis=1)), \
-                (lambda k: k.astype(float) * (float(scale) / L))
+                (lambda k: k.astype(float) * (float(scale) / L)), 1
         if n_vecs * len(M) > _FRACTION_CAP:
             raise BudgetError(f"{n_vecs} vectors x {len(M)} faces of Python-integer "
                               f"gauges exceeds the cap of {_FRACTION_CAP}")
@@ -367,7 +377,8 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
         num, den = scale.numerator, scale.denominator * L
         # int / int is correctly rounded, as float(Fraction) is
         return (lambda v: (v.astype(object) @ Mt).max(axis=1)), \
-            (lambda k: np.array([x * num / den for x in k.tolist()]))
+            (lambda k: np.array([x * num / den for x in k.tolist()])), \
+            1 + -(-sys.getsizeof(bound) // 8)
     raise CapabilityError(
         "exact mode supports LpBall p in {1, 2, inf} and rational Polygon2D gauges")
 
@@ -418,15 +429,16 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     if exact:
         P, scale = _exact_coords(S)
         reach = S.q if lattice else int(np.ptp(P, axis=0).max())
-        fn, render = _exact_keys(body, scale, reach, n_vecs)
+        fn, render, unit = _exact_keys(body, scale, reach, n_vecs)
     else:
-        P, fn, render = S.points, body.gauge, (lambda k: k)
+        P, fn, render, unit = S.points, body.gauge, (lambda k: k), 1
+    # entries one vector costs in the key buffer
+    width = _key_width(body, S.dim) * unit
 
     def keyed(vecs, weights=None):
         """(key, weight) rows of the distinct keys of vecs, the keys computed
         in blocks sized by their buffer."""
-        keys = map_blocks(fn, vecs, _key_width(body, vecs.shape[1]))
-        return np.column_stack(_distinct(keys, weights))
+        return np.column_stack(_distinct(map_blocks(fn, vecs, width), weights))
 
     if lattice:
         grid, weights = _difference_grid(S.q, S.dim)
@@ -441,7 +453,7 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
             return keyed(v, weights[rows.start:rows.stop])
 
         # blocks sized by the key buffer, so that each is one key block
-        found = map_blocks(block, range(len(grid)), _key_width(body, S.dim), threads)
+        found = map_blocks(block, range(len(grid)), width, threads)
     else:
         def block(first):
             a, b = first.start, first.stop
@@ -449,8 +461,8 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
             ii, jj = np.indices(rows.shape[:2], sparse=True)
             return keyed(rows[jj >= ii])
 
-        # one block of first indices per piece, counted in pairs
-        found = map_blocks(block, range(len(P) - 1), len(P), threads)
+        # one block of first indices per piece, counted in pairs and their keys
+        found = map_blocks(block, range(len(P) - 1), len(P) * unit, threads)
 
     # float keys carry their weights as float64, exact below 2^53
     keys, mult = _distinct(found[:, 0], found[:, 1], 0.0 if exact else _DEDUP_RTOL)
@@ -466,11 +478,12 @@ def fit_window(q_values) -> np.ndarray:
     least three dyadic octaves with at least two points in the window.
     """
     qs = np.asarray(q_values)
+    got = f", got {qs[0]}..{qs[-1]}" if len(qs) else ""
     if len(qs) < 2 or math.log2(qs[-1] / qs[0]) < 3.0 - 1e-9:
-        raise InsufficientDataError("q values must span at least 3 dyadic octaves")
+        raise InsufficientDataError(f"q values must span at least 3 dyadic octaves{got}")
     window = qs >= qs[-1] / 8 * (1 - 1e-9)
     if window.sum() < 2:
-        raise InsufficientDataError("need at least 2 scan points in the largest 3 octaves")
+        raise InsufficientDataError(f"need at least 2 scan points in the largest 3 octaves{got}")
     return window
 
 

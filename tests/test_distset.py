@@ -69,6 +69,15 @@ def test_explicit_exact_points_deduped_like_float_points():
             assert exact.multiplicities.sum() == S.n * (S.n - 1) // 2
 
 
+def test_explicit_exact_points_that_round_together_rejected():
+    # both modes count the same n points, or neither does
+    with pytest.raises(ValidationError, match="3 distinct exact points round to 2"):
+        PointSet.explicit([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+                           (Fraction(10**16 + 1, 10**16), Fraction(0))])
+    with pytest.raises(ValidationError, match="3 distinct exact points round to 2"):
+        PointSet.explicit([[2**60, 0], [2**60 + 1, 0], [0, 0]])
+
+
 def test_exact_mode_needs_exact_polygon_vertices():
     h = np.random.default_rng(4).uniform(0.9, 1.1, 4)
     for body in (regular_polygon(6), random_symmetric_hexagon(np.random.default_rng(1)),
@@ -525,7 +534,9 @@ def test_polygon_gauge_blocked_by_face_count():
     # below peaks near 33 MiB and the brute-force one near 1 GiB.  Exact keys
     # used to be unblocked as well: the rational 16-gon on lattice(256)
     # peaked at 26 MiB, on 1 681 explicit points at 304 MiB, and linf on
-    # those points at 132 MiB
+    # those points at 132 MiB.  Python-integer keys are blocked by their
+    # size: the 64-gon with 10^6 denominators on lattice(64) peaked at 30 MiB
+    # when they were blocked like int64 keys
     gon = regular_polygon(256)
     rational = _fine_rational_polygon(16, 10)
     points = PointSet.explicit(PointSet.lattice(40).points.astype(np.int64))
@@ -534,7 +545,8 @@ def test_polygon_gauge_blocked_by_face_count():
             (PointSet.explicit(PointSet.lattice(40).points), gon, "float_tol", 32 << 20),
             (PointSet.lattice(256), rational, "exact_rational", 16 << 20),
             (points, rational, "exact_rational", 24 << 20),
-            (points, linf, "exact_rational", 24 << 20)):
+            (points, linf, "exact_rational", 24 << 20),
+            (PointSet.lattice(64), _fine_rational_polygon(), "exact_rational", 4 << 20)):
         tracemalloc.start()
         try:
             distance_set(S, body, mode)
@@ -646,14 +658,15 @@ def _reference_distance_set(S, body, mode):
 
 
 _INT_HEXAGON = [(3, -1), (2, 2), (-1, 3), (-3, 1), (-2, -2), (1, -3)]
-# the last two polygons take Python-integer keys: the 16-gon's keys on these
-# sets would still fit int64 but pass 2^52, the 64-gon's pass 2^63
+# the last three polygons take Python-integer keys: the 16-gon's keys on these
+# sets would still fit int64 but pass 2^52, the 64-gon's pass 2^63 and the
+# 256-gon's pass 2^1024, beyond any float
 _EXACT_BODIES = [disk(), disk(3.0), disk(0.5), l1, linf, LpBall(np.inf, (2.0, 2.0)),
                  LpBall(1.0, (3.0, 3.0)), LpBall(2.0), square(), diamond(),
                  Polygon2D(np.array(_INT_HEXAGON, dtype=float), _INT_HEXAGON),
                  _fine_rational_polygon(16, 10), _fine_rational_polygon(16, 10**4),
-                 _fine_rational_polygon()]
-_FLOAT_BODIES = _EXACT_BODIES[:-1] + [LpBall(3.0), LpBall(1.0, (1.0, 2.0)), regular_polygon(64),
+                 _fine_rational_polygon(), _fine_rational_polygon(256)]
+_FLOAT_BODIES = _EXACT_BODIES[:-2] + [LpBall(3.0), LpBall(1.0, (1.0, 2.0)), regular_polygon(64),
                                       random_symmetric_hexagon(np.random.default_rng(7))]
 _RNG = np.random.default_rng(13)
 _SETS = {
