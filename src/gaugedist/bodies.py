@@ -440,21 +440,6 @@ def random_symmetric_hexagon(rng: np.random.Generator) -> Polygon2D:
 # ---------------------------------------------------------------------------
 # directional queries
 
-@dataclass(frozen=True)
-class Direction:
-    """Unit direction in the plane, stored by angle."""
-
-    theta: float
-
-    @property
-    def omega(self) -> np.ndarray:
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-    @property
-    def perp(self) -> np.ndarray:
-        return np.array([-math.sin(self.theta), math.cos(self.theta)])
-
-
 def gauge_norm(body: ConvexBody, x) -> np.ndarray:
     """||x||_K; vectorized over leading axes of x."""
     return body.gauge(x)
@@ -588,7 +573,7 @@ def _polygon_chord_float(V: np.ndarray, omega: np.ndarray, h: float) -> float:
 def chord_length(body: ConvexBody, direction, depth: float) -> float:
     """Length of K intersected with {x . omega = S(omega) - depth}.
 
-    ``direction`` may be a Direction, an angle in radians, or a unit vector.
+    ``direction`` may be an angle in radians or a unit vector.
     Raises GeometryError when the depth is not inside (0, width(direction)).
     """
     if body.dim != 2:
@@ -664,8 +649,6 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 def _direction_vector(direction) -> np.ndarray:
-    if isinstance(direction, Direction):
-        return direction.omega
     if isinstance(direction, (int, float)):
         return np.array([math.cos(direction), math.sin(direction)])
     v = np.asarray(direction, dtype=float).ravel()

@@ -33,6 +33,7 @@ from .errors import (BudgetError, ConfigError, GaugedistError, InsufficientDataE
 from .svgplot import svg_decay_plot
 
 _REQUIRED = object()
+_MODES = ("float_tol", "exact_rational")
 
 
 def _number(text: str) -> float:
@@ -118,6 +119,14 @@ class ScanConfig:
             raise ConfigError(f"{self.path}: [{section}] {key}: list is empty")
         caster, what = (_number, "a number") if cast is float else (cast, cast.__name__)
         return [self._cast(section, key, t, caster, what) for t in items]
+
+    def get_choice(self, section, key, choices, default=_REQUIRED):
+        """The value of [section] key, one of ``choices`` (or a None default)."""
+        raw = self.get(section, key, default)
+        if raw is None or raw in choices:
+            return raw
+        listed = ", ".join(choices[:-1]) + " or " + choices[-1]
+        raise ConfigError(f"{self.path}: [{section}] {key}: expected {listed}, got {raw!r}")
 
     def build(self, section, keys, fn, *args, **kwargs):
         """fn(*args, **kwargs), its ValidationError, InsufficientDataError or
@@ -325,12 +334,10 @@ def _run_body_inspect(cfg: ScanConfig, report: Report):
 def _run_decay_scan(cfg: ScanConfig, report: Report):
     body = _body_from(cfg)
     sec = "decay"
-    kind = cfg.get(sec, "kind", "body")
-    if kind not in ("body", "surface"):
-        raise ConfigError(f"{cfg.path}: [decay] kind: expected body or surface, got {kind!r}")
-    average = cfg.get(sec, "average", "l2")
-    if average not in ("l1", "l2", "pointwise"):
-        raise ConfigError(f"{cfg.path}: [decay] average: expected l1, l2 or pointwise")
+    kind = cfg.get_choice(sec, "kind", ("body", "surface"), "body")
+    average = cfg.get_choice(sec, "average", ("l1", "l2", "pointwise"), "l2")
+    aggregation = cfg.get_choice(sec, "aggregation", ("none", "envelope", "rms", "mean", "max"),
+                                 "envelope" if average == "pointwise" else "rms")
     if cfg.get(sec, "r_list", None) is None:
         grid_keys = "r_min/r_max"
         grid = _geometric_grid(cfg, sec, "r", 8.0, 512.0, "samples_per_octave", 8)
@@ -354,15 +361,12 @@ def _run_decay_scan(cfg: ScanConfig, report: Report):
         header = ("R", "average")
         rows = list(zip(grid.tolist(), vals.tolist()))
 
-    aggregation = cfg.get(sec, "aggregation", "envelope" if average == "pointwise" else "rms")
     if aggregation == "none":
         R_fit, v_fit = grid, vals
     elif aggregation == "envelope":
         R_fit, v_fit = F.octave_envelope(grid, vals, wpo)
-    elif aggregation in ("rms", "mean", "max"):
-        R_fit, v_fit = F.window_aggregate(grid, vals, wpo, agg=aggregation)
     else:
-        raise ConfigError(f"{cfg.path}: [decay] aggregation: unknown mode {aggregation!r}")
+        R_fit, v_fit = F.window_aggregate(grid, vals, wpo, agg=aggregation)
 
     log_power = (body.dim - 1) if cfg.get_bool(sec, "log_correction", False) else 0
     min_samples = min(8, len(R_fit))
@@ -415,7 +419,9 @@ def _run_distset_scan(cfg: ScanConfig, report: Report):
     body = _body_from(cfg)
     sec = "distset"
     q_list = _q_list(cfg, sec)
-    mode = cfg.get(sec, "mode", "float_tol")
+    mode = cfg.get_choice(sec, "mode", _MODES, "float_tol")
+    expect_cls = cfg.get_choice(sec, "expect_classification",
+                                ("polygon_like", "curved_like", "inconclusive"), None)
     alpha = cfg.get_float(sec, "alpha", None)
     if alpha is not None:
         cfg.build(sec, "alpha", D.conversion_bound, body.dim, alpha)
@@ -441,7 +447,6 @@ def _run_distset_scan(cfg: ScanConfig, report: Report):
         report.add_verdict("beta_bound", grow.beta,
                            f">= {_num(grow.bound)} - {_num(slack)}", bool(grow.verdict))
     _band_verdict(report, cfg, sec, "beta", grow.beta)
-    expect_cls = cfg.get(sec, "expect_classification", None)
     if expect_cls is not None:
         report.add_verdict("classification", probe, f"expected {expect_cls}",
                            probe == expect_cls)
@@ -480,23 +485,23 @@ def _energy_keys(cfg: ScanConfig, sec: str):
 
 def _run_fractal_build(cfg: ScanConfig, report: Report):
     sec = "fractal"
-    construction = cfg.get(sec, "construction", "cantor")
-    if construction not in ("cantor", "dio"):
-        raise ConfigError(f"{cfg.path}: [fractal] construction: expected cantor or dio")
+    construction = cfg.get_choice(sec, "construction", ("cantor", "dio"), "cantor")
     rows = [("a", "b")]
     if construction == "cantor":
         gammas, T_list = _energy_keys(cfg, sec)
+        expects = [cfg.get_choice(sec, f"expect_trend_{_num(g)}",
+                                  ("growth", "plateau", "decay", "mixed"), None) for g in gammas]
         m = cfg.get_int(sec, "m", 2)
         depth = cfg.get_int(sec, "depth", 8, minimum=1)
         spec = cfg.build(sec, "m", X.CantorSpec, m, depth)
-        iterate = X.cantor_build(spec)
+        iterate = cfg.build(sec, "m/depth", X.cantor_build, spec)
         rows += [(str(a), str(b)) for a, b in iterate.intervals]
         report.fits["cantor"] = {
             "m": m, "depth": depth, "intervals": iterate.count,
             "total_length": str(iterate.total_length),
             "total_length_float": float(iterate.total_length)}
         if cfg.get_bool(sec, "difference_cover", True):
-            dc = X.difference_cover(spec)
+            dc = cfg.build(sec, "m/depth", X.difference_cover, spec)
             report.fits["difference_cover"] = {
                 "pre_merge_count": dc.pre_merge_count,
                 "pre_merge_length": str(dc.pre_merge_length),
@@ -519,15 +524,14 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
         report.fits["box_dim"] = {"value": dim_val, "dims": dims,
                                   "scales": [str(s) for s in scales]}
         _band_verdict(report, cfg, sec, "box_dim", dim_val)
-        ladders = (X.energy_ladders(X.natural_measure(spec, dims=2), gammas, T_list)
-                   if gammas else ())
-        for gamma, ladder in zip(gammas, ladders):
+        ladders = (X.energy_ladders(cfg.build(sec, "m/depth", X.natural_measure, spec, dims=2),
+                                    gammas, T_list) if gammas else ())
+        for gamma, ladder, expect in zip(gammas, ladders, expects):
             key = f"energy_gamma_{_num(gamma)}"
             report.fits[key] = {"T": _jsonable(ladder.T_values),
                                 "integrals": _jsonable(ladder.integrals),
                                 "increments": _jsonable(ladder.increments),
                                 "trend": ladder.trend}
-            expect = cfg.get(sec, f"expect_trend_{_num(gamma)}", None)
             if expect is not None:
                 report.add_verdict(key, ladder.trend, f"expected {expect}",
                                    ladder.trend == expect)
@@ -558,7 +562,7 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
     alpha = cfg.get_float(sec, "alpha", 4.0 / 3.0)
     cfg.build(sec, "alpha", D.conversion_bound, body.dim, alpha)
     slack = cfg.get_float(sec, "slack", 0.1)
-    mode = cfg.get(sec, "mode", "float_tol")
+    mode = cfg.get_choice(sec, "mode", _MODES, "float_tol")
     family, fam_label = _distset_family(cfg, sec)
 
     rows = []
@@ -583,9 +587,8 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
 def _run_lemma_check(cfg: ScanConfig, report: Report):
     body = _body_from(cfg)
     sec = "lemma"
-    which = cfg.get(sec, "which", "both")
-    if which not in ("chord", "annulus", "both"):
-        raise ConfigError(f"{cfg.path}: [lemma] which: expected chord, annulus or both")
+    which = cfg.get_choice(sec, "which", ("chord", "annulus", "both"), "both")
+    expect = cfg.get_choice(sec, "expect_annulus", ("bounded", "divergent"), None)
     rows = [("check", "t_or_R", "xi", "delta", "theta", "value", "bound", "ratio")]
     n_theta = cfg.get_int(sec, "n_theta", 64, minimum=1)
     annulus_theta = cfg.get_int(sec, "annulus_theta", 16, minimum=1)
@@ -620,11 +623,7 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
             "c_hat": rep.c_hat, "growth_slope": rep.growth_slope,
             "divergent": bool(rep.divergent),
             "c_by_xi": _jsonable(rep.c_by_xi)}
-        expect = cfg.get(sec, "expect_annulus", None)
         if expect is not None:
-            if expect not in ("bounded", "divergent"):
-                raise ConfigError(f"{cfg.path}: [lemma] expect_annulus: "
-                                  "expected bounded or divergent")
             got = "divergent" if rep.divergent else "bounded"
             report.add_verdict("annulus_behavior", got, f"expected {expect}",
                                got == expect)

@@ -68,14 +68,14 @@ class PointSet:
     """A finite point set with provenance.
 
     Duplicate rows are removed at construction.  Lattice-derived sets
-    keep enough structure (q, rotation pair) for the difference-set
-    fast path; explicit integer or rational input keeps an exact
-    representation for exact-mode counting.
+    keep enough structure (q, angle) for the difference-set fast path;
+    explicit integer or rational input keeps an exact representation for
+    exact-mode counting.
     """
 
     def __init__(self, points, provenance: str = "explicit", *, q: Optional[int] = None,
                  angle: Optional[float] = None, seed: Optional[int] = None,
-                 jitter: Optional[float] = None, exact=None, rot=None):
+                 jitter: Optional[float] = None, exact=None):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValidationError("points must be a nonempty (n, d) array")
@@ -86,7 +86,6 @@ class PointSet:
         self.seed = seed
         self.jitter = jitter
         self._exact = exact  # int ndarray or list of Fraction tuples, or None
-        self._rot = rot      # (cos, sin) computed once; reused by the fast path
 
     @property
     def n(self) -> int:
@@ -112,15 +111,15 @@ class PointSet:
     def rotated_lattice(cls, q: int, angle: float, d: int = 2) -> "PointSet":
         """The lattice grid rotated about the origin by ``angle``.
 
-        The (cos, sin) pair is evaluated once and shared with the
-        difference-set fast path, so brute force and fast path see
-        the same floats.
+        The difference-set fast path rotates by the same math.cos and
+        math.sin of ``angle``, so brute force and fast path see the same
+        floats.
         """
         if d != 2:
             raise CapabilityError("rotated lattices are 2d only")
         c, s = math.cos(angle), math.sin(angle)
         R = np.array([[c, -s], [s, c]])
-        return cls(_grid(q, d, float) @ R.T, "rotated_lattice", q=q, angle=angle, rot=(c, s))
+        return cls(_grid(q, d, float) @ R.T, "rotated_lattice", q=q, angle=angle)
 
     @classmethod
     def perturbed_lattice(cls, q: int, seed: int, max_jitter: float, d: int = 2) -> "PointSet":
@@ -140,6 +139,8 @@ class PointSet:
         modes must count the same n points."""
         S = cls(np.asarray(points, dtype=float), "explicit")
         arr = np.asarray(points)
+        if arr.dtype.kind == "u" and arr.max() >= 1 << 63:
+            arr = arr.astype(object)  # Python integers: the int64 copy would wrap
         if arr.dtype.kind in "iu":
             S._exact = _unique_rows(arr.astype(np.int64))
         elif arr.dtype == object and all(isinstance(v, (int, Fraction)) for v in arr.flat):
@@ -281,35 +282,25 @@ def _distinct(keys: np.ndarray, weights: Optional[np.ndarray] = None, rtol: floa
     return keys[starts], np.add.reduceat(weights, starts)
 
 
-def _difference_grid(q: int, d: int):
-    """Half of the difference grid [-q, q]^d (one of each +-a pair), with
-    per-vector unordered-pair multiplicities prod_i (q + 1 - |a_i|).
+def _difference_rows(q: int, d: int, rows: range):
+    """Rows ``rows`` of the half difference grid: the vectors of [-q, q]^d
+    whose first nonzero coordinate is positive (one of each +-a pair), in
+    lexicographic order, with their unordered-pair multiplicities
+    prod_j (q + 1 - |a_j|) on [0, q]^d.
 
-    The half keeps the vectors whose first nonzero coordinate is
-    positive, in lexicographic order.  It is built as one block per
-    position j of that coordinate: zeros before j, a = 1..q at j, and
-    the full grid [-q, q]^(d-1-j) after it.
+    Row i is entry ((2q+1)^d + 1)/2 + i of the full grid [-q, q]^d in
+    lexicographic order, the entries after its centre, the zero vector.
     """
-    n = ((2 * q + 1) ** d - 1) // 2
-    if n > _DIFFERENCE_CAP:
-        raise BudgetError(f"{n} difference vectors exceeds the cap of {_DIFFERENCE_CAP}")
-    span = np.arange(-q, q + 1)
-    pos = np.arange(1, q + 1)
-    tail = np.zeros((1, 0), dtype=np.int64)  # full grid of the trailing coordinates
-    tail_w = np.ones(1, dtype=np.int64)      # and its multiplicities
-    grid = np.zeros((n, d), dtype=np.int64)
-    weights = np.empty(n, dtype=np.int64)
-    start = 0
-    for j in range(d - 1, -1, -1):  # blocks in increasing lexicographic order
-        stop = start + q * len(tail)
-        grid[start:stop, j] = np.repeat(pos, len(tail))
-        grid[start:stop, j + 1:] = np.tile(tail, (q, 1))
-        weights[start:stop] = (q + 1) ** j * np.multiply.outer(q + 1 - pos, tail_w).ravel()
-        start = stop
-        if j:
-            tail = np.column_stack([np.repeat(span, len(tail)), np.tile(tail, (len(span), 1))])
-            tail_w = np.multiply.outer(q + 1 - np.abs(span), tail_w).ravel()
-    return grid, weights
+    base = 2 * q + 1
+    idx = np.arange(rows.start, rows.stop, dtype=np.int64) + (base ** d + 1) // 2
+    vecs = np.empty((len(idx), d), dtype=np.int64)
+    weights = np.ones(len(idx), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        idx, a = np.divmod(idx, base)
+        a -= q
+        vecs[:, j] = a
+        weights *= q + 1 - np.abs(a)
+    return vecs, weights
 
 
 def _cleared_faces(body: Polygon2D):
@@ -338,27 +329,37 @@ def _key_width(body: ConvexBody, d: int) -> int:
     return len(body.vertices) if isinstance(body, Polygon2D) else d
 
 
-def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
+def _fits_int64(bound: int, what: str) -> None:
+    """CapabilityError unless integers up to ``bound`` in absolute value fit int64."""
+    if bound >= 1 << 63:
+        raise CapabilityError(f"exact {what} reach {bound}, past the int64 bound 2^63")
+
+
+def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, d: int, n_vecs: int):
     """(fn, render, unit) for exact mode.
 
-    fn maps integer difference vectors, with coordinates at most ``reach``
-    in absolute value, to integer keys in the order of their distances:
-    the squared Euclidean, l1 or linf norm for round balls and the disk,
-    and max_i M_i . x of ``_cleared_faces`` for a rational polygon, in
-    int64 while that stays below 2^52 and in Python integers (at most
+    fn maps integer d-vectors, with coordinates at most ``reach`` in
+    absolute value, to integer keys in the order of their distances: the
+    squared Euclidean, l1 or linf norm for round balls and the disk, in
+    int64 (a CapabilityError where d reach^2, d reach or reach would pass
+    it), and max_i M_i . x of ``_cleared_faces`` for a rational polygon,
+    in int64 while that stays below 2^52 and in Python integers (at most
     ``_FRACTION_CAP`` vectors x faces) beyond.  render turns distinct keys
     into the float distances of the points ints * ``scale``.  unit is the
     number of 8-byte entries one key costs: 1 for int64, and for a Python
     integer its pointer and its object.
     """
+    _fits_int64(reach, "coordinate differences")
     axes = getattr(body, "semi_axes", None)
     if axes is not None and np.ptp(axes) == 0.0:
         p = body.p if isinstance(body, LpBall) else 2
         s = float(scale) * (1.0 / float(axes[0]))
         if p == 2:
+            _fits_int64(d * reach * reach, "squared l2 keys")
             return (lambda v: np.einsum("ij,ij->i", v, v)), \
                 (lambda k: np.sqrt(k.astype(float)) * s), 1
         if p == 1:
+            _fits_int64(d * reach, "l1 keys")
             return (lambda v: np.abs(v).sum(axis=1)), (lambda k: k.astype(float) * s), 1
         if math.isinf(p):
             return (lambda v: np.abs(v).max(axis=1)), (lambda k: k.astype(float) * s), 1
@@ -393,8 +394,10 @@ def _exact_coords(S: PointSet):
     for row in S._exact:
         for v in row:
             den = den // math.gcd(den, v.denominator) * v.denominator
-    ints = np.array([[int(v * den) for v in row] for row in S._exact], dtype=np.int64)
-    return ints, Fraction(1, den)
+    ints = [[int(v * den) for v in row] for row in S._exact]
+    _fits_int64(max(abs(v) for row in ints for v in row),
+                "coordinates over their common denominator")
+    return np.array(ints, dtype=np.int64), Fraction(1, den)
 
 
 def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
@@ -421,6 +424,9 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     lattice = S.provenance in ("lattice", "rotated_lattice") and S.q is not None
     if lattice:
         n_vecs = ((2 * S.q + 1) ** S.dim - 1) // 2
+        if n_vecs > _DIFFERENCE_CAP:
+            raise BudgetError(f"{n_vecs} difference vectors exceeds the cap of "
+                              f"{_DIFFERENCE_CAP}")
     else:
         n_vecs = S.n * (S.n - 1) // 2
         if n_vecs > pair_cap:
@@ -428,8 +434,9 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
                               "use a lattice fast path or a smaller set")
     if exact:
         P, scale = _exact_coords(S)
-        reach = S.q if lattice else int(np.ptp(P, axis=0).max())
-        fn, render, unit = _exact_keys(body, scale, reach, n_vecs)
+        # in Python integers: the int64 span of a column may wrap
+        reach = S.q if lattice else max(int(c.max()) - int(c.min()) for c in P.T)
+        fn, render, unit = _exact_keys(body, scale, reach, S.dim, n_vecs)
     else:
         P, fn, render, unit = S.points, body.gauge, (lambda k: k), 1
     # entries one vector costs in the key buffer
@@ -441,19 +448,21 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
         return np.column_stack(_distinct(map_blocks(fn, vecs, width), weights))
 
     if lattice:
-        grid, weights = _difference_grid(S.q, S.dim)
+        turn = None
+        if S.angle is not None:
+            c, s = math.cos(S.angle), math.sin(S.angle)
+            turn = np.array([[c, s], [-s, c]])  # row-vector rotation
 
         def block(rows):
-            v = grid[rows.start:rows.stop]
+            v, weights = _difference_rows(S.q, S.dim, rows)
             if not exact:
                 v = v.astype(float)
-                if S._rot is not None:
-                    c, s = S._rot
-                    v = v @ np.array([[c, s], [-s, c]])  # row-vector rotation
-            return keyed(v, weights[rows.start:rows.stop])
+                if turn is not None:
+                    v = v @ turn
+            return keyed(v, weights)
 
         # blocks sized by the key buffer, so that each is one key block
-        found = map_blocks(block, range(len(grid)), width, threads)
+        found = map_blocks(block, range(n_vecs), width, threads)
     else:
         def block(first):
             a, b = first.start, first.stop

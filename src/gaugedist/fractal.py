@@ -134,7 +134,7 @@ def _digit_numerators(spec: CantorSpec) -> np.ndarray:
 def cantor_build(spec: CantorSpec) -> IntervalUnion:
     """Exact depth-n iterate as an interval union."""
     if spec.cell_count > _MAX_CELLS:
-        raise ValidationError(f"cell count {spec.cell_count} exceeds {_MAX_CELLS}")
+        raise BudgetError(f"cell count {spec.cell_count} exceeds the cap of {_MAX_CELLS}")
     nums = _digit_numerators(spec)
     den = spec.base ** spec.depth
     return IntervalUnion._from_numerators(nums, nums + 1, den)
@@ -164,7 +164,7 @@ def difference_cover(spec: CantorSpec) -> DifferenceCover:
     """
     pre = (2 * spec.m - 1) ** spec.depth
     if pre > _MAX_CELLS:
-        raise ValidationError(f"difference count {pre} exceeds {_MAX_CELLS}")
+        raise BudgetError(f"difference count {pre} exceeds the cap of {_MAX_CELLS}")
     diffs = np.arange(-(spec.base - 2), spec.base - 1, 2, dtype=np.int64)
     nums = np.zeros(1, dtype=np.int64)
     for _ in range(spec.depth):
@@ -403,7 +403,7 @@ class CantorMeasure(AtomicMeasure):
     def __init__(self, spec: CantorSpec, dims: int = 1):
         n_atoms = spec.cell_count ** dims
         if n_atoms > _MAX_ATOMS:
-            raise ValidationError(f"atom count {n_atoms} exceeds {_MAX_ATOMS}")
+            raise BudgetError(f"atom count {n_atoms} exceeds the cap of {_MAX_ATOMS}")
         self.spec = spec
         centers = (_digit_numerators(spec) + 0.5) / spec.base ** spec.depth
         grids = np.meshgrid(*([centers] * dims), indexing="ij")

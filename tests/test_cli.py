@@ -336,6 +336,11 @@ _PROBES = [
      "[decay] r_min/r_max"),
     ("decay", "scan", "[body]\nkind = square\n[decay]\nr_list = 8 9 10 12 14 16 18 20\n",
      "[decay] r_list"),
+    ("distset", "scan", "[body]\nkind = disk\n[distset]\nq_list = 2 4 8 16\nmode = exacto\n",
+     "[distset] mode"),
+    ("distset", "scan", "[body]\nkind = disk\n[distset]\nq_list = 2 4 8 16\n"
+     "expect_classification = polygonish\n", "[distset] expect_classification"),
+    ("fractal", "build", "[fractal]\nm = 10\ndepth = 8\n", "[fractal] m/depth"),
 ]
 
 

@@ -35,7 +35,7 @@ from gaugedist import (
 from gaugedist import _blocks
 from gaugedist._blocks import _BLOCK_ENTRIES
 from gaugedist.distset import (_DIFFERENCE_CAP, _FRACTION_CAP, _LATTICE_CAP,
-                               _difference_grid)
+                               _difference_rows)
 
 linf = LpBall(np.inf, (1.0, 1.0))
 l1 = LpBall(1.0, (1.0, 1.0))
@@ -85,6 +85,42 @@ def test_exact_mode_needs_exact_polygon_vertices():
         for S in (PointSet.lattice(4), PointSet.explicit([[0, 0], [1, 2], [3, 1]])):
             with pytest.raises(CapabilityError, match="rational Polygon2D"):
                 distance_set(S, body, "exact_rational")
+
+
+def test_exact_round_ball_keys_past_int64_rejected():
+    # squared l2 keys past 2^63 used to wrap: exact values [0, 92681.9]
+    S = PointSet.explicit([[0, 0], [2**32, 0], [0, 2**32 + 1]])
+    np.testing.assert_allclose(distance_set(S, LpBall(2.0)).values,
+                               [2.0**32, math.hypot(2.0**32, 2.0**32 + 1)])
+    with pytest.raises(CapabilityError, match=r"squared l2 keys reach .* bound 2\^63"):
+        distance_set(S, LpBall(2.0), "exact_rational")
+    # differences past 2^63 wrapped as well, and so did np.ptp over them
+    S = PointSet.explicit([[0], [2**62], [-2**62]])
+    assert distance_set(S, LpBall(np.inf, (1.0,))).count == 2
+    with pytest.raises(CapabilityError, match=f"coordinate differences reach {2**63},"):
+        distance_set(S, LpBall(np.inf, (1.0,)), "exact_rational")
+    with pytest.raises(CapabilityError, match="l1 keys reach"):
+        distance_set(PointSet.explicit([[0, 0], [2**62, 0], [0, 2**62]]), l1, "exact_rational")
+    # an unsigned coordinate past int64 used to wrap in the exact copy
+    S = PointSet.explicit(np.array([[0, 0], [3 << 62, 0], [0, 1]], dtype=np.uint64))
+    with pytest.raises(CapabilityError, match="coordinates over their common denominator"):
+        distance_set(S, linf, "exact_rational")
+    # just inside the bound the exact keys count
+    S = PointSet.explicit([[0, 0], [2**31 - 1, 0], [0, 2**31 - 1]])
+    exact = distance_set(S, LpBall(2.0), "exact_rational")
+    assert exact.count == 2 and exact.values.tobytes() == distance_set(S, disk()).values.tobytes()
+
+
+def test_exact_fraction_coordinates_past_int64_rejected():
+    # cleared to their common denominator 3^40 7^30 these coordinates pass
+    # int64; they used to end in a bare OverflowError
+    pts = [(Fraction(0), Fraction(0)), (Fraction(1, 3**40), Fraction(0)),
+           (Fraction(0), Fraction(1, 7**30))]
+    S = PointSet.explicit(pts)
+    assert distance_set(S, disk()).count == 2  # the hypotenuse merges within 1e-9
+    with pytest.raises(CapabilityError, match="coordinates over their common denominator "
+                                              r"reach \d+, past the int64 bound 2\^63"):
+        distance_set(S, disk(), "exact_rational")
 
 
 def test_unit_square_distances():
@@ -438,14 +474,21 @@ def _full_grid_half(q, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("q", [1, 2, 5])
 def test_half_difference_grid_matches_full_grid_filter(q, d):
-    grid, weights = _difference_grid(q, d)
     want_grid, want_weights = _full_grid_half(q, d)
+    n_vecs = ((2 * q + 1) ** d - 1) // 2
+    grid, weights = _difference_rows(q, d, range(n_vecs))
     assert grid.dtype == want_grid.dtype and weights.dtype == want_weights.dtype
     np.testing.assert_array_equal(grid, want_grid)
     np.testing.assert_array_equal(weights, want_weights)
     # every unordered pair of [0, q]^d is counted once
     n = (q + 1) ** d
     assert weights.sum() == n * (n - 1) // 2
+    # any split of the rows concatenates to the whole half grid
+    for step in (1, 3, 7):
+        parts = [_difference_rows(q, d, range(a, min(a + step, n_vecs)))
+                 for a in range(0, n_vecs, step)]
+        np.testing.assert_array_equal(np.concatenate([v for v, _ in parts]), want_grid)
+        np.testing.assert_array_equal(np.concatenate([w for _, w in parts]), want_weights)
 
 
 def test_growth_fit_matches_growth_scan(rng):
@@ -484,8 +527,12 @@ def test_lattice_grids_capped_before_allocating():
     try:
         with pytest.raises(BudgetError, match=f"cap of {_LATTICE_CAP}"):
             PointSet.lattice(10**6)
-        with pytest.raises(BudgetError, match=f"cap of {_DIFFERENCE_CAP}"):
-            _difference_grid(10**6, 2)
+        # a lattice-provenance set whose q is one past the difference cap:
+        # uncapped, its blocks would run and the test fail, in bounded memory
+        huge = PointSet([[0, 0], [1, 0]], "lattice", q=2048)
+        for mode in ("float_tol", "exact_rational"):
+            with pytest.raises(BudgetError, match=f"cap of {_DIFFERENCE_CAP}"):
+                distance_set(huge, disk(), mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -536,8 +583,11 @@ def test_polygon_gauge_blocked_by_face_count():
     # peaked at 26 MiB, on 1 681 explicit points at 304 MiB, and linf on
     # those points at 132 MiB.  Python-integer keys are blocked by their
     # size: the 64-gon with 10^6 denominators on lattice(64) peaked at 30 MiB
-    # when they were blocked like int64 keys
+    # when they were blocked like int64 keys.  The lattice difference grid
+    # was built whole: lattice(1024) under an integer hexagon peaked at
+    # 80 MiB in either mode
     gon = regular_polygon(256)
+    hexagon = Polygon2D(np.array(_INT_HEXAGON, dtype=float), _INT_HEXAGON)
     rational = _fine_rational_polygon(16, 10)
     points = PointSet.explicit(PointSet.lattice(40).points.astype(np.int64))
     for S, body, mode, cap in (
@@ -546,7 +596,9 @@ def test_polygon_gauge_blocked_by_face_count():
             (PointSet.lattice(256), rational, "exact_rational", 16 << 20),
             (points, rational, "exact_rational", 24 << 20),
             (points, linf, "exact_rational", 24 << 20),
-            (PointSet.lattice(64), _fine_rational_polygon(), "exact_rational", 4 << 20)):
+            (PointSet.lattice(64), _fine_rational_polygon(), "exact_rational", 4 << 20),
+            (PointSet.lattice(1024), hexagon, "exact_rational", 16 << 20),
+            (PointSet.lattice(1024), hexagon, "float_tol", 16 << 20)):
         tracemalloc.start()
         try:
             distance_set(S, body, mode)
@@ -600,10 +652,10 @@ def _reference_distance_set(S, body, mode):
     integer keys in exact mode, or one Fraction per vector where a rational
     polygon's cleared keys reach 2^52."""
     if S.provenance in ("lattice", "rotated_lattice"):
-        diffs, w = _difference_grid(S.q, S.dim)
+        diffs, w = _full_grid_half(S.q, S.dim)
         vecs, den = diffs.astype(float), 1
-        if S._rot is not None:
-            c, s = S._rot
+        if S.angle is not None:
+            c, s = math.cos(S.angle), math.sin(S.angle)
             vecs = vecs @ np.array([[c, s], [-s, c]])
     else:
         i, j = np.triu_indices(S.n, k=1)

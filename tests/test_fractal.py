@@ -127,8 +127,10 @@ def test_cantor_spec_validation():
         CantorSpec(m=1, depth=3)
     with pytest.raises(ValidationError):
         CantorSpec(m=2, depth=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(BudgetError, match="exceeds the cap of"):
         cantor_build(CantorSpec(m=2, depth=24))  # 2^24 cells over budget
+    with pytest.raises(BudgetError, match="exceeds the cap of"):
+        difference_cover(CantorSpec(m=2, depth=15))  # 3^15 differences
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,7 @@ def test_natural_measure_counts():
 
 
 def test_natural_measure_atom_budget():
-    with pytest.raises(ValidationError):
+    with pytest.raises(BudgetError, match="atom count 1048576 exceeds the cap of 1000000"):
         natural_measure(CantorSpec(m=2, depth=10), dims=2)
 
 
