@@ -13,21 +13,26 @@ import numpy as np
 _BLOCK_ENTRIES = 1 << 18
 
 
-def map_blocks(fn, rows, width: int, threads: int = 1) -> np.ndarray:
-    """The concatenation of fn(block) over consecutive blocks of ``rows``.
+def _concatenate(parts) -> np.ndarray:
+    return np.concatenate(list(parts))
+
+
+def map_blocks(fn, rows, width: int, threads: int = 1, reduce=_concatenate):
+    """reduce(parts), where parts iterates over fn(block) for consecutive
+    blocks of ``rows`` in order; the default reduce concatenates them.
 
     A block holds max(1, _BLOCK_ENTRIES // width) rows, where ``width`` is
     the number of entries one row costs.  The boundaries depend on
     len(rows) and width only, never on ``threads``, so the result is
     bit-identical for any thread count.  With threads > 1 and more than one
     block, the blocks run on one thread pool; numpy releases the GIL inside
-    its kernels.  Empty ``rows`` make one empty block.
+    its kernels.  Either way parts hands the results over one by one, so a
+    reduce that folds them as they come needs few at a time.  Empty
+    ``rows`` make one empty block.
     """
     step = max(1, _BLOCK_ENTRIES // width)
     blocks = [rows[a:a + step] for a in range(0, len(rows) or 1, step)]
     if threads > 1 and len(blocks) > 1:
         with futures.ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as ex:
-            parts = list(ex.map(fn, blocks))
-    else:
-        parts = [fn(b) for b in blocks]
-    return np.concatenate(parts)
+            return reduce(ex.map(fn, blocks))
+    return reduce(map(fn, blocks))

@@ -524,8 +524,9 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
         report.fits["box_dim"] = {"value": dim_val, "dims": dims,
                                   "scales": [str(s) for s in scales]}
         _band_verdict(report, cfg, sec, "box_dim", dim_val)
-        ladders = (X.energy_ladders(cfg.build(sec, "m/depth", X.natural_measure, spec, dims=2),
-                                    gammas, T_list) if gammas else ())
+        ladders = (cfg.build(sec, "energy_T", X.energy_ladders,
+                             cfg.build(sec, "m/depth", X.natural_measure, spec, dims=2),
+                             gammas, T_list) if gammas else ())
         for gamma, ladder, expect in zip(gammas, ladders, expects):
             key = f"energy_gamma_{_num(gamma)}"
             report.fits[key] = {"T": _jsonable(ladder.T_values),

@@ -6,8 +6,9 @@ in both modes: difference vectors, either all pairs or, for (rotated)
 lattices, the translation-invariance shortcut (the distances of the
 grid [0, q]^d are the gauge values of the difference grid [-q, q]^d,
 with pair multiplicities recovered from the grid geometry), are mapped
-block by block to keys, and each block keeps only its distinct keys
-with their multiplicities, so memory is bounded per block.  Exact
+block by block to keys, each block keeps only its distinct keys with
+their multiplicities, and these merge as the blocks come, so memory is
+bounded by a block and the result.  Exact
 counting keys by integers (squared Euclidean, l1, linf, or cleared
 rational polygon gauges), so the reported counts are identities rather
 than float artifacts.
@@ -105,7 +106,11 @@ class PointSet:
     def lattice(cls, q: int, d: int = 2) -> "PointSet":
         """Integer grid Z^d cap [0, q]^d, exactly (q+1)^d points."""
         grid = _grid(q, d, np.int64)
-        return cls(grid.astype(float), "lattice", q=q, exact=grid)
+        # the grid is distinct and in lexicographic order already: the
+        # constructor sorts a single row and the grid is set without a sort
+        S = cls(grid[:1].astype(float), "lattice", q=q, exact=grid)
+        S.points = grid.astype(float)
+        return S
 
     @classmethod
     def rotated_lattice(cls, q: int, angle: float, d: int = 2) -> "PointSet":
@@ -282,6 +287,25 @@ def _distinct(keys: np.ndarray, weights: Optional[np.ndarray] = None, rtol: floa
     return keys[starts], np.add.reduceat(weights, starts)
 
 
+def _fold_distinct(parts) -> np.ndarray:
+    """The rows of ``parts``, (key, weight) arrays with distinct keys each,
+    with the weights of equal keys summed as the parts come.  Parts wait
+    until they hold as many rows as those merged so far, so memory stays
+    near the size of the result rather than of all parts, and each row is
+    sorted a bounded number of times on average.  The last parts may still
+    repeat keys of the merged rows."""
+    parts = iter(parts)
+    merged, pending, size = next(parts), [], 0
+    for part in parts:
+        pending.append(part)
+        size += len(part)
+        if size >= len(merged):
+            rows = np.concatenate([merged] + pending)
+            merged = np.column_stack(_distinct(rows[:, 0], rows[:, 1]))
+            pending, size = [], 0
+    return np.concatenate([merged] + pending)
+
+
 def _difference_rows(q: int, d: int, rows: range):
     """Rows ``rows`` of the half difference grid: the vectors of [-q, q]^d
     whose first nonzero coordinate is positive (one of each +-a pair), in
@@ -409,8 +433,9 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     difference grid with its pair weights (O(q^d) vectors instead of
     O(q^{2d}) pairs), otherwise the pairs (i, j > i) by first index, capped
     at ``pair_cap`` pairs, with unit weights.  Each block maps its vectors
-    to keys and returns the distinct keys with summed weights, so memory is
-    bounded per block.  Mode 'float_tol' keys by the float gauge and merges
+    to keys and returns the distinct keys with summed weights, merged with
+    the earlier blocks' as they come, so memory is bounded by a block and
+    the result.  Mode 'float_tol' keys by the float gauge and merges
     keys within relative tolerance 1e-9; mode 'exact_rational' demands
     integer or rational points and an LpBall p in {1, 2, inf} or a
     rational-face Polygon2D, keys by integers and merges equal keys only.
@@ -462,7 +487,7 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
             return keyed(v, weights)
 
         # blocks sized by the key buffer, so that each is one key block
-        found = map_blocks(block, range(n_vecs), width, threads)
+        found = map_blocks(block, range(n_vecs), width, threads, _fold_distinct)
     else:
         def block(first):
             a, b = first.start, first.stop
@@ -471,9 +496,10 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
             return keyed(rows[jj >= ii])
 
         # one block of first indices per piece, counted in pairs and their keys
-        found = map_blocks(block, range(len(P) - 1), len(P) * unit, threads)
+        found = map_blocks(block, range(len(P) - 1), len(P) * unit, threads, _fold_distinct)
 
-    # float keys carry their weights as float64, exact below 2^53
+    # float keys carry their weights as float64, exact below 2^53; equal
+    # keys merged early leave this pass as it would be on all parts
     keys, mult = _distinct(found[:, 0], found[:, 1], 0.0 if exact else _DEDUP_RTOL)
     values = render(keys)
     gap = float(np.min(np.diff(values))) if len(values) > 1 else math.inf

@@ -341,6 +341,8 @@ _PROBES = [
     ("distset", "scan", "[body]\nkind = disk\n[distset]\nq_list = 2 4 8 16\n"
      "expect_classification = polygonish\n", "[distset] expect_classification"),
     ("fractal", "build", "[fractal]\nm = 10\ndepth = 8\n", "[fractal] m/depth"),
+    ("fractal", "build", "[fractal]\nenergy_gammas = 0.8\nenergy_T = 16 32 5000\n",
+     "[fractal] energy_T"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Distance-set counting: exact oracles, fast-path equivalence, scans."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -46,6 +47,21 @@ def test_lattice_point_count():
         S = PointSet.lattice(q, d)
         assert S.n == (q + 1) ** d
         assert S.dim == d
+
+
+def test_lattice_points_match_sorted_unique_grid():
+    # the lattice skips the constructor's sort; np.unique of a shuffled grid
+    # is the oracle for its order and its distinctness
+    rng = np.random.default_rng(4)
+    for q in (1, 2, 7, 64):
+        for d in (1, 2, 3):
+            grid = np.array(list(itertools.product(range(q + 1), repeat=d)), dtype=float)
+            want = np.unique(grid[rng.permutation(len(grid))], axis=0)
+            S = PointSet.lattice(q, d)
+            assert S.points.dtype == want.dtype and S.points.shape == want.shape
+            assert S.points.tobytes() == want.tobytes(), (q, d)
+            assert S.n == len(want)
+            assert np.array_equal(S._exact, want.astype(np.int64))
 
 
 def test_explicit_dedup():
@@ -585,7 +601,9 @@ def test_polygon_gauge_blocked_by_face_count():
     # size: the 64-gon with 10^6 denominators on lattice(64) peaked at 30 MiB
     # when they were blocked like int64 keys.  The lattice difference grid
     # was built whole: lattice(1024) under an integer hexagon peaked at
-    # 80 MiB in either mode
+    # 80 MiB in either mode.  Each block's distinct keys were kept to the
+    # end: 419 000 rows for the 12 274 distances of the last hexagon below,
+    # a 23 MiB peak
     gon = regular_polygon(256)
     hexagon = Polygon2D(np.array(_INT_HEXAGON, dtype=float), _INT_HEXAGON)
     rational = _fine_rational_polygon(16, 10)
@@ -598,7 +616,9 @@ def test_polygon_gauge_blocked_by_face_count():
             (points, linf, "exact_rational", 24 << 20),
             (PointSet.lattice(64), _fine_rational_polygon(), "exact_rational", 4 << 20),
             (PointSet.lattice(1024), hexagon, "exact_rational", 16 << 20),
-            (PointSet.lattice(1024), hexagon, "float_tol", 16 << 20)):
+            (PointSet.lattice(1024), hexagon, "float_tol", 16 << 20),
+            (PointSet.lattice(1024), Polygon2D(np.array(_KEYED_HEXAGON, dtype=float),
+                                               _KEYED_HEXAGON), "float_tol", 8 << 20)):
         tracemalloc.start()
         try:
             distance_set(S, body, mode)
@@ -710,6 +730,7 @@ def _reference_distance_set(S, body, mode):
 
 
 _INT_HEXAGON = [(3, -1), (2, 2), (-1, 3), (-3, 1), (-2, -2), (1, -3)]
+_KEYED_HEXAGON = [(-1, -2), (4, -4), (4, -2), (1, 2), (-4, 4), (-4, 2)]
 # the last three polygons take Python-integer keys: the 16-gon's keys on these
 # sets would still fit int64 but pass 2^52, the 64-gon's pass 2^63 and the
 # 256-gon's pass 2^1024, beyond any float

@@ -314,7 +314,7 @@ def _square_surface_l1_oracle(R, n=2 ** 20):
 
 
 def test_square_l1_surface_average_vs_closed_form():
-    # the p = 1 rule converges slowly (kinks at the zeros); measured <= 7.7e-4
+    # the p = 1 rule converges slowly (kinks at the zeros); measured <= 1.1e-3
     for R in (8.0, 8.5, 45.25, 512.0):
         got = spherical_average(square(), R, kind="surface", p=1)
         assert got == pytest.approx(_square_surface_l1_oracle(R), rel=2e-3)
@@ -387,6 +387,78 @@ def test_spherical_average_cell_rule_vs_full_rule():
     assert {(1, True), (0, True), (1, False), (0, False)} <= {c[::2] for c in seen}
     assert {(0, 1, True, True), (0, 0, True, True)} <= seen
     assert any(not mirror and shorter for _, _, mirror, shorter in seen)
+
+
+def _rounded_nodes(body, R):
+    """The default N: _default_nodes rounded up to a multiple of k/2."""
+    g = body.symmetry()[0] // 2
+    return -(-_default_nodes(body, R) // g) * g
+
+
+def _record_rows(monkeypatch):
+    """Replace fourier._transform by a stub that records the rows it gets."""
+    calls = []
+
+    def recording(body, xi, kind, threads=1):
+        calls.append(xi)
+        return np.ones(len(xi))
+
+    monkeypatch.setattr(fourier, "_transform", recording)
+    return calls
+
+
+def test_spherical_average_default_rounds_to_whole_cells(monkeypatch):
+    # the node spacing pi / N reads N off the evaluated rows
+    calls = _record_rows(monkeypatch)
+    bodies = [square(), diamond(), regular_polygon(256), LpBall(4.0),
+              random_symmetric_hexagon(np.random.default_rng(7)), ellipse(2.0, 1.0), disk()]
+    for body in bodies:
+        k, mirror = body.symmetry()
+        for R in _POLYGON_RADII:
+            calls.clear()
+            spherical_average(body, R, kind="body", p=1)
+            (xi,) = calls
+            n = round(math.pi / math.atan2(xi[1, 1], xi[1, 0]))
+            old = _default_nodes(body, R)
+            assert n % (k // 2) == 0 and old <= n < old + k // 2, (body.kind(), R)
+            M = n // (k // 2)
+            assert len(xi) == (M // 2 + 1 if mirror else M), (body.kind(), R)
+
+
+def test_spherical_average_256gon_evaluates_one_half_cell(monkeypatch):
+    # at R = 1000.3 the unrounded N = 32 010 has gcd 2 with k/2 = 128, so
+    # the gcd rule alone would evaluate 8 003 rows
+    calls = _record_rows(monkeypatch)
+    for R in (1000.3, 1024.0):
+        calls.clear()
+        spherical_average(regular_polygon(256), R)
+        M = _rounded_nodes(regular_polygon(256), R) // 128
+        assert len(calls[0]) <= M // 2 + 1 <= 129
+
+
+def test_spherical_average_default_vs_full_rule():
+    # the default-count value against all N nodes at the rounded N
+    for name, make, radii in _CELL_CASES:
+        body = make()
+        for R in radii:
+            n = _rounded_nodes(body, R)
+            for kind in ("body", "surface"):
+                vals = _full_rule_values(body, R, kind, n)
+                for p in (1, 2):
+                    got = spherical_average(body, R, kind=kind, p=p)
+                    want = _full_rule(vals, p)
+                    rtol = 1e-12 if R <= 128 else 1e-11
+                    assert abs(got - want) <= rtol * want, (name, R, kind, p)
+
+
+def test_spherical_average_default_unchanged_for_half_turn_bodies():
+    for body in (disk(), ellipse(2.0, 1.0)):
+        for R in (8.0, 33.3, 64.0):
+            for kind in ("body", "surface"):
+                for p in (1, 2):
+                    assert (spherical_average(body, R, kind=kind, p=p)
+                            == spherical_average(body, R, kind=kind, p=p,
+                                                 n_nodes=_default_nodes(body, R)))
 
 
 def test_spherical_average_thread_stability(monkeypatch):
