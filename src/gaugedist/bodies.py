@@ -37,6 +37,14 @@ _GOLDEN_ITERS = 96
 _BISECT_ITERS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Polygons of at most this many faces take their gauge of an (n, 2) array
+# faces x rows, so that the max runs along the long axis: 1.5-2.7x faster
+# than rows x faces for 10 down to 4 faces in blocks of 2^18 entries, with
+# the same bits for every row count.  From 12 faces the gain shrinks, to
+# nothing at 128, and the product rounds a few entries of some row counts
+# (from 196 rows on) by an ulp otherwise.
+_FACES_MAJOR = 10
+
 
 def _as_xy(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
@@ -164,8 +172,9 @@ class Polygon2D(ConvexBody):
 
     def gauge(self, x) -> np.ndarray:
         x = _as_xy(x)
-        vals = x @ self._face_n.T / self._face_c
-        return np.max(vals, axis=-1)
+        if x.ndim == 2 and len(self._face_c) <= _FACES_MAJOR:
+            return np.max(self._face_n @ x.T / self._face_c[:, None], axis=0)
+        return np.max(x @ self._face_n.T / self._face_c, axis=-1)
 
     def support(self, omega) -> np.ndarray:
         omega = _as_xy(omega)

@@ -8,7 +8,8 @@ grid [0, q]^d are the gauge values of the difference grid [-q, q]^d,
 with pair multiplicities recovered from the grid geometry), are mapped
 block by block to keys, each block keeps only its distinct keys with
 their multiplicities, and these merge as the blocks come, so memory is
-bounded by a block and the result.  Exact
+bounded by a block and the result (small exact lattice keys are counted
+in one histogram instead).  Exact
 counting keys by integers (squared Euclidean, l1, linf, or cleared
 rational polygon gauges), so the reported counts are identities rather
 than float artifacts.
@@ -44,14 +45,25 @@ _LATTICE_CAP = 1 << 22
 _DIFFERENCE_CAP = 1 << 23
 _FRACTION_CAP = 1 << 20
 
+# Exact int64 lattice keys in [0, top] are counted in one histogram of
+# top + 1 int64 entries (8 MiB at most) rather than sorted, while top + 1
+# stays within this many entries.
+_HISTOGRAM_CAP = 1 << 20
 
-def _grid(q: int, d: int, dtype) -> np.ndarray:
-    """The integer grid [0, q]^d in lexicographic order, as ``dtype``."""
+
+def _grid_size(q: int, d: int) -> int:
+    """(q+1)^d, the size of the grid [0, q]^d, once q and the cap are checked."""
     if q < 1:
         raise ValidationError("lattice needs q >= 1")
     if (q + 1) ** d > _LATTICE_CAP:
         raise BudgetError(f"(q+1)^d = {(q + 1) ** d} lattice points exceeds the cap of "
                           f"{_LATTICE_CAP}")
+    return (q + 1) ** d
+
+
+def _grid(q: int, d: int, dtype) -> np.ndarray:
+    """The integer grid [0, q]^d in lexicographic order, as ``dtype``."""
+    _grid_size(q, d)
     axes = [np.arange(q + 1, dtype=dtype)] * d
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
@@ -71,7 +83,8 @@ class PointSet:
     Duplicate rows are removed at construction.  Lattice-derived sets
     keep enough structure (q, angle) for the difference-set fast path;
     explicit integer or rational input keeps an exact representation for
-    exact-mode counting.
+    exact-mode counting.  (Rotated) lattices build their points on first
+    read, since the fast path needs only q, dim and angle.
     """
 
     def __init__(self, points, provenance: str = "explicit", *, q: Optional[int] = None,
@@ -80,21 +93,37 @@ class PointSet:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValidationError("points must be a nonempty (n, d) array")
-        self.points = _unique_rows(pts)
+        # (float points, exact points): the exact ones an int ndarray, a list
+        # of Fraction tuples or None; or a function that returns the pair
+        self._rows = (_unique_rows(pts), exact)
+        self.n, self.dim = self._rows[0].shape
         self.provenance = provenance
         self.q = q
         self.angle = angle
         self.seed = seed
         self.jitter = jitter
-        self._exact = exact  # int ndarray or list of Fraction tuples, or None
+
+    @classmethod
+    def _deferred(cls, n: int, d: int, rows, provenance: str, **structure) -> "PointSet":
+        """A set of n distinct points in R^d whose (points, exact) pair
+        rows() builds when either is first read."""
+        S = cls(np.zeros((1, d)), provenance, **structure)
+        S.n, S._rows = n, rows
+        return S
+
+    def _built(self):
+        if callable(self._rows):
+            self._rows = self._rows()
+        return self._rows
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
+    def points(self) -> np.ndarray:
+        """The distinct points, (n, d) floats in lexicographic order."""
+        return self._built()[0]
 
     @property
-    def dim(self) -> int:
-        return self.points.shape[1]
+    def _exact(self):
+        return self._built()[1]
 
     def __repr__(self):
         return f"PointSet({self.provenance}, n={self.n}, d={self.dim})"
@@ -105,12 +134,12 @@ class PointSet:
     @classmethod
     def lattice(cls, q: int, d: int = 2) -> "PointSet":
         """Integer grid Z^d cap [0, q]^d, exactly (q+1)^d points."""
-        grid = _grid(q, d, np.int64)
-        # the grid is distinct and in lexicographic order already: the
-        # constructor sorts a single row and the grid is set without a sort
-        S = cls(grid[:1].astype(float), "lattice", q=q, exact=grid)
-        S.points = grid.astype(float)
-        return S
+        def rows():
+            # distinct and in lexicographic order already: no sort
+            grid = _grid(q, d, np.int64)
+            return grid.astype(float), grid
+
+        return cls._deferred(_grid_size(q, d), d, rows, "lattice", q=q)
 
     @classmethod
     def rotated_lattice(cls, q: int, angle: float, d: int = 2) -> "PointSet":
@@ -118,13 +147,15 @@ class PointSet:
 
         The difference-set fast path rotates by the same math.cos and
         math.sin of ``angle``, so brute force and fast path see the same
-        floats.
+        floats.  The rotation keeps the (q+1)^2 points distinct.
         """
         if d != 2:
             raise CapabilityError("rotated lattices are 2d only")
         c, s = math.cos(angle), math.sin(angle)
         R = np.array([[c, -s], [s, c]])
-        return cls(_grid(q, d, float) @ R.T, "rotated_lattice", q=q, angle=angle)
+        return cls._deferred(_grid_size(q, d), d,
+                             lambda: (_unique_rows(_grid(q, d, float) @ R.T), None),
+                             "rotated_lattice", q=q, angle=angle)
 
     @classmethod
     def perturbed_lattice(cls, q: int, seed: int, max_jitter: float, d: int = 2) -> "PointSet":
@@ -146,13 +177,15 @@ class PointSet:
         arr = np.asarray(points)
         if arr.dtype.kind == "u" and arr.max() >= 1 << 63:
             arr = arr.astype(object)  # Python integers: the int64 copy would wrap
+        exact = None
         if arr.dtype.kind in "iu":
-            S._exact = _unique_rows(arr.astype(np.int64))
+            exact = _unique_rows(arr.astype(np.int64))
         elif arr.dtype == object and all(isinstance(v, (int, Fraction)) for v in arr.flat):
-            S._exact = sorted({tuple(Fraction(v) for v in row) for row in arr.tolist()})
-        if S._exact is not None and len(S._exact) != S.n:
-            raise ValidationError(f"{len(S._exact)} distinct exact points round to "
+            exact = sorted({tuple(Fraction(v) for v in row) for row in arr.tolist()})
+        if exact is not None and len(exact) != S.n:
+            raise ValidationError(f"{len(exact)} distinct exact points round to "
                                   f"{S.n} distinct float points")
+        S._rows = (S.points, exact)
         return S
 
 
@@ -306,6 +339,21 @@ def _fold_distinct(parts) -> np.ndarray:
     return np.concatenate([merged] + pending)
 
 
+def _histogram(size: int):
+    """A reduce for ``map_blocks`` over (int64 keys in [0, size), int64 weights)
+    parts: the (key, weight) rows of the distinct keys, the weights of equal
+    keys summed, in key order.  Integer sums do not depend on their order,
+    so neither does the result on the thread count."""
+    def reduce(parts):
+        counts = np.zeros(size, dtype=np.int64)
+        for keys, weights in parts:
+            np.add.at(counts, keys, weights)
+        keys = np.flatnonzero(counts)
+        return np.column_stack([keys, counts[keys]])
+
+    return reduce
+
+
 def _difference_rows(q: int, d: int, rows: range):
     """Rows ``rows`` of the half difference grid: the vectors of [-q, q]^d
     whose first nonzero coordinate is positive (one of each +-a pair), in
@@ -314,17 +362,26 @@ def _difference_rows(q: int, d: int, rows: range):
 
     Row i is entry ((2q+1)^d + 1)/2 + i of the full grid [-q, q]^d in
     lexicographic order, the entries after its centre, the zero vector.
+    The rows cut a run of whole grid lines along the last axis: only the
+    leading coordinates of each line take a division.
     """
     base = 2 * q + 1
-    idx = np.arange(rows.start, rows.stop, dtype=np.int64) + (base ** d + 1) // 2
-    vecs = np.empty((len(idx), d), dtype=np.int64)
-    weights = np.ones(len(idx), dtype=np.int64)
-    for j in range(d - 1, -1, -1):
-        idx, a = np.divmod(idx, base)
+    n = len(rows)
+    first, skip = divmod(rows.start + (base ** d + 1) // 2, base)
+    lines = np.arange(first, first + -(-(skip + n) // base), dtype=np.int64)
+    # whole lines, the last coordinate running along each, then cut to rows
+    vecs = np.empty((len(lines), base, d), dtype=np.int64)
+    weights = np.empty((len(lines), base), dtype=np.int64)
+    line = np.arange(-q, q + 1, dtype=np.int64)
+    vecs[:, :, -1] = line
+    weights[:] = q + 1 - np.abs(line)
+    for j in range(d - 2, -1, -1):
+        lines, a = np.divmod(lines, base)
         a -= q
-        vecs[:, j] = a
-        weights *= q + 1 - np.abs(a)
-    return vecs, weights
+        vecs[:, :, j] = a[:, None]
+        weights *= (q + 1 - np.abs(a))[:, None]
+    take = slice(skip, skip + n)
+    return vecs.reshape(-1, d)[take], weights.reshape(-1)[take]
 
 
 def _cleared_faces(body: Polygon2D):
@@ -360,7 +417,7 @@ def _fits_int64(bound: int, what: str) -> None:
 
 
 def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, d: int, n_vecs: int):
-    """(fn, render, unit) for exact mode.
+    """(fn, render, unit, top) for exact mode.
 
     fn maps integer d-vectors, with coordinates at most ``reach`` in
     absolute value, to integer keys in the order of their distances: the
@@ -371,7 +428,8 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, d: int, n_vecs: i
     ``_FRACTION_CAP`` vectors x faces) beyond.  render turns distinct keys
     into the float distances of the points ints * ``scale``.  unit is the
     number of 8-byte entries one key costs: 1 for int64, and for a Python
-    integer its pointer and its object.
+    integer its pointer and its object.  top bounds the int64 keys, which
+    lie in [0, top]; it is None for Python-integer keys.
     """
     _fits_int64(reach, "coordinate differences")
     axes = getattr(body, "semi_axes", None)
@@ -381,20 +439,29 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, d: int, n_vecs: i
         if p == 2:
             _fits_int64(d * reach * reach, "squared l2 keys")
             return (lambda v: np.einsum("ij,ij->i", v, v)), \
-                (lambda k: np.sqrt(k.astype(float)) * s), 1
+                (lambda k: np.sqrt(k.astype(float)) * s), 1, d * reach * reach
         if p == 1:
             _fits_int64(d * reach, "l1 keys")
-            return (lambda v: np.abs(v).sum(axis=1)), (lambda k: k.astype(float) * s), 1
+            return (lambda v: np.abs(v).sum(axis=1)), (lambda k: k.astype(float) * s), 1, \
+                d * reach
         if math.isinf(p):
-            return (lambda v: np.abs(v).max(axis=1)), (lambda k: k.astype(float) * s), 1
+            return (lambda v: np.abs(v).max(axis=1)), (lambda k: k.astype(float) * s), 1, \
+                reach
     if isinstance(body, Polygon2D) and body.exact_vertices is not None:
         M, L = _cleared_faces(body)
         bound = max(abs(a) + abs(b) for a, b in M) * reach
         if bound < 2**52:
             # keys stay exact through the float rendering
-            Mt = np.array(M, dtype=np.int64).T
-            return (lambda v: (v @ Mt).max(axis=1)), \
-                (lambda k: k.astype(float) * (float(scale) / L)), 1
+            def fn(v):
+                # one face at a time, elementwise: 2-4x faster than v @ M.T
+                # and its max over the faces, and exact all the same
+                x, y = v.T
+                keys = M[0][0] * x + M[0][1] * y
+                for a, b in M[1:]:
+                    np.maximum(keys, a * x + b * y, out=keys)
+                return keys
+
+            return fn, (lambda k: k.astype(float) * (float(scale) / L)), 1, bound
         if n_vecs * len(M) > _FRACTION_CAP:
             raise BudgetError(f"{n_vecs} vectors x {len(M)} faces of Python-integer "
                               f"gauges exceeds the cap of {_FRACTION_CAP}")
@@ -403,7 +470,7 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, d: int, n_vecs: i
         # int / int is correctly rounded, as float(Fraction) is
         return (lambda v: (v.astype(object) @ Mt).max(axis=1)), \
             (lambda k: np.array([x * num / den for x in k.tolist()])), \
-            1 + -(-sys.getsizeof(bound) // 8)
+            1 + -(-sys.getsizeof(bound) // 8), None
     raise CapabilityError(
         "exact mode supports LpBall p in {1, 2, inf} and rational Polygon2D gauges")
 
@@ -435,7 +502,8 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     at ``pair_cap`` pairs, with unit weights.  Each block maps its vectors
     to keys and returns the distinct keys with summed weights, merged with
     the earlier blocks' as they come, so memory is bounded by a block and
-    the result.  Mode 'float_tol' keys by the float gauge and merges
+    the result; exact int64 lattice keys below ``_HISTOGRAM_CAP`` are
+    counted in one histogram instead.  Mode 'float_tol' keys by the float gauge and merges
     keys within relative tolerance 1e-9; mode 'exact_rational' demands
     integer or rational points and an LpBall p in {1, 2, inf} or a
     rational-face Polygon2D, keys by integers and merges equal keys only.
@@ -457,13 +525,18 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
         if n_vecs > pair_cap:
             raise BudgetError(f"{n_vecs} pairs exceeds the cap of {pair_cap}; "
                               "use a lattice fast path or a smaller set")
+    top = None
     if exact:
-        P, scale = _exact_coords(S)
-        # in Python integers: the int64 span of a column may wrap
-        reach = S.q if lattice else max(int(c.max()) - int(c.min()) for c in P.T)
-        fn, render, unit = _exact_keys(body, scale, reach, S.dim, n_vecs)
+        if lattice and S.angle is None:
+            P, scale, reach = None, Fraction(1), S.q  # the integer grid [0, q]^d
+        else:
+            P, scale = _exact_coords(S)
+            # in Python integers: the int64 span of a column may wrap
+            reach = max(int(c.max()) - int(c.min()) for c in P.T)
+        fn, render, unit, top = _exact_keys(body, scale, reach, S.dim, n_vecs)
     else:
-        P, fn, render, unit = S.points, body.gauge, (lambda k: k), 1
+        # the lattice path reads no points, so a lattice never builds them
+        P, fn, render, unit = None if lattice else S.points, body.gauge, (lambda k: k), 1
     # entries one vector costs in the key buffer
     width = _key_width(body, S.dim) * unit
 
@@ -478,8 +551,13 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
             c, s = math.cos(S.angle), math.sin(S.angle)
             turn = np.array([[c, s], [-s, c]])  # row-vector rotation
 
+        # small dense int64 keys are counted, the others sorted per block
+        counted = top is not None and top < _HISTOGRAM_CAP
+
         def block(rows):
             v, weights = _difference_rows(S.q, S.dim, rows)
+            if counted:
+                return fn(v), weights
             if not exact:
                 v = v.astype(float)
                 if turn is not None:
@@ -487,7 +565,8 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
             return keyed(v, weights)
 
         # blocks sized by the key buffer, so that each is one key block
-        found = map_blocks(block, range(n_vecs), width, threads, _fold_distinct)
+        found = map_blocks(block, range(n_vecs), width, threads,
+                           _histogram(top + 1) if counted else _fold_distinct)
     else:
         def block(first):
             a, b = first.start, first.stop

@@ -86,6 +86,24 @@ def test_normalized_point_hits_boundary(p):
     assert 1 - 1e-8 <= on <= 1 + 1e-8
 
 
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 64, 256])
+def test_polygon_gauge_layout_keeps_bits(m):
+    # polygons of few faces take the gauge of a 2-d array faces x rows; every
+    # row must round as in the rows x faces product, for any row count up to
+    # a few blocks of 2^18 entries.  From 12 faces the layouts round some
+    # rows of 196 and more otherwise
+    body = regular_polygon(m).rotated(0.3) if m != 6 else \
+        random_symmetric_hexagon(np.random.default_rng(7))
+    block = 2**18 // m
+    rng = np.random.default_rng(m)
+    x = np.concatenate([rng.integers(-2048, 2049, size=(2 * block, 2)),
+                        rng.normal(scale=100.0, size=(2 * block, 2))])
+    for n in list(range(1, 400)) + [1023, 1024, 1025, block, block + 3, len(x)]:
+        want = np.max(x[:n] @ body._face_n.T / body._face_c, axis=-1)
+        got = body.gauge(x[:n])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, n)
+
+
 def test_gauge_norm_wrapper_vectorizes(rng):
     pts = rng.normal(size=(40, 2))
     for body in _bodies(rng):

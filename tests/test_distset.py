@@ -33,10 +33,10 @@ from gaugedist import (
     square,
     well_distributed_check,
 )
-from gaugedist import _blocks
+from gaugedist import _blocks, distset
 from gaugedist._blocks import _BLOCK_ENTRIES
-from gaugedist.distset import (_DIFFERENCE_CAP, _FRACTION_CAP, _LATTICE_CAP,
-                               _difference_rows)
+from gaugedist.distset import (_DIFFERENCE_CAP, _FRACTION_CAP, _HISTOGRAM_CAP, _LATTICE_CAP,
+                               _cleared_faces, _difference_rows)
 
 linf = LpBall(np.inf, (1.0, 1.0))
 l1 = LpBall(1.0, (1.0, 1.0))
@@ -464,14 +464,20 @@ def test_row_dedupe_matches_np_unique():
 
 
 def test_lattice_families_match_deduped_lattice_construction():
-    # the construction these families used before building their float grid directly
+    # the construction these families used before building their float grid
+    # directly; the rotated lattice builds it on first read and counts its
+    # points without it
     for q in (1, 7, 64):
         base = PointSet.lattice(q).points
-        c, s = math.cos(0.7), math.sin(0.7)
-        rotated = PointSet(base @ np.array([[c, -s], [s, c]]).T)
+        for angle in (0.0, 0.7, math.pi / 3):
+            c, s = math.cos(angle), math.sin(angle)
+            rotated = PointSet(base @ np.array([[c, -s], [s, c]]).T)
+            lazy = PointSet.rotated_lattice(q, angle)
+            assert lazy.n == (q + 1) ** 2
+            assert lazy.points.tobytes() == rotated.points.tobytes()
+            assert lazy.n == rotated.n
         noise = np.random.default_rng(5).uniform(-0.3, 0.3, size=base.shape)
         perturbed = PointSet(base + noise)
-        assert PointSet.rotated_lattice(q, 0.7).points.tobytes() == rotated.points.tobytes()
         assert PointSet.perturbed_lattice(q, 5, 0.3).points.tobytes() == perturbed.points.tobytes()
 
 
@@ -487,6 +493,21 @@ def _full_grid_half(q, d):
     return grid, np.prod(q + 1 - np.abs(grid), axis=1).astype(np.int64)
 
 
+def _divmod_difference_rows(q, d, rows):
+    """_difference_rows as it was: every coordinate of every row from a
+    divmod of its index in the full grid."""
+    base = 2 * q + 1
+    idx = np.arange(rows.start, rows.stop, dtype=np.int64) + (base ** d + 1) // 2
+    vecs = np.empty((len(idx), d), dtype=np.int64)
+    weights = np.ones(len(idx), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        idx, a = np.divmod(idx, base)
+        a -= q
+        vecs[:, j] = a
+        weights *= q + 1 - np.abs(a)
+    return vecs, weights
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("q", [1, 2, 5])
 def test_half_difference_grid_matches_full_grid_filter(q, d):
@@ -499,12 +520,18 @@ def test_half_difference_grid_matches_full_grid_filter(q, d):
     # every unordered pair of [0, q]^d is counted once
     n = (q + 1) ** d
     assert weights.sum() == n * (n - 1) // 2
-    # any split of the rows concatenates to the whole half grid
-    for step in (1, 3, 7):
-        parts = [_difference_rows(q, d, range(a, min(a + step, n_vecs)))
-                 for a in range(0, n_vecs, step)]
+    # any split of the rows concatenates to the whole half grid, each part
+    # with the bits of the per-row divmod form; the parts start and stop
+    # inside grid lines, on their ends, and across several
+    for step in (1, 3, 7, 2 * q, 2 * q + 1, 2 * q + 2):
+        ranges = [range(a, min(a + step, n_vecs)) for a in range(0, n_vecs, step)]
+        parts = [_difference_rows(q, d, rows) for rows in ranges]
         np.testing.assert_array_equal(np.concatenate([v for v, _ in parts]), want_grid)
         np.testing.assert_array_equal(np.concatenate([w for _, w in parts]), want_weights)
+        for rows, part in zip(ranges, parts):
+            for got, old in zip(part, _divmod_difference_rows(q, d, rows)):
+                assert got.dtype == old.dtype and got.shape == old.shape
+                assert got.tobytes() == old.tobytes(), (q, d, rows)
 
 
 def test_growth_fit_matches_growth_scan(rng):
@@ -541,8 +568,11 @@ def test_growth_fit_input_checks():
 def test_lattice_grids_capped_before_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match=f"cap of {_LATTICE_CAP}"):
-            PointSet.lattice(10**6)
+        for build in (PointSet.lattice, lambda q: PointSet.rotated_lattice(q, 0.7)):
+            with pytest.raises(BudgetError, match=f"cap of {_LATTICE_CAP}"):
+                build(10**6)
+            with pytest.raises(ValidationError, match="lattice needs q >= 1"):
+                build(0)
         # a lattice-provenance set whose q is one past the difference cap:
         # uncapped, its blocks would run and the test fail, in bounded memory
         huge = PointSet([[0, 0], [1, 0]], "lattice", q=2048)
@@ -670,7 +700,9 @@ def _reference_distance_set(S, body, mode):
     """(values, multiplicities) as distance_set computed them before its
     blocked pipeline: every difference vector at once and one sort, with
     integer keys in exact mode, or one Fraction per vector where a rational
-    polygon's cleared keys reach 2^52."""
+    polygon's cleared keys reach 2^52.  A polygon's float gauge is computed
+    here rows x faces, not by Polygon2D.gauge, whose faces x rows layout
+    must give the same bits."""
     if S.provenance in ("lattice", "rotated_lattice"):
         diffs, w = _full_grid_half(S.q, S.dim)
         vecs, den = diffs.astype(float), 1
@@ -688,7 +720,10 @@ def _reference_distance_set(S, body, mode):
             ints = np.array([[int(v * den) for v in r] for r in rows], dtype=np.int64)
             diffs = ints[i] - ints[j]
     if mode == "float_tol":
-        vals = body.gauge(vecs)
+        if isinstance(body, Polygon2D):
+            vals = np.max(vecs @ body._face_n.T / body._face_c, axis=-1)
+        else:
+            vals = body.gauge(vecs)
         order = np.argsort(vals, kind="stable")
         vals, w = vals[order], w[order]
         keep = np.concatenate([[True], np.diff(vals) > 1e-9 * vals[1:]])
@@ -739,7 +774,10 @@ _EXACT_BODIES = [disk(), disk(3.0), disk(0.5), l1, linf, LpBall(np.inf, (2.0, 2.
                  Polygon2D(np.array(_INT_HEXAGON, dtype=float), _INT_HEXAGON),
                  _fine_rational_polygon(16, 10), _fine_rational_polygon(16, 10**4),
                  _fine_rational_polygon(), _fine_rational_polygon(256)]
+# polygons of few faces take their gauge faces x rows, the 64- and 256-gon
+# rows x faces, where the other layout would gain nothing; both keep the bits
 _FLOAT_BODIES = _EXACT_BODIES[:-2] + [LpBall(3.0), LpBall(1.0, (1.0, 2.0)), regular_polygon(64),
+                                      regular_polygon(256),
                                       random_symmetric_hexagon(np.random.default_rng(7))]
 _RNG = np.random.default_rng(13)
 _SETS = {
@@ -780,3 +818,74 @@ def test_distance_set_matches_unblocked_reference(monkeypatch, mode, family):
             assert ds.min_gap == (float(np.min(np.diff(values))) if len(values) > 1
                                   else math.inf)
             assert ds.count == len(values)
+
+
+def test_lattices_build_points_on_first_read():
+    # the float and int64 grids of lattice(1024) hold 32 MiB, the rotated
+    # float grid 16 MiB; the lattice path of distance_set reads neither
+    tracemalloc.start()
+    try:
+        S = PointSet.lattice(1024)
+        R = PointSet.rotated_lattice(1024, 0.7)
+        assert S.n == R.n == 1025 ** 2 and S.dim == R.dim == 2
+        _, built = tracemalloc.get_traced_memory()
+        ds = distance_set(S, linf, "exact_rational")
+        fl = distance_set(R, linf, "float_tol")
+        counted, _ = tracemalloc.get_traced_memory()
+        assert S.points.shape == (S.n, 2)
+        read, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.count == 1024 and fl.count > 1024
+    assert built < 1 << 20
+    # what the scans left allocated is their results
+    held = sum(a.nbytes for a in (ds.values, ds.multiplicities, fl.values, fl.multiplicities))
+    assert counted - held < 1 << 20
+    assert read - counted >= 2 * S.n * 2 * 8
+
+
+def test_exact_lattice_histogram_bounded():
+    # the histogram holds top + 1 int64 counts, at most 8 MiB; a block adds
+    # its vectors, weights and keys and their temporaries, about twice its
+    # key buffer.  The second hexagon's keys reach just below the cap
+    for verts, q in ((_KEYED_HEXAGON, 1024), (_CAP_HEXAGON, 560)):
+        body = Polygon2D(np.array(verts, dtype=float), verts)
+        top = max(abs(a) + abs(b) for a, b in _cleared_faces(body)[0]) * q
+        assert top < _HISTOGRAM_CAP
+        S = PointSet.lattice(q)
+        tracemalloc.start()
+        try:
+            distance_set(S, body, "exact_rational")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (top + 1) * 8 + 2 * _BLOCK_ENTRIES * 8, (verts, peak)
+
+
+# max_i |M_i|_1 = 1872 over its cleared faces: lattice keys reach 1872 q,
+# within the histogram cap at q = 560 and past it at q = 561
+_CAP_HEXAGON = [(-3, -4), (3, -4), (4, -1), (3, 4), (-3, 4), (-4, 1)]
+
+
+@pytest.mark.parametrize("q", [560, 561])
+def test_exact_lattice_counted_or_sorted_matches_reference(monkeypatch, q):
+    # either reducer, the histogram below the cap and the per-block sort past
+    # it, gives the reference's bits; 64-entry blocks would make 63 000
+    # blocks here, 2^14 entries still cut the grid into 231
+    body = Polygon2D(np.array(_CAP_HEXAGON, dtype=float), _CAP_HEXAGON)
+    top = max(abs(a) + abs(b) for a, b in _cleared_faces(body)[0]) * q
+    assert (top < _HISTOGRAM_CAP) == (q == 560)
+    sizes = []
+    histogram = distset._histogram
+    monkeypatch.setattr(distset, "_histogram", lambda size: sizes.append(size) or histogram(size))
+    S = PointSet.lattice(q)
+    values, mult = _reference_distance_set(S, body, "exact_rational")
+    for entries in (_BLOCK_ENTRIES, 1 << 14):
+        monkeypatch.setattr(_blocks, "_BLOCK_ENTRIES", entries)
+        for threads in (1, 2):
+            ds = distance_set(S, body, "exact_rational", threads=threads)
+            assert ds.values.tobytes() == values.tobytes()
+            assert ds.multiplicities.tobytes() == mult.astype(np.int64).tobytes()
+            assert ds.min_gap == float(np.min(np.diff(values)))
+            assert ds.count == len(values) and ds.exact
+    assert sizes == ([top + 1] * 4 if q == 560 else [])
