@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from gaugedist import LpBall, PointSet, distance_set
+from gaugedist import LpBall, PointSet, growth_scan
 
 QS = [16, 32, 64, 128, 256, 512]
 ANGLE = math.pi / 6
@@ -18,12 +18,11 @@ ANGLE = math.pi / 6
 
 def scan():
     body = LpBall(np.inf, (1.0, 1.0))
+    straight = growth_scan(PointSet.lattice, body, QS)
+    rot = growth_scan(lambda q: PointSet.rotated_lattice(q, ANGLE), body, QS)
     print(f"{'q':>5} {'straight gap':>14} {'rotated gap':>14} {'rot count':>10}")
-    for q in QS:
-        straight = distance_set(PointSet.lattice(q), body)
-        rot = distance_set(PointSet.rotated_lattice(q, ANGLE), body)
-        print(f"{q:>5} {straight.min_gap:>14.6g} {rot.min_gap:>14.6g} "
-              f"{rot.count:>10d}")
+    for q, gap, rot_gap, count in zip(QS, straight.min_gaps, rot.min_gaps, rot.counts):
+        print(f"{q:>5} {gap:>14.6g} {rot_gap:>14.6g} {count:>10d}")
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ from .distset import (
     growth_fit,
     growth_scan,
     GrowthReport,
-    min_gap_trend,
     polygonality_probe,
 )
 from .fractal import (
@@ -105,7 +104,7 @@ __all__ = [
     "ChordBoundReport", "annulus_bound_report", "AnnulusBoundReport",
     "PointSet", "DistanceSet", "distance_set", "well_distributed_check",
     "WellDistributedReport", "separated_check", "SeparatedReport",
-    "growth_fit", "growth_scan", "GrowthReport", "min_gap_trend", "polygonality_probe",
+    "growth_fit", "growth_scan", "GrowthReport", "polygonality_probe",
     "IntervalUnion", "CantorSpec", "cantor_build", "DifferenceCover",
     "difference_cover", "box_dim", "DioSpec", "DioSet", "dio_build",
     "DeltaCover", "delta_cover", "AtomicMeasure", "CantorMeasure",

@@ -1,4 +1,5 @@
-"""Row-blocked evaluation shared by the transform, gauge and atom-sum kernels."""
+"""Row-blocked evaluation shared by the transform, gauge and atom-sum kernels,
+and the sorted distinct values of an array."""
 
 from __future__ import annotations
 
@@ -36,3 +37,13 @@ def map_blocks(fn, rows, width: int, threads: int = 1, reduce=_concatenate):
         with futures.ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as ex:
             return reduce(ex.map(fn, blocks))
     return reduce(map(fn, blocks))
+
+
+def distinct(a) -> np.ndarray:
+    """The sorted distinct entries of ``a``, flattened, as np.unique(a); the
+    first np.unique call without return_counts imports numpy.ma (25-40 ms)."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]

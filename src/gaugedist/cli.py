@@ -428,14 +428,9 @@ def _run_distset_scan(cfg: ScanConfig, report: Report):
     slack = cfg.get_float(sec, "slack", 0.1)
     family, fam_label = _distset_family(cfg, sec)
 
-    rows = []
-    counts = []
-    for q in q_list:
-        S = family(q)
-        ds = D.distance_set(S, body, mode, threads=cfg.threads)
-        rows.append((q, ds.count, ds.min_gap))
-        counts.append(ds.count)
-    grow = D.growth_fit(q_list, counts, S.dim, alpha=alpha, slack=slack)
+    grow = D.growth_scan(family, body, q_list, alpha=alpha, slack=slack, mode=mode,
+                         threads=cfg.threads)
+    rows = list(zip(q_list, grow.counts, grow.min_gaps))
     probe = D.polygonality_probe(grow)
     report.tables["scan"] = [
         {"q": int(q), "count": int(c), "min_gap": float(g)} for q, c, g in rows]
@@ -453,12 +448,11 @@ def _run_distset_scan(cfg: ScanConfig, report: Report):
 
     svg_name = cfg.get("out", "svg", None)
     if svg_name:
+        R, counts = grow.q_values.astype(float), grow.counts.astype(float)
         profile = F.DecayProfile(gamma=-grow.beta, amplitude=grow.amplitude,
                                  residual=0.0, n_used=len(q_list), n_dropped=0,
-                                 log_power=0, R=np.array([float(q) for q in q_list]),
-                                 values=np.array([float(c) for c in counts]))
-        text = svg_decay_plot([float(q) for q in q_list],
-                              [float(c) for c in counts], profile,
+                                 log_power=0, R=R, values=counts)
+        text = svg_decay_plot(R.tolist(), counts.tolist(), profile,
                               title=f"distinct distances, {fam_label}",
                               xlabel="q", ylabel="count")
         (cfg.out_dir / svg_name).write_text(text, encoding="utf-8", newline="\n")

@@ -88,8 +88,7 @@ class PointSet:
     """
 
     def __init__(self, points, provenance: str = "explicit", *, q: Optional[int] = None,
-                 angle: Optional[float] = None, seed: Optional[int] = None,
-                 jitter: Optional[float] = None, exact=None):
+                 angle: Optional[float] = None, exact=None):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValidationError("points must be a nonempty (n, d) array")
@@ -100,8 +99,6 @@ class PointSet:
         self.provenance = provenance
         self.q = q
         self.angle = angle
-        self.seed = seed
-        self.jitter = jitter
 
     @classmethod
     def _deferred(cls, n: int, d: int, rows, provenance: str, **structure) -> "PointSet":
@@ -165,7 +162,7 @@ class PointSet:
         grid = _grid(q, d, float)
         rng = np.random.default_rng(seed)
         noise = rng.uniform(-max_jitter, max_jitter, size=grid.shape)
-        return cls(grid + noise, "perturbed_lattice", q=q, seed=seed, jitter=max_jitter)
+        return cls(grid + noise, "perturbed_lattice", q=q)
 
     @classmethod
     def explicit(cls, points) -> "PointSet":
@@ -229,6 +226,8 @@ class GrowthReport:
     beta reproduces the log-log least squares of counts against q over
     the largest three octaves of the scan (small q is boundary-biased).
     When alpha is supplied the verdict checks beta >= d/alpha - slack.
+    min_gaps holds each q's min_gap when growth_scan counted the family;
+    growth_fit, given counts only, leaves it None.
     """
 
     q_values: np.ndarray
@@ -238,6 +237,7 @@ class GrowthReport:
     bound: Optional[float] = None
     verdict: Optional[bool] = None
     n_fit: int = 0
+    min_gaps: Optional[np.ndarray] = None
 
 
 def well_distributed_check(S: PointSet, C: float) -> WellDistributedReport:
@@ -507,9 +507,13 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     keys within relative tolerance 1e-9; mode 'exact_rational' demands
     integer or rational points and an LpBall p in {1, 2, inf} or a
     rational-face Polygon2D, keys by integers and merges equal keys only.
+    A body whose dimension is not the points' is a ValidationError.
     """
     if mode not in ("exact_rational", "float_tol"):
         raise ValidationError(f"unknown mode {mode!r}; use exact_rational or float_tol")
+    if body.dim != S.dim:
+        raise ValidationError(f"body dimension {body.dim} does not match point "
+                              f"dimension {S.dim}")
     exact = mode == "exact_rational"
     if S.n < 2:
         return DistanceSet(np.empty(0), np.empty(0, dtype=np.int64), math.inf, 0, exact)
@@ -639,27 +643,21 @@ def growth_scan(family: Callable[[int], PointSet], body: ConvexBody,
                 q_list: Sequence[int], *, alpha: Optional[float] = None,
                 slack: float = 0.1, mode: str = "float_tol",
                 threads: int = 1) -> GrowthReport:
-    """Distinct-distance counts of family(q) for each distinct q, fitted by growth_fit."""
+    """Distinct-distance counts of family(q) for each distinct q, fitted by
+    growth_fit, with each q's min_gap from the same distance set."""
     qs = sorted(set(int(q) for q in q_list))
     fit_window(qs)  # fail before counting anything
     if alpha is not None:
         conversion_bound(1, alpha)
-    counts = []
+    counts, gaps = [], []
     for q in qs:
         S = family(q)
-        counts.append(distance_set(S, body, mode, threads=threads).count)
-    return growth_fit(qs, counts, S.dim, alpha=alpha, slack=slack)
-
-
-def min_gap_trend(family: Callable[[int], PointSet], body: ConvexBody,
-                  q_list: Sequence[int], *, mode: str = "float_tol",
-                  threads: int = 1):
-    """(q, min_gap) per scan point; nested families make it non-increasing."""
-    out = []
-    for q in sorted(set(int(q) for q in q_list)):
-        ds = distance_set(family(q), body, mode, threads=threads)
-        out.append((q, ds.min_gap))
-    return out
+        ds = distance_set(S, body, mode, threads=threads)
+        counts.append(ds.count)
+        gaps.append(ds.min_gap)
+    report = growth_fit(qs, counts, S.dim, alpha=alpha, slack=slack)
+    report.min_gaps = np.array(gaps, dtype=np.float64)
+    return report
 
 
 def polygonality_probe(report: GrowthReport, d: int = 2) -> str:

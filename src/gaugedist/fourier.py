@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bodies as _bodies
-from ._blocks import map_blocks
+from ._blocks import distinct, map_blocks
 from .bodies import ConvexBody, Ellipsoid, LpBall, Polygon2D
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
@@ -61,39 +61,6 @@ _SCAN_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
-class Frequency:
-    """A frequency vector, optionally built from polar data."""
-
-    xi: np.ndarray
-
-    @staticmethod
-    def polar(magnitude: float, theta: float) -> "Frequency":
-        if magnitude < 0:
-            raise ValidationError("frequency magnitude must be nonnegative")
-        return Frequency(np.array([magnitude * math.cos(theta),
-                                   magnitude * math.sin(theta)]))
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.xi))
-
-    # polar decomposition xi = R * omega
-    @property
-    def R(self) -> float:
-        return self.magnitude
-
-    @property
-    def omega(self) -> np.ndarray:
-        m = self.magnitude
-        if m == 0.0:
-            # direction is arbitrary at the origin; pick e1 so R*omega == xi
-            e = np.zeros_like(self.xi)
-            e[0] = 1.0
-            return e
-        return self.xi / m
-
-
-@dataclass(frozen=True)
 class AnnulusSpec:
     """Dilation annulus: scales in [R, R + delta], thin relative to R."""
 
@@ -110,8 +77,6 @@ class AnnulusSpec:
 
 
 def _xi_rows(xi):
-    if isinstance(xi, Frequency):
-        xi = xi.xi
     a = np.asarray(xi, dtype=float)
     single = a.ndim == 1
     rows = np.atleast_2d(a)
@@ -213,7 +178,7 @@ def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str,
     need = np.maximum(4, np.ceil(_PANELS_PER_UNIT * mags * diam)).astype(int)
     buckets = 1 << np.ceil(np.log2(need)).astype(int)
     out = np.empty(rows.shape[0], dtype=complex)
-    for p in np.unique(buckets):
+    for p in distinct(buckets):
         idx = np.nonzero(buckets == p)[0]
         x, w, n = _bodies.boundary_quadrature(body, int(p))
         h = x.shape[0] // 2
@@ -452,7 +417,7 @@ def _windows(R_values, values, windows_per_octave: int):
     if windows_per_octave < 1:
         raise ValidationError("windows_per_octave must be >= 1")
     k = np.floor(windows_per_octave * np.log2(R / R.min()) * (1 - 1e-12)).astype(int)
-    return R, v, [np.nonzero(k == kk)[0] for kk in np.unique(k)]
+    return R, v, [np.nonzero(k == kk)[0] for kk in distinct(k)]
 
 
 def octave_envelope(R_values, values, windows_per_octave: int = 2):
@@ -543,7 +508,7 @@ def chord_bound_report(body: ConvexBody, t_values, n_theta: int = 64) -> ChordBo
         raise InsufficientDataError("no valid (t, theta) pair in the scan")
     octs = np.floor(np.log2(t)).astype(int)
     edges, omax = [], []
-    for o in np.unique(octs):
+    for o in distinct(octs):
         sel = ratios[octs == o]
         sel = sel[np.isfinite(sel)]
         if sel.size:

@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._blocks import map_blocks
+from ._blocks import distinct, map_blocks
 from .bodies import ConvexBody
-from .distset import PointSet, distance_set
+from .distset import PointSet, _unique_rows, distance_set
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
 _MAX_CELLS = 10_000_000
@@ -170,10 +170,10 @@ def difference_cover(spec: CantorSpec) -> DifferenceCover:
     for _ in range(spec.depth):
         nums = (nums[:, None] * spec.base + diffs[None, :]).ravel()
     # digit strings encode distinct values: tails are too small to collide
-    if len(np.unique(nums)) != pre:
+    if len(distinct(nums)) != pre:
         raise ValidationError("digit-difference enumeration produced collisions")
     den = spec.base ** spec.depth
-    centers = np.unique(np.abs(nums))
+    centers = distinct(np.abs(nums))
     los = np.maximum(centers - 1, 0)
     union = IntervalUnion._from_numerators(los, centers + 1, den)
     pre_len = 2 * Fraction(pre, den)
@@ -203,7 +203,7 @@ def _grid_count_points(pts: np.ndarray, eps: float) -> int:
     # domain [0,1]^d: the upper face belongs to the last cell
     nmax = int(math.ceil(1.0 / eps - 1e-12))
     idx = np.minimum(idx, nmax - 1)
-    return len(np.unique(idx, axis=0))
+    return len(_unique_rows(idx))
 
 
 BoxCountable = Union[IntervalUnion, PointSet, Tuple[IntervalUnion, ...]]

@@ -1,6 +1,10 @@
 """Config parsing, report emission, SVG plots, exit codes, determinism."""
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -147,6 +151,20 @@ def test_distset_run_passes_and_writes(tmp_path, capsys):
     assert "[pass] classification = polygon_like" in out
     for name in ("scan.csv", "scan.json", "scan.svg"):
         assert (tmp_path / "a" / name).exists()
+
+
+def test_distset_scan_counts_through_one_growth_scan(tmp_path, monkeypatch):
+    calls = []
+    scan = D.growth_scan
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(D, "growth_scan", counted)
+    path = _cfg(tmp_path, _DISTSET_INI)
+    assert main(["distset", "scan", "--config", path, "--out", str(tmp_path / "a")]) == 0
+    assert len(calls) == 1
 
 
 def test_exact_mode_on_a_float_polygon_is_one_error_line(tmp_path, capsys):
@@ -450,6 +468,57 @@ def test_bundled_config_reproduces_committed_outputs(tmp_path, cmd, stem):
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def _perfbench_invocations(name, run_dir):
+    spec = importlib.util.spec_from_file_location("perfbench_run", _ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return [inv["argv"] for inv in run.prepare(name, 1, run_dir)]
+
+
+# np.unique without return_counts imports numpy.ma (25-40 ms) on first use.  The
+# disk's Bessel closed form imports scipy.special, whose own import brings in
+# numpy.ma, so a run may load it only inside an import of scipy.
+_WATCH_NUMPY_MA = """
+import json, sys
+import gaugedist.cli as cli
+
+class Watch:
+    outside_scipy = False
+
+    def find_spec(self, name, path, target=None):
+        if name == "numpy.ma":
+            frame, modules = sys._getframe(), set()
+            while frame is not None:
+                modules.add(frame.f_globals.get("__name__", "").split(".")[0])
+                frame = frame.f_back
+            Watch.outside_scipy = "scipy" not in modules
+
+sys.meta_path.insert(0, Watch())
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "numpy.ma" in sys.modules, Watch.outside_scipy]))
+"""
+
+
+@pytest.mark.parametrize("stem", [stem for _, stem in _BUNDLED]
+                         + ["smooth_decay", "polygon_decay", "lattice_distances"])
+def test_runs_import_numpy_ma_only_through_scipy(tmp_path, stem):
+    bundled = {s: cmd for cmd, s in _BUNDLED}
+    if stem in bundled:
+        argvs = [bundled[stem] + ["--config", str(_ROOT / "configs" / f"{stem}.ini"),
+                                  "--out", str(tmp_path / "out")]]
+    else:
+        argvs = _perfbench_invocations(stem, tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _WATCH_NUMPY_MA, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True, env=env, cwd=tmp_path)
+    codes, imported, outside_scipy = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert not outside_scipy
+    # no benchmark workload imports scipy, so none may import numpy.ma at all
+    if stem not in ("decay_disk_l2", "lemma_disk"):
+        assert not imported
 
 
 def test_seed_override_changes_perturbed_scan(tmp_path):

@@ -24,7 +24,6 @@ from gaugedist import (
     distance_set,
     growth_fit,
     growth_scan,
-    min_gap_trend,
     polygonality_probe,
     radial_polygon,
     random_symmetric_hexagon,
@@ -416,11 +415,10 @@ def test_growth_scan_disk_curved():
 
 
 def test_min_gap_trend_nonincreasing():
-    trend = min_gap_trend(PointSet.lattice, disk(), [4, 8, 16])
-    qs = [t[0] for t in trend]
-    gaps = [t[1] for t in trend]
-    assert qs == [4, 8, 16]
-    assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+    rep = growth_scan(PointSet.lattice, disk(), [4, 8, 16, 32])
+    assert rep.q_values.tolist() == [4, 8, 16, 32]
+    assert rep.min_gaps.dtype == np.float64 and len(rep.min_gaps) == 4
+    assert all(a >= b for a, b in zip(rep.min_gaps, rep.min_gaps[1:]))
 
 
 def test_threads_bit_identical(rng):
@@ -461,6 +459,14 @@ def test_row_dedupe_matches_np_unique():
         want = np.unique(raw, axis=0)
         assert S.points.shape == want.shape
         assert S.points.tobytes() == want.tobytes()
+
+
+def test_distinct_values_match_np_unique():
+    rng = np.random.default_rng(2)
+    for a in (rng.integers(-5, 6, size=300), rng.integers(0, 9, size=(20, 7)),
+              np.repeat(rng.normal(size=40), 3), np.array([7]), np.empty(0, dtype=np.int64)):
+        got, want = _blocks.distinct(a), np.unique(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_lattice_families_match_deduped_lattice_construction():
@@ -540,13 +546,17 @@ def test_growth_fit_matches_growth_scan(rng):
                               (random_symmetric_hexagon(rng), "float_tol", 4.0 / 3.0)):
         scan = growth_scan(PointSet.lattice, body, [32, 8, 16, 4, 8], alpha=alpha,
                            mode=mode)
-        counts = [distance_set(PointSet.lattice(q), body, mode).count for q in qs]
-        fit = growth_fit(qs, counts, 2, alpha=alpha)
+        sets = [distance_set(PointSet.lattice(q), body, mode) for q in qs]
+        fit = growth_fit(qs, [ds.count for ds in sets], 2, alpha=alpha)
         for name in ("beta", "amplitude", "bound", "verdict", "n_fit"):
             assert getattr(fit, name) == getattr(scan, name), name
         np.testing.assert_array_equal(fit.q_values, scan.q_values)
         np.testing.assert_array_equal(fit.counts, scan.counts)
         assert fit.q_values.dtype == scan.q_values.dtype == np.int64
+        assert fit.min_gaps is None
+        assert scan.min_gaps.dtype == np.float64
+        want = np.array([ds.min_gap for ds in sets], dtype=np.float64)
+        assert scan.min_gaps.tobytes() == want.tobytes()
 
 
 def test_growth_fit_input_checks():
@@ -788,6 +798,22 @@ _SETS = {
     "fraction": lambda: PointSet.explicit([(Fraction(int(a), 3), Fraction(int(b), 7))
                                            for a, b in _RNG.integers(-9, 10, size=(30, 2))]),
 }
+
+
+@pytest.mark.parametrize("mode", ["float_tol", "exact_rational"])
+def test_distance_set_rejects_mismatched_dimensions(mode):
+    # planar bodies on a 3-d lattice used to count 3-d keys in exact mode and
+    # fail with bare numpy errors in float mode
+    cube = PointSet.lattice(5, 3)
+    for body in _EXACT_BODIES:
+        with pytest.raises(ValidationError,
+                           match="body dimension 2 does not match point dimension 3"):
+            distance_set(cube, body, mode)
+    # the pair path: a 1-d set under the disk, a 3-d ball on integer points
+    with pytest.raises(ValidationError, match="body dimension 2 does not match point dimension 1"):
+        distance_set(PointSet.explicit([[0], [3], [7]]), disk(), mode)
+    with pytest.raises(ValidationError, match="body dimension 3 does not match point dimension 2"):
+        distance_set(PointSet.explicit([[0, 0], [1, 2], [3, 1]]), LpBall(2.0, (1.0,) * 3), mode)
 
 
 @pytest.mark.parametrize("mode, family", [("float_tol", f) for f in _SETS]

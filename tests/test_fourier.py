@@ -37,8 +37,8 @@ from gaugedist import (
 )
 from gaugedist import fourier
 from gaugedist.bodies import boundary_quadrature
-from gaugedist.fourier import (Frequency, _ANGULAR_PER_UNIT, _MIN_ANGULAR, _PANELS_PER_UNIT,
-                               _SCAN_CAP, _half_sum, _smooth_ft)
+from gaugedist.fourier import (_ANGULAR_PER_UNIT, _MIN_ANGULAR, _PANELS_PER_UNIT, _SCAN_CAP,
+                               _half_sum, _smooth_ft)
 
 
 # leggauss(4000) costs seconds and the oracle needs the same rule each call
@@ -268,14 +268,6 @@ def test_scaling_identity(rng):
             # sK at xi and K at s xi get the same panel count, so the two
             # sides differ by rounding only (measured <= 6e-15)
             assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
-
-
-def test_frequency_decomposition():
-    f = Frequency(np.array([3.0, 4.0]))
-    assert f.R == pytest.approx(5.0)
-    np.testing.assert_allclose(f.R * f.omega, f.xi, atol=1e-12)
-    z = Frequency(np.array([0.0, 0.0]))
-    assert z.R == 0.0
 
 
 def test_annulus_zero_frequency_area():
