@@ -690,26 +690,25 @@ class CurvatureReport:
     thetas: np.ndarray
     eps_grid: np.ndarray
     ratios: np.ndarray
-    c_threshold: float
     n_skipped: int
 
 
 # Hard cap on the (direction, depth) grid of curvature_condition, checked
 # before it is allocated.
 _CURVATURE_CAP = 1 << 20
+# curvature_condition's bound on sup l / sqrt(eps) and its growth run
+_C_THRESHOLD, _RUN_LENGTH, _GROWTH_FACTOR = 100.0, 5, 2.0
 
 
-def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360,
-                        c_threshold: float = 100.0, run_length: int = 5,
-                        growth_factor: float = 2.0) -> CurvatureReport:
+def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360) -> CurvatureReport:
     """Scan chord lengths over directions and dyadic depths.
 
-    The condition holds when sup l / sqrt(eps) stays below ``c_threshold``
-    and no direction shows a sustained growth run: ``run_length`` consecutive
-    strictly increasing ratios with total growth >= ``growth_factor`` as eps
-    halves.  A genuinely flat side grows by sqrt(2) per halving, so the
-    default run of 5 accumulates a factor 4 and trips the detector, while a
-    uniformly curved boundary has ratios converging to a constant.
+    The condition holds when sup l / sqrt(eps) stays below ``_C_THRESHOLD``
+    and no direction shows a sustained growth run: ``_RUN_LENGTH`` consecutive
+    strictly increasing ratios with total growth >= ``_GROWTH_FACTOR`` as eps
+    halves.  A genuinely flat side grows by sqrt(2) per halving, so a run
+    of 5 accumulates a factor 4 and trips the detector, while a uniformly
+    curved boundary has ratios converging to a constant.
     """
     if body.dim != 2:
         raise CapabilityError("the curvature scan is planar only")
@@ -741,7 +740,7 @@ def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360,
     for i in range(T):
         row = ratios[i]
         ok = ~np.isnan(row)
-        if _has_growth_run(row[ok], run_length, growth_factor):
+        if _has_growth_run(row[ok]):
             flat.append(float(thetas[i]))
     finite = ratios[~np.isnan(ratios)]
     if finite.size == 0:
@@ -749,16 +748,14 @@ def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360,
     c_sup = float(finite.max())
     flat_idx = np.unravel_index(np.nanargmax(ratios), ratios.shape)
     theta_argmax = float(thetas[flat_idx[0]])
-    satisfied = (c_sup <= c_threshold) and not flat
+    satisfied = (c_sup <= _C_THRESHOLD) and not flat
     return CurvatureReport(satisfied, c_sup, theta_argmax, flat,
-                           thetas, eps_grid, ratios, c_threshold, n_skipped)
+                           thetas, eps_grid, ratios, n_skipped)
 
 
-def _has_growth_run(row: np.ndarray, run_length: int, growth_factor: float) -> bool:
-    if row.size < run_length:
-        return False
-    for start in range(row.size - run_length + 1):
-        seg = row[start:start + run_length]
-        if np.all(np.diff(seg) > 0) and seg[-1] >= growth_factor * seg[0]:
+def _has_growth_run(row: np.ndarray) -> bool:
+    for start in range(row.size - _RUN_LENGTH + 1):
+        seg = row[start:start + _RUN_LENGTH]
+        if np.all(np.diff(seg) > 0) and seg[-1] >= _GROWTH_FACTOR * seg[0]:
             return True
     return False

@@ -189,27 +189,19 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8", newline="\n")
-
-
-def _jsonable(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
+def _json_default(x):
+    """The JSON form of what json cannot encode itself: numpy scalars and
+    arrays as Python numbers and lists, a Fraction as its string."""
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
     if isinstance(x, Fraction):
         return str(x)
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _write_json(path: Path, obj):
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n",
+                    encoding="utf-8", newline="\n")
 
 
 def _fit_summary(profile: F.DecayProfile) -> dict:
@@ -322,7 +314,7 @@ def _run_body_inspect(cfg: ScanConfig, report: Report):
         curv = B.curvature_condition(body)
         report.fits["curvature"] = {"satisfied": bool(curv.satisfied),
                                     "c_sup": float(curv.c_sup),
-                                    "flat_directions": _jsonable(curv.flat_directions)}
+                                    "flat_directions": curv.flat_directions}
         expect = cfg.get("inspect", "expect_curvature", None)
         if expect is not None:
             want = cfg.get_bool("inspect", "expect_curvature")
@@ -350,14 +342,15 @@ def _run_decay_scan(cfg: ScanConfig, report: Report):
     wpo = cfg.get_int(sec, "windows_per_octave", 2, minimum=1)
     if average == "pointwise":
         xi = np.stack([grid * math.cos(theta), grid * math.sin(theta)], axis=1)
-        cplx = F.surface_ft(body, xi) if kind == "surface" else F.body_ft(body, xi)
+        cplx = cfg.build(sec, grid_keys, F.surface_ft if kind == "surface" else F.body_ft,
+                         body, xi)
         vals = np.abs(cplx)
         header = ("R", "theta", "value_re", "value_im", "abs")
         rows = [(R, theta, z.real, z.imag, abs(z)) for R, z in zip(grid, cplx)]
     else:
         p = 1 if average == "l1" else 2
-        vals = np.array([F.spherical_average(body, R, kind=kind, p=p,
-                                             threads=cfg.threads) for R in grid])
+        vals = np.array([cfg.build(sec, grid_keys, F.spherical_average, body, R, kind=kind,
+                                   p=p, threads=cfg.threads) for R in grid])
         header = ("R", "average")
         rows = list(zip(grid.tolist(), vals.tolist()))
 
@@ -523,9 +516,8 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
                              gammas, T_list) if gammas else ())
         for gamma, ladder, expect in zip(gammas, ladders, expects):
             key = f"energy_gamma_{_num(gamma)}"
-            report.fits[key] = {"T": _jsonable(ladder.T_values),
-                                "integrals": _jsonable(ladder.integrals),
-                                "increments": _jsonable(ladder.increments),
+            report.fits[key] = {"T": ladder.T_values, "integrals": ladder.integrals,
+                                "increments": ladder.increments,
                                 "trend": ladder.trend}
             if expect is not None:
                 report.add_verdict(key, ladder.trend, f"expected {expect}",
@@ -590,7 +582,7 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
 
     if which in ("chord", "both"):
         t_grid = _geometric_grid(cfg, sec, "t", 4.0, 1024.0, "t_per_octave", 4)
-        rep = F.chord_bound_report(body, t_grid, n_theta=n_theta)
+        rep = cfg.build(sec, "t_min/t_max/n_theta", F.chord_bound_report, body, t_grid, n_theta)
         for i, t in enumerate(rep.t_values):
             row = rep.ratios[i]
             if not np.any(np.isfinite(row)):
@@ -600,7 +592,7 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
                          "", "", float(row[j])))
         spread_max = cfg.get_float(sec, "spread_max", 2.0)
         report.fits["chord_bound"] = {
-            "octave_max": _jsonable(rep.octave_max),
+            "octave_max": rep.octave_max,
             "octave_spread": rep.octave_spread,
             "n_skipped": int(rep.n_skipped)}
         report.add_verdict("chord_octave_spread", rep.octave_spread,
@@ -617,15 +609,15 @@ def _run_lemma_check(cfg: ScanConfig, report: Report):
         report.fits["annulus_bound"] = {
             "c_hat": rep.c_hat, "growth_slope": rep.growth_slope,
             "divergent": bool(rep.divergent),
-            "c_by_xi": _jsonable(rep.c_by_xi)}
+            "c_by_xi": rep.c_by_xi}
         if expect is not None:
             got = "divergent" if rep.divergent else "bounded"
             report.add_verdict("annulus_behavior", got, f"expected {expect}",
                                got == expect)
         refine = cfg.get_bool(sec, "refine", False)
         if refine:
-            rep2 = F.annulus_bound_report(body, R_list, xi_list, d_list,
-                                          n_theta=2 * annulus_theta)
+            rep2 = cfg.build(sec, "r_list/xi_list/delta_list", F.annulus_bound_report,
+                             body, R_list, xi_list, d_list, 2 * annulus_theta)
             ratio = rep2.c_hat / rep.c_hat if rep.c_hat > 0 else math.inf
             report.fits["annulus_refinement"] = {"c_hat_refined": rep2.c_hat,
                                                  "ratio": ratio}
@@ -662,7 +654,7 @@ def run(experiment: str, cfg: ScanConfig) -> Report:
     csv_name = cfg.get("out", "csv", f"{base}.csv")
     json_name = cfg.get("out", "json", f"{base}.json")
     _write_csv(cfg.out_dir / csv_name, table[0], table[1:])
-    _write_json(cfg.out_dir / json_name, _jsonable(report.to_json()))
+    _write_json(cfg.out_dir / json_name, report.to_json())
     return report
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -80,32 +80,46 @@ def _unique_rows(pts: np.ndarray) -> np.ndarray:
 class PointSet:
     """A finite point set with provenance.
 
-    Duplicate rows are removed at construction.  Lattice-derived sets
-    keep enough structure (q, angle) for the difference-set fast path;
-    explicit integer or rational input keeps an exact representation for
-    exact-mode counting.  (Rotated) lattices build their points on first
-    read, since the fast path needs only q, dim and angle.
+    Duplicate rows are removed.  Integer or Fraction input keeps an exact
+    copy for exact mode, deduplicated like the float points; distinct exact
+    points that round to one float point are a ValidationError, as both
+    modes must count the same n points.  Only (rotated) lattices record the
+    q (and angle) the fast path reads; they build their points on first read.
     """
 
-    def __init__(self, points, provenance: str = "explicit", *, q: Optional[int] = None,
-                 angle: Optional[float] = None, exact=None):
+    def __init__(self, points):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValidationError("points must be a nonempty (n, d) array")
+        arr = np.asarray(points)
+        if arr.dtype.kind == "u" and arr.max() >= 1 << 63:
+            arr = arr.astype(object)  # Python integers: the int64 copy would wrap
+        exact = None
+        if arr.dtype.kind in "iu":
+            exact = _unique_rows(arr.astype(np.int64))
+        elif arr.dtype == object and all(isinstance(v, (int, Fraction)) for v in arr.flat):
+            exact = sorted({tuple(Fraction(v) for v in row) for row in arr.tolist()})
         # (float points, exact points): the exact ones an int ndarray, a list
         # of Fraction tuples or None; or a function that returns the pair
         self._rows = (_unique_rows(pts), exact)
         self.n, self.dim = self._rows[0].shape
-        self.provenance = provenance
-        self.q = q
-        self.angle = angle
+        if exact is not None and len(exact) != self.n:
+            raise ValidationError(f"{len(exact)} distinct exact points round to "
+                                  f"{self.n} distinct float points")
+        self.provenance, self.q, self.angle = "explicit", None, None
 
     @classmethod
-    def _deferred(cls, n: int, d: int, rows, provenance: str, **structure) -> "PointSet":
-        """A set of n distinct points in R^d whose (points, exact) pair
-        rows() builds when either is first read."""
-        S = cls(np.zeros((1, d)), provenance, **structure)
-        S.n, S._rows = n, rows
+    def explicit(cls, points) -> "PointSet":
+        """PointSet(points), under the name the documentation uses."""
+        return cls(points)
+
+    @classmethod
+    def _lattice(cls, q: int, d: int, rows, provenance: str, angle=None) -> "PointSet":
+        """The (q+1)^d distinct points of a (rotated) lattice grid, whose
+        (points, exact) pair rows() builds when either is first read."""
+        S = cls(np.zeros((1, d)))
+        S.n, S._rows = _grid_size(q, d), rows
+        S.provenance, S.q, S.angle = provenance, q, angle
         return S
 
     def _built(self):
@@ -136,7 +150,7 @@ class PointSet:
             grid = _grid(q, d, np.int64)
             return grid.astype(float), grid
 
-        return cls._deferred(_grid_size(q, d), d, rows, "lattice", q=q)
+        return cls._lattice(q, d, rows, "lattice")
 
     @classmethod
     def rotated_lattice(cls, q: int, angle: float, d: int = 2) -> "PointSet":
@@ -150,9 +164,8 @@ class PointSet:
             raise CapabilityError("rotated lattices are 2d only")
         c, s = math.cos(angle), math.sin(angle)
         R = np.array([[c, -s], [s, c]])
-        return cls._deferred(_grid_size(q, d), d,
-                             lambda: (_unique_rows(_grid(q, d, float) @ R.T), None),
-                             "rotated_lattice", q=q, angle=angle)
+        return cls._lattice(q, d, lambda: (_unique_rows(_grid(q, d, float) @ R.T), None),
+                            "rotated_lattice", angle)
 
     @classmethod
     def perturbed_lattice(cls, q: int, seed: int, max_jitter: float, d: int = 2) -> "PointSet":
@@ -162,27 +175,8 @@ class PointSet:
         grid = _grid(q, d, float)
         rng = np.random.default_rng(seed)
         noise = rng.uniform(-max_jitter, max_jitter, size=grid.shape)
-        return cls(grid + noise, "perturbed_lattice", q=q)
-
-    @classmethod
-    def explicit(cls, points) -> "PointSet":
-        """Wrap user-supplied points; integer or Fraction input stays exact,
-        deduplicated and sorted like the float points.  Distinct exact points
-        that round to one float point are a ValidationError, since both
-        modes must count the same n points."""
-        S = cls(np.asarray(points, dtype=float), "explicit")
-        arr = np.asarray(points)
-        if arr.dtype.kind == "u" and arr.max() >= 1 << 63:
-            arr = arr.astype(object)  # Python integers: the int64 copy would wrap
-        exact = None
-        if arr.dtype.kind in "iu":
-            exact = _unique_rows(arr.astype(np.int64))
-        elif arr.dtype == object and all(isinstance(v, (int, Fraction)) for v in arr.flat):
-            exact = sorted({tuple(Fraction(v) for v in row) for row in arr.tolist()})
-        if exact is not None and len(exact) != S.n:
-            raise ValidationError(f"{len(exact)} distinct exact points round to "
-                                  f"{S.n} distinct float points")
-        S._rows = (S.points, exact)
+        S = cls(grid + noise)
+        S.provenance = "perturbed_lattice"
         return S
 
 
@@ -191,19 +185,22 @@ class DistanceSet:
     """Distinct nonzero K-distances of a point set.
 
     values are sorted strictly increasing; multiplicities count
-    unordered pairs per value and sum to n*(n-1)/2; min_gap is the
-    smallest difference of consecutive values (inf for < 2 values).
+    unordered pairs per value and sum to n*(n-1)/2.  count and min_gap, the
+    smallest difference of consecutive values (inf for < 2 values), are
+    read from values.
     """
 
     values: np.ndarray
     multiplicities: np.ndarray
-    min_gap: float
-    count: int
     exact: bool = False
 
-    def __post_init__(self):
-        if self.count != len(self.values):
-            raise ValidationError("count must equal the number of distinct values")
+    @property
+    def count(self) -> int:
+        return len(self.values)
+
+    @property
+    def min_gap(self) -> float:
+        return float(np.min(np.diff(self.values))) if len(self.values) > 1 else math.inf
 
 
 @dataclass
@@ -225,7 +222,8 @@ class GrowthReport:
 
     beta reproduces the log-log least squares of counts against q over
     the largest three octaves of the scan (small q is boundary-biased).
-    When alpha is supplied the verdict checks beta >= d/alpha - slack.
+    d is the dimension of the counted point sets.  When alpha is supplied
+    the verdict checks beta >= d/alpha - slack.
     min_gaps holds each q's min_gap when growth_scan counted the family;
     growth_fit, given counts only, leaves it None.
     """
@@ -234,6 +232,7 @@ class GrowthReport:
     counts: np.ndarray
     beta: float
     amplitude: float
+    d: int
     bound: Optional[float] = None
     verdict: Optional[bool] = None
     n_fit: int = 0
@@ -492,14 +491,14 @@ def _exact_coords(S: PointSet):
 
 
 def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
-                 threads: int = 1, pair_cap: int = _PAIR_CAP) -> DistanceSet:
+                 threads: int = 1) -> DistanceSet:
     """Distinct nonzero gauge distances of S with multiplicities.
 
     One pipeline for both modes.  A producer cuts the difference vectors
     into blocks: for lattice and rotated-lattice provenance the half
     difference grid with its pair weights (O(q^d) vectors instead of
     O(q^{2d}) pairs), otherwise the pairs (i, j > i) by first index, capped
-    at ``pair_cap`` pairs, with unit weights.  Each block maps its vectors
+    at ``_PAIR_CAP`` pairs, with unit weights.  Each block maps its vectors
     to keys and returns the distinct keys with summed weights, merged with
     the earlier blocks' as they come, so memory is bounded by a block and
     the result; exact int64 lattice keys below ``_HISTOGRAM_CAP`` are
@@ -516,9 +515,9 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
                               f"dimension {S.dim}")
     exact = mode == "exact_rational"
     if S.n < 2:
-        return DistanceSet(np.empty(0), np.empty(0, dtype=np.int64), math.inf, 0, exact)
+        return DistanceSet(np.empty(0), np.empty(0, dtype=np.int64), exact)
 
-    lattice = S.provenance in ("lattice", "rotated_lattice") and S.q is not None
+    lattice = S.q is not None  # set by the lattice and rotated lattice constructors
     if lattice:
         n_vecs = ((2 * S.q + 1) ** S.dim - 1) // 2
         if n_vecs > _DIFFERENCE_CAP:
@@ -526,8 +525,8 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
                               f"{_DIFFERENCE_CAP}")
     else:
         n_vecs = S.n * (S.n - 1) // 2
-        if n_vecs > pair_cap:
-            raise BudgetError(f"{n_vecs} pairs exceeds the cap of {pair_cap}; "
+        if n_vecs > _PAIR_CAP:
+            raise BudgetError(f"{n_vecs} pairs exceeds the cap of {_PAIR_CAP}; "
                               "use a lattice fast path or a smaller set")
     top = None
     if exact:
@@ -584,9 +583,7 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     # float keys carry their weights as float64, exact below 2^53; equal
     # keys merged early leave this pass as it would be on all parts
     keys, mult = _distinct(found[:, 0], found[:, 1], 0.0 if exact else _DEDUP_RTOL)
-    values = render(keys)
-    gap = float(np.min(np.diff(values))) if len(values) > 1 else math.inf
-    return DistanceSet(values, mult.astype(np.int64), gap, len(values), exact)
+    return DistanceSet(render(keys), mult.astype(np.int64), exact)
 
 
 def fit_window(q_values) -> np.ndarray:
@@ -635,7 +632,7 @@ def growth_fit(q_values: Sequence[int], counts: Sequence[int], d: int, *,
     if alpha is not None:
         bound = conversion_bound(d, alpha)
         verdict = bool(beta >= bound - slack)
-    return GrowthReport(qs, counts, beta, float(math.exp(coef[0])), bound, verdict,
+    return GrowthReport(qs, counts, beta, float(math.exp(coef[0])), d, bound, verdict,
                         int(window.sum()))
 
 
@@ -660,13 +657,14 @@ def growth_scan(family: Callable[[int], PointSet], body: ConvexBody,
     return report
 
 
-def polygonality_probe(report: GrowthReport, d: int = 2) -> str:
+def polygonality_probe(report: GrowthReport) -> str:
     """Classify a growth report: near-linear counts look polygonal.
 
     Thresholds straddle the 3/2 dividing exponent with desk-scale
     slack: beta < 1.25 reads polygon_like, beta > 1.4 curved_like.
+    Reports of point sets in other dimensions than 2 are a CapabilityError.
     """
-    if d != 2:
+    if report.d != 2:
         raise CapabilityError("the polygonality probe is calibrated for d = 2")
     fit_window(report.q_values)
     if report.beta < 1.25:

@@ -55,9 +55,15 @@ _NODES_PER_PANEL = 16
 # full-circle budget, ~5x past the integrand's angular band limit.
 _ANGULAR_PER_UNIT = 16.0
 _MIN_ANGULAR = 128
-# Hard cap on the transform evaluations of the chord and annulus bound
-# scans, checked before their grids are allocated.
+# Hard caps, checked before anything is allocated: on the transform
+# evaluations of the chord and annulus bound scans, on the angular nodes one
+# spherical average evaluates and on the boundary nodes of one panel bucket
+# of the quadrature transform (the last two 64 times the most any bundled run asks).
 _SCAN_CAP = 1 << 20
+_ANGULAR_CAP = 1 << 20
+_PANEL_NODE_CAP = 1 << 19
+_MIN_OCTAVES = 3.0  # the least span of decay_fit's samples, in octaves
+_DIVERGENCE_SLOPE = 0.25  # log-log slope in |xi| past which the annulus bound diverges
 
 
 @dataclass(frozen=True)
@@ -175,7 +181,11 @@ def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str,
     the rule feeds the half sum."""
     diam = body.diameter()
     mags = np.hypot(rows[:, 0], rows[:, 1])
-    need = np.maximum(4, np.ceil(_PANELS_PER_UNIT * mags * diam)).astype(int)
+    need = np.maximum(4, np.ceil(_PANELS_PER_UNIT * mags * diam))
+    # a bucket holds 16 * 2^k >= 16 * need nodes, past the power-of-two cap iff 16 * need is
+    if need.size and need.max() * _NODES_PER_PANEL > _PANEL_NODE_CAP:
+        raise BudgetError(f"|xi| = {mags.max():g} needs a panel bucket past the cap of "
+                          f"{_PANEL_NODE_CAP} boundary nodes")
     buckets = 1 << np.ceil(np.log2(need)).astype(int)
     out = np.empty(rows.shape[0], dtype=complex)
     for p in distinct(buckets):
@@ -298,13 +308,15 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
     nodes interleave and sample the cell (k/2)/g times as densely.  Against
     the rounded default that moves p = 2 values by about 1e-12 at most,
     but p = 1 values by up to 2e-3 relative (the square at R = 8).
+    A non-finite R is a ValidationError, and a rule that would evaluate more
+    than ``_ANGULAR_CAP`` nodes a BudgetError, raised before any is built.
     """
     if body.dim != 2:
         raise CapabilityError("spherical averages are planar only")
     if p not in (1, 2):
         raise ValidationError("p must be 1 or 2")
-    if not (R >= 0):
-        raise ValidationError("R must be nonnegative")
+    if not 0 <= R < math.inf:
+        raise ValidationError(f"R must be finite and nonnegative, got {R!r}")
     k, mirror = body.symmetry()
     if n_nodes is None:
         # half-circle count: at least the max(256, 32 R diam) full-circle
@@ -315,7 +327,11 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
     M = n_nodes // math.gcd(k // 2, n_nodes)
-    th = math.pi * np.arange(M // 2 + 1 if mirror else M) / n_nodes
+    evaluated = M // 2 + 1 if mirror else M
+    if evaluated > _ANGULAR_CAP:
+        raise BudgetError(f"R = {R:g} asks for {evaluated} angular nodes, past the cap "
+                          f"of {_ANGULAR_CAP}")
+    th = math.pi * np.arange(evaluated) / n_nodes
     xi = R * np.stack([np.cos(th), np.sin(th)], axis=1)
     vals = np.abs(_transform(body, xi, kind, threads))
     if p == 2:
@@ -362,7 +378,7 @@ class DecayProfile:
 
 
 def decay_fit(R_values, values, log_power: int = 0,
-              min_samples: int = 8, min_octaves: float = 3.0) -> DecayProfile:
+              min_samples: int = 8) -> DecayProfile:
     """Fit a decay exponent; nonpositive values are dropped, not fatal.
 
     With ``log_power`` = k the model is C (log R)^k R^(-gamma), the correction
@@ -373,7 +389,7 @@ def decay_fit(R_values, values, log_power: int = 0,
     samples.  The bias is positive whenever b > 0 and vanishes only like
     1/L^2, so it is 0.11 on R in [8, 512] when b/a is 3.6.
     Raises InsufficientDataError when fewer than ``min_samples`` positive
-    samples remain or they span fewer than ``min_octaves`` octaves.
+    samples remain or they span fewer than ``_MIN_OCTAVES`` octaves.
     """
     R = np.asarray(R_values, dtype=float).ravel()
     v = np.asarray(values, dtype=float).ravel()
@@ -390,10 +406,10 @@ def decay_fit(R_values, values, log_power: int = 0,
         raise InsufficientDataError(
             "decay fit needs >= %d positive samples, have %d"
             % (min_samples, R.size))
-    if R.size and math.log2(R[-1] / R[0]) < min_octaves - 1e-9:
+    if R.size and math.log2(R[-1] / R[0]) < _MIN_OCTAVES - 1e-9:
         raise InsufficientDataError(
             "decay fit needs samples spanning >= %g octaves, have %.3g"
-            % (min_octaves, math.log2(R[-1] / R[0])))
+            % (_MIN_OCTAVES, math.log2(R[-1] / R[0])))
     y = np.log(v)
     if log_power:
         y = y - log_power * np.log(np.log(R))
@@ -538,8 +554,7 @@ class AnnulusBoundReport:
 
 
 def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
-                         n_theta: int = 16,
-                         divergence_slope: float = 0.25) -> AnnulusBoundReport:
+                         n_theta: int = 16) -> AnnulusBoundReport:
     if body.dim != 2:
         raise CapabilityError("the annulus bound report is planar only")
     R_values = np.asarray(R_values, dtype=float).ravel()
@@ -580,4 +595,4 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
     else:
         slope = 0.0
     return AnnulusBoundReport(rows, float(c_by_xi.max()), xi_mags, c_by_xi,
-                              slope, slope > divergence_slope)
+                              slope, slope > _DIVERGENCE_SLOPE)

@@ -431,8 +431,7 @@ def natural_measure(spec: CantorSpec, dims: int = 1) -> CantorMeasure:
     return CantorMeasure(spec, dims)
 
 
-def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[float],
-                   n_r: Optional[int] = None, n_theta: Optional[int] = None):
+def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[float]):
     """Energy integrals indexed [gamma][T] (see energy_integral).
 
     gamma enters only the radial weight, so |mu-hat|^2 is evaluated once
@@ -447,8 +446,7 @@ def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[floa
         raise ValidationError("T must exceed 1")
     # diam(support) <= sqrt(2) on the unit square: ~8 radial nodes per unit
     # resolves the exponential-sum oscillation envelope
-    grids = [(max(128, int(8 * T)) if n_r is None else n_r,
-              max(64, int(4 * T)) if n_theta is None else n_theta) for T in Ts]
+    grids = [(max(128, int(8 * T)), max(64, int(4 * T))) for T in Ts]
     nodes = max(a * b for a, b in grids)
     if nodes > _MAX_ENERGY_NODES:
         raise BudgetError(f"energy grid of {nodes} polar nodes exceeds the cap of "
@@ -467,15 +465,14 @@ def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[floa
     return vals
 
 
-def energy_integral(mu: AtomicMeasure, gamma: float, T: float, *,
-                    n_r: Optional[int] = None, n_theta: Optional[int] = None) -> float:
+def energy_integral(mu: AtomicMeasure, gamma: float, T: float) -> float:
     """integral of |xi|^{-gamma} |mu-hat|^2 over the annulus 1 <= |xi| <= T.
 
     Polar-grid quadrature in d = 2; the unit ball is excluded so the
     integrable singularity cannot contaminate trend reads.  Atomic
     measures make this a trend instrument, not a convergence test.
     """
-    return _energy_values(mu, [gamma], [T], n_r, n_theta)[0][0]
+    return _energy_values(mu, [gamma], [T])[0][0]
 
 
 # Increment-ratio bands for the ladder trend.  Log-periodic modulation

@@ -16,7 +16,7 @@ from gaugedist import PlotDataError, decay_fit, svg_decay_plot
 from gaugedist import distset as D
 from gaugedist.cli import ScanConfig, main
 from gaugedist.errors import ConfigError
-from gaugedist.fourier import _SCAN_CAP
+from gaugedist.fourier import _ANGULAR_CAP, _PANEL_NODE_CAP, _SCAN_CAP
 
 
 def _cfg(tmp_path, text, name="run.ini"):
@@ -444,6 +444,32 @@ def test_geometric_grids_capped_before_allocating(tmp_path, capsys, group, actio
     assert rc == 1
     assert (f"{path}: [{group}] {key}: {n} grid points exceeds the cap of {_SCAN_CAP}"
             in capsys.readouterr().err)
+    assert peak < 1 << 20
+
+
+# transforms past the angular and panel caps, named by the keys that set them
+@pytest.mark.parametrize("group, action, text, keys, cap", [
+    ("decay", "scan", "[body]\nkind = disk\n[decay]\nr_list = 1e7 2e7\n", "decay] r_list",
+     _ANGULAR_CAP),
+    ("decay", "scan", "[body]\nkind = lp\np = 4\n[decay]\naverage = pointwise\n"
+     "r_min = 1e6\nr_max = 2e6\nsamples_per_octave = 1\n", "decay] r_min/r_max",
+     _PANEL_NODE_CAP),
+    ("lemma", "check", "[body]\nkind = lp\np = 4\n[lemma]\nwhich = chord\n"
+     "t_min = 1e5\nt_max = 1e6\nt_per_octave = 1\n", "lemma] t_min/t_max/n_theta",
+     _PANEL_NODE_CAP),
+])
+def test_transform_caps_reported_against_their_keys(tmp_path, capsys, group, action, text,
+                                                     keys, cap):
+    path = _cfg(tmp_path, f"[run]\nexperiment = {group}\n{text}")
+    tracemalloc.start()
+    try:
+        rc = main([group, action, "--config", path, "--out", str(tmp_path / "a")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{path}: [{keys}: " in err and f"cap of {cap}" in err, err
     assert peak < 1 << 20
 
 

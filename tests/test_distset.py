@@ -268,10 +268,42 @@ def test_exact_mode_fraction_points():
 
 
 def test_pair_cap_budget_error():
+    # 20 001 points make 200 010 000 pairs, just past the cap of 2 * 10^8
     rng = np.random.default_rng(1)
-    S = PointSet.explicit(rng.normal(size=(200, 2)))
-    with pytest.raises(BudgetError, match="cap"):
-        distance_set(S, disk(), "float_tol", pair_cap=1000)
+    S = PointSet.explicit(rng.normal(size=(20_001, 2)))
+    assert S.n * (S.n - 1) // 2 > distset._PAIR_CAP
+    with pytest.raises(BudgetError, match=f"cap of {distset._PAIR_CAP}"):
+        distance_set(S, disk(), "float_tol")
+
+
+def test_point_set_structure_comes_from_its_constructor():
+    # a caller cannot assert lattice structure the points lack
+    with pytest.raises(TypeError):
+        PointSet([[0, 0], [1, 0]], "lattice", q=2)
+    ints = [[0, 0], [3, 1], [1, 2], [3, 1], [5, 5]]
+    for body in (l1, linf, disk()):
+        for mode in ("exact_rational", "float_tol"):
+            a = distance_set(PointSet(ints), body, mode)
+            b = distance_set(PointSet.explicit(ints), body, mode)
+            assert a.exact == b.exact == (mode == "exact_rational")
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.multiplicities.tobytes() == b.multiplicities.tobytes()
+    sets = [PointSet(ints), PointSet.explicit(ints),
+            PointSet([(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(2, 7)),
+                      (Fraction(1, 3), Fraction(2, 7))]),
+            PointSet.lattice(6), PointSet.lattice(3, 3), PointSet.rotated_lattice(6, 0.3),
+            PointSet.perturbed_lattice(6, 2, 0.2)]
+    assert [(S.provenance, S.q, S.angle) for S in sets[-4:]] == [
+        ("lattice", 6, None), ("lattice", 3, None), ("rotated_lattice", 6, 0.3),
+        ("perturbed_lattice", None, None)]
+    assert all((S.provenance, S.q, S.angle) == ("explicit", None, None) for S in sets[:3])
+    for S in sets:
+        ds = distance_set(S, LpBall(np.inf, (1.0,) * S.dim))
+        assert ds.multiplicities.sum() == S.n * (S.n - 1) // 2
+        assert ds.count == len(ds.values)
+        assert ds.min_gap == float(np.min(np.diff(ds.values)))
+    single = distance_set(PointSet([[1, 2]]), linf, "exact_rational")
+    assert single.count == 0 and single.min_gap == math.inf
 
 
 def test_jitter_validation():
@@ -412,6 +444,16 @@ def test_growth_scan_disk_curved():
     assert rep.beta > 1.4
     assert rep.verdict is None and rep.bound is None
     assert polygonality_probe(rep) == "curved_like"
+
+
+def test_polygonality_probe_reads_the_report_dimension():
+    # the probe's thresholds are planar; a 3-d report (beta near 2 here)
+    # is refused rather than classified
+    rep = growth_scan(lambda q: PointSet.lattice(q, 3), LpBall(2.0, (1.0,) * 3), [2, 4, 8, 16])
+    assert rep.d == 3
+    with pytest.raises(CapabilityError, match="calibrated for d = 2"):
+        polygonality_probe(rep)
+    assert growth_fit([4, 8, 16, 32], [4, 8, 16, 32], 2).d == 2
 
 
 def test_min_gap_trend_nonincreasing():
@@ -583,12 +625,13 @@ def test_lattice_grids_capped_before_allocating():
                 build(10**6)
             with pytest.raises(ValidationError, match="lattice needs q >= 1"):
                 build(0)
-        # a lattice-provenance set whose q is one past the difference cap:
-        # uncapped, its blocks would run and the test fail, in bounded memory
-        huge = PointSet([[0, 0], [1, 0]], "lattice", q=2048)
+        # (2 * 128 + 1)^3 // 2 = 8 487 296 difference vectors, past the cap of
+        # 2^23, from a grid of 129^3 points, within the lattice cap; the
+        # lattice builds no points, so only the cap keeps memory bounded
+        huge = PointSet.lattice(128, 3)
         for mode in ("float_tol", "exact_rational"):
             with pytest.raises(BudgetError, match=f"cap of {_DIFFERENCE_CAP}"):
-                distance_set(huge, disk(), mode)
+                distance_set(huge, LpBall(2.0, (1.0,) * 3), mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -37,8 +37,9 @@ from gaugedist import (
 )
 from gaugedist import fourier
 from gaugedist.bodies import boundary_quadrature
-from gaugedist.fourier import (_ANGULAR_PER_UNIT, _MIN_ANGULAR, _PANELS_PER_UNIT, _SCAN_CAP,
-                               _half_sum, _smooth_ft)
+from gaugedist.fourier import (_ANGULAR_CAP, _ANGULAR_PER_UNIT, _MIN_ANGULAR, _NODES_PER_PANEL,
+                               _PANEL_NODE_CAP, _PANELS_PER_UNIT, _SCAN_CAP, _half_sum,
+                               _smooth_ft)
 
 
 # leggauss(4000) costs seconds and the oracle needs the same rule each call
@@ -592,6 +593,41 @@ def test_bound_scans_capped_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_spherical_average_nodes_capped_before_allocating():
+    for R in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValidationError, match="R must be finite and nonnegative"):
+            spherical_average(disk(), R)
+    tracemalloc.start()
+    try:
+        # R = 10^7 on the unit disk asks for a 3.2 * 10^8-node rule, 5 GiB of
+        # frequencies; the largest R of a decay scan's default grid is 512
+        with pytest.raises(BudgetError, match=f"cap of {_ANGULAR_CAP}"):
+            spherical_average(disk(), 1e7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the disk evaluates every node of its rule: 32 R of them
+    assert _ANGULAR_PER_UNIT * 512 * disk().diameter() * 64 <= _ANGULAR_CAP
+
+
+def test_panel_buckets_capped_before_allocating():
+    l4 = LpBall(4.0, (1.0, 1.0))
+    top = _PANEL_NODE_CAP // _NODES_PER_PANEL / (_PANELS_PER_UNIT * l4.diameter())
+    tracemalloc.start()
+    try:
+        # |xi| = 10^6 needs 2.4 * 10^6 panels, 600 MiB of boundary nodes
+        for xi in ([1e6, 0.0], [0.0, top * 1.001]):
+            with pytest.raises(BudgetError, match=f"cap of {_PANEL_NODE_CAP}"):
+                surface_ft(l4, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the largest bucket under the cap runs
+    assert np.isfinite(surface_ft(l4, [0.0, top * 0.999]))
 
 
 def test_capability_errors():

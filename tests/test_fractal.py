@@ -450,7 +450,7 @@ def test_energy_grid_budget_raises_before_allocating():
         with pytest.raises(BudgetError, match="cap of 2097152"):
             energy_ladder(mu, 0.8, [16.0, 32.0, 5000.0])
         with pytest.raises(BudgetError, match="cap of 2097152"):
-            energy_integral(mu, 1.0, 16.0, n_r=2048, n_theta=2048)
+            energy_integral(mu, 1.0, 5000.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
