@@ -483,22 +483,21 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
         spec = cfg.build(sec, "m", X.CantorSpec, m, depth)
         iterate = cfg.build(sec, "m/depth", X.cantor_build, spec)
         rows += [(str(a), str(b)) for a, b in iterate.intervals]
-        report.fits["cantor"] = {
-            "m": m, "depth": depth, "intervals": iterate.count,
-            "total_length": str(iterate.total_length),
-            "total_length_float": float(iterate.total_length)}
+        length = iterate.total_length
+        report.fits["cantor"] = {"m": m, "depth": depth, "intervals": iterate.count,
+                                 "total_length": str(length), "total_length_float": float(length)}
         if cfg.get_bool(sec, "difference_cover", True):
             dc = cfg.build(sec, "m/depth", X.difference_cover, spec)
+            merged = dc.union.total_length
             report.fits["difference_cover"] = {
                 "pre_merge_count": dc.pre_merge_count,
                 "pre_merge_length": str(dc.pre_merge_length),
                 "pre_merge_length_float": float(dc.pre_merge_length),
                 "merged_intervals": dc.union.count,
-                "merged_length": str(dc.union.total_length),
-                "merged_length_float": float(dc.union.total_length)}
+                "merged_length": str(merged), "merged_length_float": float(merged)}
             hi = cfg.get_float(sec, "cover_length_max", None)
             if hi is not None:
-                val = float(dc.union.total_length)
+                val = float(merged)
                 report.add_verdict("cover_length", val, f"< {_num(hi)}", val < hi)
         exps = cfg.get_list(sec, "box_exponents", None, cast=int)
         if exps is None:

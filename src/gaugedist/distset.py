@@ -91,6 +91,9 @@ class PointSet:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValidationError("points must be a nonempty (n, d) array")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"points must be finite; row {bad[0]} is {pts[bad[0]].tolist()}")
         arr = np.asarray(points)
         if arr.dtype.kind == "u" and arr.max() >= 1 << 63:
             arr = arr.astype(object)  # Python integers: the int64 copy would wrap
@@ -153,26 +156,24 @@ class PointSet:
         return cls._lattice(q, d, rows, "lattice")
 
     @classmethod
-    def rotated_lattice(cls, q: int, angle: float, d: int = 2) -> "PointSet":
-        """The lattice grid rotated about the origin by ``angle``.
+    def rotated_lattice(cls, q: int, angle: float) -> "PointSet":
+        """The plane lattice grid rotated about the origin by ``angle``.
 
         The difference-set fast path rotates by the same math.cos and
         math.sin of ``angle``, so brute force and fast path see the same
         floats.  The rotation keeps the (q+1)^2 points distinct.
         """
-        if d != 2:
-            raise CapabilityError("rotated lattices are 2d only")
         c, s = math.cos(angle), math.sin(angle)
         R = np.array([[c, -s], [s, c]])
-        return cls._lattice(q, d, lambda: (_unique_rows(_grid(q, d, float) @ R.T), None),
+        return cls._lattice(q, 2, lambda: (_unique_rows(_grid(q, 2, float) @ R.T), None),
                             "rotated_lattice", angle)
 
     @classmethod
-    def perturbed_lattice(cls, q: int, seed: int, max_jitter: float, d: int = 2) -> "PointSet":
-        """Lattice grid with iid uniform jitter in [-max_jitter, max_jitter]^d."""
+    def perturbed_lattice(cls, q: int, seed: int, max_jitter: float) -> "PointSet":
+        """Plane lattice grid with iid uniform jitter in [-max_jitter, max_jitter]^2."""
         if not 0 <= max_jitter < 0.5:
             raise ValidationError("max_jitter must lie in [0, 0.5) to keep points distinct")
-        grid = _grid(q, d, float)
+        grid = _grid(q, 2, float)
         rng = np.random.default_rng(seed)
         noise = rng.uniform(-max_jitter, max_jitter, size=grid.shape)
         S = cls(grid + noise)

@@ -130,6 +130,8 @@ def _transform(body: ConvexBody, rows: np.ndarray, kind: str,
     if rows.shape[1] != body.dim:
         raise ValidationError("xi dimension %d does not match body dimension %d"
                               % (rows.shape[1], body.dim))
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("frequencies xi must be finite")
     if body.dim == 2:
         poly = body.as_polygon()
         if poly is not None:
@@ -428,8 +430,8 @@ def _windows(R_values, values, windows_per_octave: int):
     v = np.asarray(values, dtype=float).ravel()
     if R.size != v.size or R.size == 0:
         raise ValidationError("need matching nonempty R and value arrays")
-    if np.any(R <= 0):
-        raise ValidationError("R values must be positive")
+    if not np.all(np.isfinite(R) & (R > 0)):
+        raise ValidationError("R values must be positive and finite")
     if windows_per_octave < 1:
         raise ValidationError("windows_per_octave must be >= 1")
     k = np.floor(windows_per_octave * np.log2(R / R.min()) * (1 - 1e-12)).astype(int)

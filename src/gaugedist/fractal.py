@@ -26,70 +26,74 @@ _MAX_ATOMS = 1_000_000
 _MAX_ENERGY_NODES = 2 ** 21  # polar nodes: 32 T^2 at the default density, so T <= 256
 
 
-def _merge(pairs) -> List[list]:
-    """Merge (lo, hi) pairs, sorted by lo, whose spans touch or overlap."""
-    merged: List[list] = []
-    for a, b in pairs:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return merged
+def _merge(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge intervals, sorted by lo, whose spans touch or overlap: a run
+    ends where the next lo passes the running max of hi."""
+    if len(lo) == 0:
+        return lo, hi
+    reach = np.maximum.accumulate(hi)
+    start = np.ones(len(lo), dtype=bool)
+    start[1:] = lo[1:] > reach[:-1]
+    end = np.append(np.flatnonzero(start)[1:] - 1, len(lo) - 1)
+    return lo[start], reach[end]
 
 
-@dataclass(frozen=True)
+def _scaled(nums: np.ndarray, num: int, den: int) -> np.ndarray:
+    """floor(nums * num / den) in Python integers, which cannot wrap."""
+    return nums.astype(object) * num // den
+
+
+@dataclass(frozen=True, eq=False)
 class IntervalUnion:
-    """Disjoint sorted closed intervals with rational endpoints.
+    """Disjoint sorted closed intervals [lo_i / den, hi_i / den], touching
+    ones merged: integer numerators over one denominator, so every operation
+    is integer arithmetic; Fractions are built only by intervals and total_length."""
 
-    Touching intervals are merged at construction, so the total length
-    is an exact rational identity.
-    """
-
-    intervals: Tuple[Tuple[Fraction, Fraction], ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    den: int
 
     @classmethod
     def build(cls, pairs) -> "IntervalUnion":
-        norm = []
-        for a, b in pairs:
-            a, b = Fraction(a), Fraction(b)
-            if b < a:
-                raise ValidationError("interval endpoints out of order")
-            norm.append((a, b))
-        norm.sort()
-        return cls(tuple((a, b) for a, b in _merge(norm)))
+        """The union of rational (a, b) pairs, cleared to the lcm of their denominators."""
+        ends = [Fraction(x) for pair in pairs for x in pair]
+        den = math.lcm(*(x.denominator for x in ends))
+        nums = np.array([x.numerator * (den // x.denominator) for x in ends],
+                        dtype=object).reshape(-1, 2)
+        if np.any(nums[:, 1] < nums[:, 0]):
+            raise ValidationError("interval endpoints out of order")
+        return cls._from_numerators(nums[:, 0], nums[:, 1], den)
 
     @classmethod
     def _from_numerators(cls, lo: np.ndarray, hi: np.ndarray, den: int) -> "IntervalUnion":
-        """Merge integer-numerator intervals sharing one denominator.
-
-        Merging happens in integer space; Fractions are built only for
-        the merged result.
-        """
+        """Merge integer-numerator intervals sharing one denominator."""
         order = np.argsort(lo, kind="stable")
-        merged = _merge(zip(lo[order].tolist(), hi[order].tolist()))
-        return cls(tuple((Fraction(a, den), Fraction(b, den)) for a, b in merged))
+        return cls(*_merge(lo[order], hi[order]), den)
+
+    @property
+    def intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(a, self.den), Fraction(b, self.den))
+                     for a, b in zip(self.lo.tolist(), self.hi.tolist()))
 
     @property
     def total_length(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
+        return Fraction(int((self.hi - self.lo).sum()), self.den)
 
     @property
     def count(self) -> int:
-        return len(self.intervals)
+        return len(self.lo)
 
     def contains_point(self, x) -> bool:
-        x = Fraction(x)
-        return any(a <= x <= b for a, b in self.intervals)
+        return self.contains_union(IntervalUnion.build([(x, x)]))
 
     def contains_union(self, other: "IntervalUnion") -> bool:
-        """Exact containment test: every interval of other sits inside one of ours."""
-        i = 0
-        for a, b in other.intervals:
-            while i < len(self.intervals) and self.intervals[i][1] < a:
-                i += 1
-            if i == len(self.intervals) or not (self.intervals[i][0] <= a and b <= self.intervals[i][1]):
-                return False
-        return True
+        """Exact containment test: every interval of other sits inside one of
+        ours, the last whose lo is at or below its lo (floor and ceil of its
+        ends over our denominator)."""
+        a = _scaled(other.lo, self.den, other.den)
+        b = -_scaled(-other.hi, self.den, other.den)
+        i = np.searchsorted(self.lo, a, side="right") - 1
+        return bool(np.all(i >= 0)) and bool(np.all(self.hi[i] >= b))
 
 
 @dataclass(frozen=True)
@@ -122,9 +126,10 @@ class CantorSpec:
         return Fraction(1, self.base ** self.depth)
 
 
-def _digit_numerators(spec: CantorSpec) -> np.ndarray:
-    """Left endpoints of all depth-n cells as integers over base^depth."""
-    digits = np.arange(0, spec.base, 2, dtype=np.int64)
+def _digit_numerators(spec: CantorSpec, low: int = 0) -> np.ndarray:
+    """Depth-n strings of the digits low, low + 2, ..., base - 2 as integers over
+    base^depth: cell left ends (low = 0) or their signed differences (2 - base)."""
+    digits = np.arange(low, spec.base - 1, 2, dtype=np.int64)
     nums = np.zeros(1, dtype=np.int64)
     for _ in range(spec.depth):
         nums = (nums[:, None] * spec.base + digits[None, :]).ravel()
@@ -136,8 +141,7 @@ def cantor_build(spec: CantorSpec) -> IntervalUnion:
     if spec.cell_count > _MAX_CELLS:
         raise BudgetError(f"cell count {spec.cell_count} exceeds the cap of {_MAX_CELLS}")
     nums = _digit_numerators(spec)
-    den = spec.base ** spec.depth
-    return IntervalUnion._from_numerators(nums, nums + 1, den)
+    return IntervalUnion._from_numerators(nums, nums + 1, spec.base ** spec.depth)
 
 
 @dataclass(frozen=True)
@@ -165,19 +169,14 @@ def difference_cover(spec: CantorSpec) -> DifferenceCover:
     pre = (2 * spec.m - 1) ** spec.depth
     if pre > _MAX_CELLS:
         raise BudgetError(f"difference count {pre} exceeds the cap of {_MAX_CELLS}")
-    diffs = np.arange(-(spec.base - 2), spec.base - 1, 2, dtype=np.int64)
-    nums = np.zeros(1, dtype=np.int64)
-    for _ in range(spec.depth):
-        nums = (nums[:, None] * spec.base + diffs[None, :]).ravel()
+    nums = _digit_numerators(spec, 2 - spec.base)
     # digit strings encode distinct values: tails are too small to collide
     if len(distinct(nums)) != pre:
         raise ValidationError("digit-difference enumeration produced collisions")
     den = spec.base ** spec.depth
     centers = distinct(np.abs(nums))
-    los = np.maximum(centers - 1, 0)
-    union = IntervalUnion._from_numerators(los, centers + 1, den)
-    pre_len = 2 * Fraction(pre, den)
-    return DifferenceCover(spec, union, int(pre), pre_len)
+    union = IntervalUnion._from_numerators(np.maximum(centers - 1, 0), centers + 1, den)
+    return DifferenceCover(spec, union, int(pre), 2 * Fraction(pre, den))
 
 
 def _grid_count_1d(iu: IntervalUnion, eps: Fraction) -> int:
@@ -185,17 +184,14 @@ def _grid_count_1d(iu: IntervalUnion, eps: Fraction) -> int:
 
     The right endpoint of an interval lands in the previous cell when it
     sits exactly on the grid, so a full interval of length 1 occupies
-    exactly 1/eps cells.
+    exactly 1/eps cells: an interval [a, b] spans cells floor(a / eps)
+    to max(ceil(b / eps) - 1, floor(a / eps)).
     """
-    ranges = []
-    for a, b in iu.intervals:
-        lo = math.floor(a / eps)
-        hi_frac = b / eps
-        hi = int(hi_frac) if hi_frac.denominator == 1 else math.floor(hi_frac)
-        if hi_frac.denominator == 1 and b > a:
-            hi -= 1
-        ranges.append((lo, max(hi, lo)))
-    return sum(hi - lo + 1 for lo, hi in _merge(sorted(ranges)))
+    scale = (eps.denominator, iu.den * eps.numerator)
+    lo = _scaled(iu.lo, *scale)
+    hi = np.maximum(-_scaled(-iu.hi, *scale) - 1, lo)
+    lo, hi = _merge(lo, hi)
+    return int((hi - lo + 1).sum())
 
 
 def _grid_count_points(pts: np.ndarray, eps: float) -> int:
@@ -214,24 +210,25 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
 
     Fits log N(eps) against log(1/eps) by least squares.  Interval
     unions (and product tuples of them) are counted exactly in rational
-    arithmetic; point sets are binned in floats on [0,1]^d.
+    arithmetic; point sets are binned in floats on [0,1]^d, and one
+    outside it is a ValidationError.
     """
     eps_list = sorted(scales, reverse=True)
     if len(eps_list) < 3:
         raise InsufficientDataError("box_dim needs at least 3 scales")
-    counts = []
-    for eps in eps_list:
-        if isinstance(obj, IntervalUnion):
-            n = _grid_count_1d(obj, Fraction(eps))
-        elif isinstance(obj, tuple):
-            n = 1
-            for axis_iu in obj:
-                n *= _grid_count_1d(axis_iu, Fraction(eps))
-        elif isinstance(obj, PointSet):
-            n = _grid_count_points(obj.points, float(eps))
-        else:
-            raise CapabilityError(f"cannot box-count {type(obj).__name__}")
-        counts.append(n)
+    if isinstance(obj, IntervalUnion):
+        obj = (obj,)
+    if isinstance(obj, tuple):
+        counts = [math.prod(_grid_count_1d(iu, Fraction(eps)) for iu in obj)
+                  for eps in eps_list]
+    elif isinstance(obj, PointSet):
+        lo, hi = obj.bounding_box()
+        if lo.min() < 0.0 or hi.max() > 1.0:
+            raise ValidationError(f"box_dim bins point sets in [0, 1]^d; the bounding "
+                                  f"box is {lo.tolist()} to {hi.tolist()}")
+        counts = [_grid_count_points(obj.points, float(eps)) for eps in eps_list]
+    else:
+        raise CapabilityError(f"cannot box-count {type(obj).__name__}")
     x = np.log(1.0 / np.array([float(e) for e in eps_list]))
     y = np.log(np.array(counts, dtype=float))
     A = np.stack([np.ones_like(x), x], axis=1)
@@ -281,12 +278,13 @@ class DioSet:
     def count(self) -> int:
         return len(self.centers)
 
-    def axis_union(self, axis: int = 0):
-        """Merged 1d shadow of the cubes along one axis, clipped to [0,1]."""
-        lo = np.clip(self.centers[:, axis] - self.half_side, 0.0, 1.0)
-        hi = np.clip(self.centers[:, axis] + self.half_side, 0.0, 1.0)
+    def axis_union(self):
+        """Merged 1d shadow of the cubes along the first axis, clipped to [0,1]."""
+        lo = np.clip(self.centers[:, 0] - self.half_side, 0.0, 1.0)
+        hi = np.clip(self.centers[:, 0] + self.half_side, 0.0, 1.0)
         order = np.argsort(lo)
-        return [(float(a), float(b)) for a, b in _merge(zip(lo[order], hi[order]))]
+        lo, hi = _merge(lo[order], hi[order])
+        return list(zip(lo.tolist(), hi.tolist()))
 
 
 def dio_build(spec: DioSpec) -> DioSet:
@@ -333,12 +331,9 @@ def delta_cover(spec: DioSpec, body: ConvexBody, *, mode: str = "float_tol") -> 
     g = _corner_gauge(body, spec.S.dim)
     half_w = 2.0 * h * g
     vals = ds.values / spec.q
-    lo = np.maximum(vals - half_w, 0.0)
-    hi = vals + half_w
-    merged = _merge(zip(lo, hi))
-    total = float(sum(b - a for a, b in merged))
-    return DeltaCover(tuple((float(a), float(b)) for a, b in merged),
-                      ds.count, half_w, total)
+    lo, hi = _merge(np.maximum(vals - half_w, 0.0), vals + half_w)
+    total = float(sum((hi - lo).tolist()))  # in order: numpy's pairwise sum rounds differently
+    return DeltaCover(tuple(zip(lo.tolist(), hi.tolist())), ds.count, half_w, total)
 
 
 # ---------------------------------------------------------------------------

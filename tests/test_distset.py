@@ -93,6 +93,12 @@ def test_explicit_exact_points_that_round_together_rejected():
         PointSet.explicit([[2**60, 0], [2**60 + 1, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_points_rejected(bad):
+    with pytest.raises(ValidationError, match=r"finite; row 0 is \[(nan|inf), 0.0\]"):
+        PointSet([[bad, 0.0], [1.0, 0.0]])
+
+
 def test_exact_mode_needs_exact_polygon_vertices():
     h = np.random.default_rng(4).uniform(0.9, 1.1, 4)
     for body in (regular_polygon(6), random_symmetric_hexagon(np.random.default_rng(1)),

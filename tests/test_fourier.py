@@ -544,6 +544,19 @@ def test_octave_envelope_picks_maxima():
     assert len(Re) == 4 or len(Re) == 5
 
 
+def test_octave_envelope_rejects_non_finite_R():
+    with pytest.raises(ValidationError, match="positive and finite"):
+        octave_envelope([1, np.nan, 4, 8], [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("body", [LpBall(4.0), square()], ids=["l4_ball", "square"])
+@pytest.mark.parametrize("xi", [[np.nan, 0.0], [np.inf, 0.0]], ids=["nan", "inf"])
+def test_transforms_reject_non_finite_xi(body, xi):
+    for ft in (surface_ft, body_ft):
+        with pytest.raises(ValidationError, match="xi must be finite"):
+            ft(body, xi)
+
+
 def test_window_aggregate_modes():
     R = np.geomspace(1, 4, 9)
     v = np.array([1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0])

@@ -33,6 +33,7 @@ from gaugedist import (
     natural_measure,
 )
 from gaugedist._blocks import _BLOCK_ENTRIES
+from gaugedist.fractal import _grid_count_1d
 
 linf = LpBall(np.inf, (1.0, 1.0))
 
@@ -64,6 +65,91 @@ def test_interval_union_merges_touching():
 def test_interval_union_rejects_reversed():
     with pytest.raises(ValidationError):
         IntervalUnion.build([(Fraction(1), Fraction(0))])
+
+
+# The Fraction-per-endpoint union, kept as the oracle of the integer one:
+# each pair is normalised, sorted and merged in a Python loop.
+
+def _oracle_merge(pairs):
+    merged = []
+    for a, b in pairs:
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [tuple(p) for p in merged]
+
+
+def _oracle_union(pairs):
+    return _oracle_merge(sorted((Fraction(a), Fraction(b)) for a, b in pairs))
+
+
+def _oracle_contains(ivs, other):
+    i = 0
+    for a, b in other:
+        while i < len(ivs) and ivs[i][1] < a:
+            i += 1
+        if i == len(ivs) or not (ivs[i][0] <= a and b <= ivs[i][1]):
+            return False
+    return True
+
+
+def _oracle_grid_count(ivs, eps):
+    ranges = []
+    for a, b in ivs:
+        lo = math.floor(a / eps)
+        hi_frac = b / eps
+        hi = int(hi_frac) if hi_frac.denominator == 1 else math.floor(hi_frac)
+        if hi_frac.denominator == 1 and b > a:
+            hi -= 1
+        ranges.append((lo, max(hi, lo)))
+    return sum(hi - lo + 1 for lo, hi in _oracle_merge(sorted(ranges)))
+
+
+# small denominators make touching and shared endpoints common; the large
+# ones push the cleared denominator and numerators past 2^63
+_endpoints = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6])),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+              st.sampled_from([2 ** 63, 2 ** 64 + 13, 3 ** 41])))
+_pairs = st.lists(st.tuples(_endpoints, _endpoints).map(sorted), max_size=10)
+_SCALES = [Fraction(1, 2 ** k) for k in range(0, 9, 2)] + [Fraction(2, 7),
+                                                          Fraction(1, 2 ** 64 + 13)]
+
+
+@given(_pairs, _pairs, _endpoints)
+def test_interval_union_matches_fraction_oracle(pairs, other_pairs, x):
+    iu, other = IntervalUnion.build(pairs), IntervalUnion.build(other_pairs)
+    want, other_want = _oracle_union(pairs), _oracle_union(other_pairs)
+    assert iu.intervals == tuple(want)
+    assert iu.count == len(want)
+    assert iu.total_length == sum((b - a for a, b in want), Fraction(0))
+    assert iu.contains_point(x) == any(a <= x <= b for a, b in want)
+    assert iu.contains_union(other) == _oracle_contains(want, other_want)
+    assert iu.contains_union(IntervalUnion.build(want[::2]))
+    counts = [_grid_count_1d(iu, eps) for eps in _SCALES]
+    assert counts == [_oracle_grid_count(want, eps) for eps in _SCALES]
+    if want:
+        # box_dim is the least-squares slope of the log counts
+        x = np.log(1.0 / np.array([float(e) for e in _SCALES[:5]]))
+        A = np.stack([np.ones_like(x), x], axis=1)
+        slope = np.linalg.lstsq(A, np.log(np.array(counts[:5], dtype=float)), rcond=None)[0][1]
+        assert box_dim(iu, _SCALES[:5]) == float(slope)
+
+
+def test_interval_union_empty():
+    iu = IntervalUnion.build([])
+    assert iu.intervals == () and iu.count == 0 and iu.total_length == 0
+    assert not iu.contains_point(0)
+    assert iu.contains_union(iu)
+    assert not iu.contains_union(IntervalUnion.build([(0, 1)]))
+    assert _grid_count_1d(iu, Fraction(1, 4)) == 0
+
+
+def test_contains_union_past_int64():
+    # rescaling 4^17 numerators to the denominator 4^16 multiplies past 2^63
+    assert cantor_build(CantorSpec(2, 16)).contains_union(cantor_build(CantorSpec(2, 17)))
+    assert not cantor_build(CantorSpec(2, 17)).contains_union(cantor_build(CantorSpec(2, 16)))
 
 
 def test_interval_union_membership():
@@ -219,6 +305,11 @@ def test_box_dim_guards():
         box_dim("not countable", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
 
 
+def test_box_dim_rejects_point_set_outside_unit_cube():
+    with pytest.raises(ValidationError, match=r"bounding box is \[0.0, 0.0\] to \[8.0, 8.0\]"):
+        box_dim(PointSet.lattice(8), [0.5, 0.25, 0.125])
+
+
 # ---------------------------------------------------------------------------
 # diophantine cube families
 
@@ -236,7 +327,7 @@ def test_dio_overlapping_shadow_covers_unit_interval():
     ds = dio_build(spec)
     assert ds.half_side == 0.25
     assert not ds.disjoint
-    assert ds.axis_union(0) == [(0.0, 1.0)]
+    assert ds.axis_union() == [(0.0, 1.0)]
 
 
 def test_dio_rotated_generator_count():
@@ -276,6 +367,11 @@ def test_delta_cover_count_matches_distance_set():
         rep = delta_cover(DioSpec(S, q=16, s=1.0), body)
         assert rep.count == distance_set(S, body).count
         assert rep.total_length <= rep.count * 2.0 * rep.half_width + 1e-12
+
+
+def test_delta_cover_one_point_is_empty():
+    rep = delta_cover(DioSpec(PointSet([[0.0, 0.0]]), q=1, s=1.0), disk())
+    assert (rep.intervals, rep.count, rep.total_length) == ((), 0, 0.0)
 
 
 def test_delta_cover_covers_cube_distances(rng):
