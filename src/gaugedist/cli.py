@@ -229,18 +229,18 @@ def _body_from(cfg: ScanConfig) -> B.ConvexBody:
     kind = cfg.get(sec, "kind").lower()
     if kind == "disk":
         return cfg.build(sec, "radius", B.disk, cfg.get_float(sec, "radius", 1.0))
-    if kind == "ellipse":
-        axes = cfg.get_list(sec, "semi_axes")
-        if len(axes) < 2:
-            raise ConfigError(f"{cfg.path}: [body] semi_axes: need at least two values")
-        return cfg.build(sec, "semi_axes", B.Ellipsoid, axes)
     if kind in ("square", "diamond"):
         return cfg.build(sec, "half", getattr(B, kind), cfg.get_float(sec, "half", 1.0))
-    if kind == "lp":
+    if kind in ("ellipse", "lp"):
+        axes = cfg.get_list(sec, "semi_axes", [1.0, 1.0] if kind == "lp" else _REQUIRED)
+        if len(axes) != 2:
+            raise ConfigError(f"{cfg.path}: [body] semi_axes: expected two values, "
+                              f"got {len(axes)}")
+        if kind == "ellipse":
+            return cfg.build(sec, "semi_axes", B.Ellipsoid, axes)
         p = (math.inf if cfg.get(sec, "p").lower() in ("inf", "infinity", "oo")
              else cfg.get_float(sec, "p"))
-        return cfg.build(sec, "p/semi_axes", B.LpBall, p,
-                         cfg.get_list(sec, "semi_axes", [1.0, 1.0]))
+        return cfg.build(sec, "p/semi_axes", B.LpBall, p, axes)
     if kind == "polygon":
         den = cfg.get_int(sec, "denominator", 1, minimum=1)
         pairs = []

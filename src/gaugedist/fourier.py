@@ -6,20 +6,22 @@ FT f (xi) = integral f(x) exp(-2 pi i x . xi) dx:
 * ``surface_ft``: the transform of the boundary arc-length measure;
 * ``body_ft``: the transform of the indicator function of the body.
 
-For polygonal boundaries both reduce to exact per-edge closed forms.  For
-smooth planar boundaries (ellipses, l^p balls with 1 < p < inf) they are
-evaluated by composite Gauss-Legendre arc-length quadrature with a node
-count proportional to |xi|, so the oscillatory phase advances a bounded
-amount per panel and the quadrature error stays near 1e-10 at every
-frequency.  The indicator transform is reduced to the boundary through the
-divergence identity
+The transforms are planar only.  Polygons have exact per-edge closed
+forms, ellipses Bessel forms (for the surface measure round disks only).
+Other smooth boundaries (l^p balls with 1 < p < inf, surfaces of stretched
+ellipses) take composite Gauss-Legendre arc-length quadrature with a node
+count proportional to |xi|, so the phase advances a bounded amount per
+panel.  Against an 8x finer rule at |xi| in {8, 45, 300} the error,
+relative to the largest |value| on the circle, is at most 3e-13 on ellipses
+and l^3/l^4 balls and 2e-6, 1e-7 and 2e-8 on the l^1.5 ball.  The
+indicator transform is reduced to the boundary through the divergence
+identity
 
     body_ft(xi) = -1/(2 pi i |xi|^2) * surface-integral of (xi . n) e(-x.xi),
 
 which avoids any area mesh.  Every planar body here is origin-symmetric,
 so both transforms are real: the edges or nodes of half the boundary, each
-with one cosine or sine, give the full sum.  Closed forms additionally
-cover boxes and ellipsoids in dimension >= 3.
+with one cosine or sine, give the full sum.
 
 On top of the transforms the module provides spherical L^1/L^2 averages on
 frequency circles, power-law fits with an optional logarithmic correction,
@@ -108,15 +110,14 @@ def body_ft(body: ConvexBody, xi):
 def annulus_ft(body: ConvexBody, xi, spec: AnnulusSpec):
     """Transform of the indicator of (R+delta)K minus RK at xi.
 
-    Equals F(R+delta) - F(R) with F(s) = s^d body_ft(s xi); the two dilated
+    Equals F(R+delta) - F(R) with F(s) = s^2 body_ft(s xi); the two dilated
     evaluations are where all the cancellation happens, so no thin-shell
     mesh is ever built.
     """
     rows, single = _xi_rows(xi)
-    d = body.dim
     s1, s2 = spec.R, spec.R + spec.delta
-    out = (s2 ** d) * _transform(body, s2 * rows, kind="body") \
-        - (s1 ** d) * _transform(body, s1 * rows, kind="body")
+    out = (s2 ** 2) * _transform(body, s2 * rows, kind="body") \
+        - (s1 ** 2) * _transform(body, s1 * rows, kind="body")
     return out[0] if single else out
 
 
@@ -132,31 +133,19 @@ def _transform(body: ConvexBody, rows: np.ndarray, kind: str,
                               % (rows.shape[1], body.dim))
     if not np.all(np.isfinite(rows)):
         raise ValidationError("frequencies xi must be finite")
-    if body.dim == 2:
-        poly = body.as_polygon()
-        if poly is not None:
-            return _polygon_ft(poly, rows, kind, threads)
-        if isinstance(body, Ellipsoid):
-            # closed Bessel form covers the body transform always and the
-            # surface transform of round disks; arc length does not push
-            # forward under the linear map, so stretched surface measure
-            # still needs the quadrature engine
-            if kind == "body" or np.ptp(body.semi_axes) == 0.0:
-                return _ellipsoid_ft_closed(body, rows, kind)
-            return _smooth_ft(body, rows, kind, threads)
-        if isinstance(body, LpBall) and 1.0 < body.p < math.inf:
-            return _smooth_ft(body, rows, kind, threads)
-        raise CapabilityError("no planar transform for %s" % type(body).__name__)
-    # higher dimensions: closed-form families only
-    if isinstance(body, LpBall) and body.p == 2.0:
-        body = Ellipsoid(body.semi_axes)
+    if body.dim != 2:
+        raise CapabilityError("transforms are planar only")
+    poly = body.as_polygon()
+    if poly is not None:
+        return _polygon_ft(poly, rows, kind, threads)
     if isinstance(body, Ellipsoid):
-        return _ellipsoid_ft_closed(body, rows, kind)
-    if isinstance(body, LpBall) and math.isinf(body.p):
-        return _box_ft_closed(body, rows, kind)
-    raise CapabilityError(
-        "transforms in dimension %d cover boxes and ellipsoids only, got %s"
-        % (body.dim, type(body).__name__))
+        # arc length does not push forward under the linear map, so only
+        # round disks have a closed surface form
+        if kind == "body" or np.ptp(body.semi_axes) == 0.0:
+            return _ellipsoid_ft_closed(body, rows, kind)
+    elif not (isinstance(body, LpBall) and 1.0 < body.p < math.inf):
+        raise CapabilityError("no planar transform for %s" % type(body).__name__)
+    return _smooth_ft(body, rows, kind, threads)
 
 
 def _polygon_ft(poly: Polygon2D, rows: np.ndarray, kind: str,
@@ -235,47 +224,23 @@ def _half_sum(x, w, n, rows, kind, volume, threads=1, edges=None) -> np.ndarray:
 
 
 def _ellipsoid_ft_closed(body: Ellipsoid, rows: np.ndarray, kind: str) -> np.ndarray:
+    """a b J1(2 pi |(a, b) * xi|) / |(a, b) * xi|, or 2 pi r J0(2 pi r |xi|)."""
     from scipy.special import jv
 
-    d = body.dim
     a = body.semi_axes
-    g = np.linalg.norm(rows * a, axis=1)
+    out = np.empty(rows.shape[0], dtype=complex)
     if kind == "body":
-        out = np.empty(rows.shape[0], dtype=complex)
+        g = np.linalg.norm(rows * a, axis=1)
         zero = g < 1e-12
-        z = 2.0 * math.pi * g[~zero]
-        out[~zero] = float(np.prod(a)) * jv(d / 2.0, z) / (g[~zero] ** (d / 2.0))
+        out[~zero] = float(np.prod(a)) * jv(1.0, 2.0 * math.pi * g[~zero]) / g[~zero]
         out[zero] = body.volume()
         return out
-    if not np.allclose(a, a[0]):
-        raise CapabilityError(
-            "surface transforms in dimension >= 3 need a round ball")
     r = a[0]
     mags = np.linalg.norm(rows, axis=1)
-    out = np.empty(rows.shape[0], dtype=complex)
     zero = mags < 1e-12
-    z = 2.0 * math.pi * r * mags[~zero]
-    nu = (d - 2) / 2.0
-    out[~zero] = (2.0 * math.pi * r ** (d / 2.0)
-                  * jv(nu, z) / mags[~zero] ** nu)
-    # surface area of the sphere of radius r
-    out[zero] = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) * r ** (d - 1)
+    out[~zero] = 2.0 * math.pi * r * jv(0.0, 2.0 * math.pi * r * mags[~zero])
+    out[zero] = 2.0 * math.pi * r  # the circumference
     return out
-
-
-def _box_ft_closed(body: LpBall, rows: np.ndarray, kind: str) -> np.ndarray:
-    a = body.semi_axes
-    # per-axis interval transforms 2 a sinc(2 a xi)
-    f = 2.0 * a * np.sinc(2.0 * rows * a)
-    if kind == "body":
-        return np.prod(f, axis=1).astype(complex)
-    d = body.dim
-    out = np.zeros(rows.shape[0])
-    for j in range(d):
-        face = 2.0 * np.cos(2.0 * math.pi * a[j] * rows[:, j])
-        others = np.prod(np.delete(f, j, axis=1), axis=1)
-        out += face * others
-    return out.astype(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -219,6 +219,8 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
     if isinstance(obj, IntervalUnion):
         obj = (obj,)
     if isinstance(obj, tuple):
+        if any(iu.count == 0 for iu in obj):
+            raise InsufficientDataError("box_dim of an empty interval union is undefined")
         counts = [math.prod(_grid_count_1d(iu, Fraction(eps)) for iu in obj)
                   for eps in eps_list]
     elif isinstance(obj, PointSet):
@@ -346,7 +348,6 @@ class AtomicMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    exact_weights: Optional[List[Fraction]] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -355,10 +356,7 @@ class AtomicMeasure:
             raise ValidationError("one weight per atom required")
         if np.any(self.weights <= 0):
             raise ValidationError("weights must be positive")
-        if self.exact_weights is not None:
-            if sum(self.exact_weights, Fraction(0)) != 1:
-                raise ValidationError("exact weights must sum to 1")
-        elif abs(self.weights.sum() - 1.0) > 1e-9:
+        if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValidationError("weights must sum to 1")
 
     @property
@@ -366,8 +364,6 @@ class AtomicMeasure:
         return self.points.shape[1]
 
     def mass(self):
-        if self.exact_weights is not None:
-            return sum(self.exact_weights, Fraction(0))
         return float(self.weights.sum())
 
     def ft(self, xi: np.ndarray) -> np.ndarray:

@@ -349,6 +349,8 @@ def test_body_from_config_diagnostics(tmp_path):
         ("kind = polygon", "[body] vertices: missing required key"),
         ("kind = pentagram", "[body] kind: unknown kind 'pentagram'"),
         ("kind = ellipse\nsemi_axes = 2; 1", "[body] semi_axes: expected a number"),
+        ("kind = ellipse\nsemi_axes = 1 1 1", "[body] semi_axes: expected two values, got 3"),
+        ("kind = lp\np = 3\nsemi_axes = 2", "[body] semi_axes: expected two values, got 1"),
         ("kind = disk\nradius = -1", "[body] radius: semi_axes must be positive"),
         ("kind = regular\nn_vertices = 6.5", "[body] n_vertices: expected an integer"),
         ("kind = regular\nn_vertices = 5", "[body] n_vertices/circumradius: symmetric"),

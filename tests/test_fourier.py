@@ -36,7 +36,7 @@ from gaugedist import (
     window_aggregate,
 )
 from gaugedist import fourier
-from gaugedist.bodies import boundary_quadrature
+from gaugedist.bodies import ConvexBody, Ellipsoid, boundary_quadrature
 from gaugedist.fourier import (_ANGULAR_CAP, _ANGULAR_PER_UNIT, _MIN_ANGULAR, _NODES_PER_PANEL,
                                _PANEL_NODE_CAP, _PANELS_PER_UNIT, _SCAN_CAP, _half_sum,
                                _smooth_ft)
@@ -646,5 +646,18 @@ def test_panel_buckets_capped_before_allocating():
 def test_capability_errors():
     with pytest.raises(CapabilityError):
         surface_ft(LpBall(1.0, (1.0, 1.0, 1.0)), np.zeros((1, 3)))
+    xi = np.array([[0.0, 0.0, 0.0], [0.5, -1.0, 2.0]])
+    for body in (Ellipsoid((1.0, 1.0, 1.0)), LpBall(2.0, (1.0,) * 3),
+                 LpBall(math.inf, (1.0,) * 3)):
+        for ft in (body_ft, surface_ft):
+            with pytest.raises(CapabilityError, match="transforms are planar only"):
+                ft(body, xi)
+    with pytest.raises(CapabilityError, match="transforms are planar only"):
+        annulus_ft(Ellipsoid((1.0, 1.0, 1.0)), xi, AnnulusSpec(10.0, 0.5))
+    # a planar body outside the polygon, ellipse and 1 < p < inf families
+    blob = type("Blob", (ConvexBody,), {"dim": 2})()
+    for ft in (body_ft, surface_ft):
+        with pytest.raises(CapabilityError, match="no planar transform for Blob"):
+            ft(blob, [1.0, 2.0])
     with pytest.raises(CapabilityError):
         spherical_average(LpBall(2.0, (1.0, 1.0, 1.0)), 4.0)

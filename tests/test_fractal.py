@@ -301,8 +301,13 @@ def test_box_dim_guards():
     iu = IntervalUnion.build([(0, 1)])
     with pytest.raises(InsufficientDataError):
         box_dim(iu, [Fraction(1, 2), Fraction(1, 4)])
+    scales = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
     with pytest.raises(CapabilityError):
-        box_dim("not countable", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+        box_dim("not countable", scales)
+    empty = IntervalUnion.build([])
+    for obj in (empty, (iu, empty)):
+        with pytest.raises(InsufficientDataError, match="empty interval union"):
+            box_dim(obj, scales)
 
 
 def test_box_dim_rejects_point_set_outside_unit_cube():
@@ -422,9 +427,6 @@ def test_atomic_measure_validation():
         AtomicMeasure(pts, [1.5, -0.5])
     with pytest.raises(ValidationError):
         AtomicMeasure(pts, [0.5])
-    with pytest.raises(ValidationError):
-        AtomicMeasure(pts, [0.5, 0.5],
-                      exact_weights=[Fraction(1, 3), Fraction(1, 3)])
 
 
 def test_ft_single_atom_modulus_one():
