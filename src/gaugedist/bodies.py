@@ -5,11 +5,14 @@ whose unit ball is K.  Four concrete families are provided:
 
 * Polygon2D   -- convex symmetric polygon given by vertices (optionally exact
                  rationals), gauge/support evaluated from face functionals;
-* Ellipsoid   -- axis-aligned ellipsoid in any dimension;
+* Ellipsoid   -- axis-aligned ellipse;
 * LpBall      -- axis-scaled l^p ball, p in [1, inf];
 
 and ``radial_polygon`` builds the Polygon2D whose vertices are radial
 samples at equally spaced angles.
+
+Every body is planar: the constructors take two semi-axes or (n, 2)
+vertices and raise ValidationError otherwise.
 
 On top of the gauge the module computes support values, chord lengths at a
 prescribed depth below a support line, and a curvature-condition report that
@@ -53,10 +56,19 @@ def _as_xy(x) -> np.ndarray:
     return a
 
 
+def _semi_axes(semi_axes) -> np.ndarray:
+    a = np.asarray(semi_axes, dtype=float).ravel()
+    if a.size != 2:
+        raise ValidationError(f"bodies are planar: two semi-axes expected, got {a.size}")
+    if np.any(a <= 0) or not np.all(np.isfinite(a)):
+        raise ValidationError("semi_axes must be positive finite numbers")
+    return a
+
+
 class ConvexBody:
     """Common interface; concrete bodies implement gauge/support/volume."""
 
-    dim: int
+    dim = 2
 
     def gauge(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -95,16 +107,14 @@ class ConvexBody:
         return type(self).__name__
 
     def summary(self) -> dict:
-        d = {
+        return {
             "kind": self.kind(),
             "dim": self.dim,
             "volume": self.volume(),
             "circumradius": self.circumradius(),
             "inradius": self.inradius(),
+            "perimeter": perimeter(self),
         }
-        if self.dim == 2:
-            d["perimeter"] = perimeter(self)
-        return d
 
 
 class Polygon2D(ConvexBody):
@@ -115,8 +125,6 @@ class Polygon2D(ConvexBody):
     When ``exact_vertices`` (Fraction pairs) are supplied, chord queries can
     be answered in exact rational arithmetic.
     """
-
-    dim = 2
 
     def __init__(self, vertices, exact_vertices: Optional[Sequence] = None):
         V = np.asarray(vertices, dtype=float)
@@ -235,14 +243,10 @@ class Polygon2D(ConvexBody):
 
 
 class Ellipsoid(ConvexBody):
-    """Axis-aligned ellipsoid {sum (x_i/a_i)^2 <= 1}."""
+    """Axis-aligned ellipse {(x/a)^2 + (y/b)^2 <= 1}."""
 
     def __init__(self, semi_axes):
-        a = np.asarray(semi_axes, dtype=float).ravel()
-        if a.size < 1 or np.any(a <= 0) or not np.all(np.isfinite(a)):
-            raise ValidationError("semi_axes must be positive finite numbers")
-        self.semi_axes = a
-        self.dim = a.size
+        self.semi_axes = _semi_axes(semi_axes)
 
     def gauge(self, x) -> np.ndarray:
         x = _as_xy(x)
@@ -259,8 +263,7 @@ class Ellipsoid(ConvexBody):
         return float(self.semi_axes.min())
 
     def volume(self) -> float:
-        d = self.dim
-        return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * float(np.prod(self.semi_axes))
+        return math.pi * float(np.prod(self.semi_axes))
 
     def scaled(self, s: float) -> "Ellipsoid":
         if s <= 0:
@@ -268,9 +271,9 @@ class Ellipsoid(ConvexBody):
         return Ellipsoid(self.semi_axes * s)
 
     def symmetry(self) -> tuple:
-        # every planar ellipse has the mirror; a round disk keeps the default,
-        # so its averages stay the N-node rule bit for bit
-        return 2, bool(self.dim == 2 and np.ptp(self.semi_axes) > 0.0)
+        # every ellipse has the mirror; a round disk keeps the default, so
+        # its averages stay the N-node rule bit for bit
+        return 2, bool(np.ptp(self.semi_axes) > 0.0)
 
 
 class LpBall(ConvexBody):
@@ -279,12 +282,8 @@ class LpBall(ConvexBody):
     def __init__(self, p: float, semi_axes=(1.0, 1.0)):
         if not (p >= 1.0):
             raise ValidationError("p must satisfy p >= 1, got %r" % (p,))
-        a = np.asarray(semi_axes, dtype=float).ravel()
-        if a.size < 1 or np.any(a <= 0) or not np.all(np.isfinite(a)):
-            raise ValidationError("semi_axes must be positive finite numbers")
         self.p = float(p)
-        self.semi_axes = a
-        self.dim = a.size
+        self.semi_axes = _semi_axes(semi_axes)
 
     def gauge(self, x) -> np.ndarray:
         x = _as_xy(x) / self.semi_axes
@@ -329,11 +328,10 @@ class LpBall(ConvexBody):
         return float(np.sum(self.semi_axes ** e) ** (1.0 / e))
 
     def volume(self) -> float:
-        d = self.dim
         prod = float(np.prod(self.semi_axes))
         if math.isinf(self.p):
-            return 2.0 ** d * prod
-        return (2.0 * math.gamma(1.0 + 1.0 / self.p)) ** d / math.gamma(1.0 + d / self.p) * prod
+            return 4.0 * prod
+        return (2.0 * math.gamma(1.0 + 1.0 / self.p)) ** 2 / math.gamma(1.0 + 2.0 / self.p) * prod
 
     def scaled(self, s: float) -> "LpBall":
         if s <= 0:
@@ -345,8 +343,6 @@ class LpBall(ConvexBody):
         return (4 if np.all(self.semi_axes == self.semi_axes[0]) else 2), True
 
     def as_polygon(self) -> Optional[Polygon2D]:
-        if self.dim != 2:
-            return None
         a1, a2 = float(self.semi_axes[0]), float(self.semi_axes[1])
         if math.isinf(self.p):
             V = [(a1, a2), (-a1, a2), (-a1, -a2), (a1, -a2)]
@@ -460,8 +456,6 @@ def support(body: ConvexBody, omega) -> np.ndarray:
 
 
 def perimeter(body: ConvexBody, n_panels: int = 512) -> float:
-    if body.dim != 2:
-        raise CapabilityError("perimeter is only computed for planar bodies")
     poly = body.as_polygon()
     if poly is not None:
         return poly.perimeter()
@@ -475,11 +469,9 @@ def boundary_quadrature(body: ConvexBody, n_panels: int):
     Composite 16-node Gauss-Legendre panels over a smooth parametrization of
     the boundary; weights include the speed factor so sum(weights) converges
     to the perimeter spectrally fast.  Supports Ellipsoid and LpBall with
-    1 < p < inf in the plane; polygonal boundaries have exact formulas and
+    1 < p < inf; polygonal boundaries have exact formulas and
     are rejected here.
     """
-    if body.dim != 2:
-        raise CapabilityError("boundary quadrature is planar only")
     n_panels = max(4, int(n_panels))
     t_edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
     half = 0.5 * (t_edges[1] - t_edges[0])
@@ -585,8 +577,6 @@ def chord_length(body: ConvexBody, direction, depth: float) -> float:
     ``direction`` may be an angle in radians or a unit vector.
     Raises GeometryError when the depth is not inside (0, width(direction)).
     """
-    if body.dim != 2:
-        raise CapabilityError("chord queries are planar only")
     omega = _direction_vector(direction)
     depth = float(depth)
     if not (depth > 0.0) or not math.isfinite(depth):
@@ -710,8 +700,6 @@ def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360) -> 
     of 5 accumulates a factor 4 and trips the detector, while a uniformly
     curved boundary has ratios converging to a constant.
     """
-    if body.dim != 2:
-        raise CapabilityError("the curvature scan is planar only")
     if eps_grid is None:
         eps_grid = 2.0 ** -np.arange(4, 21)
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))[::-1]

@@ -49,7 +49,9 @@ class ScanConfig:
                  out_dir: Optional[str] = None):
         self._p = parser
         self.path = path
-        self.seed = seed if seed is not None else self.get_int("run", "seed", 0)
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {seed}")
+        self.seed = seed if seed is not None else self.get_int("run", "seed", 0, minimum=0)
         if threads is not None and threads < 1:
             raise ConfigError(f"--threads: must be >= 1, got {threads}")
         self.threads = (threads if threads is not None
@@ -233,9 +235,6 @@ def _body_from(cfg: ScanConfig) -> B.ConvexBody:
         return cfg.build(sec, "half", getattr(B, kind), cfg.get_float(sec, "half", 1.0))
     if kind in ("ellipse", "lp"):
         axes = cfg.get_list(sec, "semi_axes", [1.0, 1.0] if kind == "lp" else _REQUIRED)
-        if len(axes) != 2:
-            raise ConfigError(f"{cfg.path}: [body] semi_axes: expected two values, "
-                              f"got {len(axes)}")
         if kind == "ellipse":
             return cfg.build(sec, "semi_axes", B.Ellipsoid, axes)
         p = (math.inf if cfg.get(sec, "p").lower() in ("inf", "infinity", "oo")
@@ -301,6 +300,9 @@ def _geometric_grid(cfg: ScanConfig, sec: str, name: str, lo: float, hi: float,
 def _run_body_inspect(cfg: ScanConfig, report: Report):
     body = _body_from(cfg)
     n_theta = cfg.get_int("inspect", "n_theta", 16, minimum=1)
+    if n_theta > F._SCAN_CAP:
+        raise BudgetError(f"{cfg.path}: [inspect] n_theta: {n_theta} directions exceeds "
+                          f"the cap of {F._SCAN_CAP}")
     thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     sup = np.asarray(body.support(omegas), dtype=float)
@@ -310,7 +312,7 @@ def _run_body_inspect(cfg: ScanConfig, report: Report):
         {"theta": t, "support": s, "radial": r} for t, s, r in rows]
     report.fits["summary"] = body.summary()
     do_curv = cfg.get_bool("inspect", "curvature", True)
-    if do_curv and body.dim == 2:
+    if do_curv:
         curv = B.curvature_condition(body)
         report.fits["curvature"] = {"satisfied": bool(curv.satisfied),
                                     "c_sup": float(curv.c_sup),
@@ -361,7 +363,7 @@ def _run_decay_scan(cfg: ScanConfig, report: Report):
     else:
         R_fit, v_fit = F.window_aggregate(grid, vals, wpo, agg=aggregation)
 
-    log_power = (body.dim - 1) if cfg.get_bool(sec, "log_correction", False) else 0
+    log_power = 1 if cfg.get_bool(sec, "log_correction", False) else 0
     min_samples = min(8, len(R_fit))
     profile = cfg.build(sec, grid_keys, F.decay_fit, R_fit, v_fit,
                         log_power=log_power, min_samples=min_samples)
@@ -417,7 +419,7 @@ def _run_distset_scan(cfg: ScanConfig, report: Report):
                                 ("polygon_like", "curved_like", "inconclusive"), None)
     alpha = cfg.get_float(sec, "alpha", None)
     if alpha is not None:
-        cfg.build(sec, "alpha", D.conversion_bound, body.dim, alpha)
+        cfg.build(sec, "alpha", D.conversion_bound, alpha)
     slack = cfg.get_float(sec, "slack", 0.1)
     family, fam_label = _distset_family(cfg, sec)
 
@@ -503,15 +505,15 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
         if exps is None:
             bits = max(1, int(round(math.log2(2 * m))))
             exps = [bits * j for j in range(1, depth + 1)]
+        # dims identical axes have N(eps)^dims boxes: dims times the axis slope
         dims = cfg.get_int(sec, "dims", 1, minimum=1)
         scales = [Fraction(1, 2 ** e) for e in exps]
-        target = iterate if dims == 1 else tuple([iterate] * dims)
-        dim_val = X.box_dim(target, scales)
+        dim_val = dims * cfg.build(sec, "box_exponents", X.box_dim, iterate, scales)
         report.fits["box_dim"] = {"value": dim_val, "dims": dims,
                                   "scales": [str(s) for s in scales]}
         _band_verdict(report, cfg, sec, "box_dim", dim_val)
         ladders = (cfg.build(sec, "energy_T", X.energy_ladders,
-                             cfg.build(sec, "m/depth", X.natural_measure, spec, dims=2),
+                             cfg.build(sec, "m/depth", X.natural_measure, spec),
                              gammas, T_list) if gammas else ())
         for gamma, ladder, expect in zip(gammas, ladders, expects):
             key = f"energy_gamma_{_num(gamma)}"
@@ -539,14 +541,14 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
 
     Counts distinct distances of S_q, covers the distance set of the
     matching diophantine stage, and compares the fitted growth exponent
-    against the conversion bound d/alpha.
+    against the conversion bound 2/alpha.
     """
     body = _body_from(cfg)
     sec = "convert"
     q_list = _q_list(cfg, sec)
     s = cfg.get_float(sec, "s", 1.0)
     alpha = cfg.get_float(sec, "alpha", 4.0 / 3.0)
-    cfg.build(sec, "alpha", D.conversion_bound, body.dim, alpha)
+    cfg.build(sec, "alpha", D.conversion_bound, alpha)
     slack = cfg.get_float(sec, "slack", 0.1)
     mode = cfg.get_choice(sec, "mode", _MODES, "float_tol")
     family, fam_label = _distset_family(cfg, sec)
@@ -556,8 +558,8 @@ def _run_convert_demo(cfg: ScanConfig, report: Report):
         S = family(q)
         cover = X.delta_cover(cfg.build(sec, "s", X.DioSpec, S, q, s), body, mode=mode)
         rows.append((q, cover.count, cover.total_length, cover.half_width))
-    grow = D.growth_fit(q_list, [r[1] for r in rows], S.dim, alpha=alpha, slack=slack)
-    dim_bound = s * grow.beta / S.dim
+    grow = D.growth_fit(q_list, [r[1] for r in rows], alpha=alpha, slack=slack)
+    dim_bound = s * grow.beta / 2
     report.tables["ladder"] = [
         {"q": int(q), "count": int(c), "cover_length": float(L),
          "half_width": float(h)} for q, c, L, h in rows]

@@ -1,10 +1,10 @@
 """Discrete point sets and distinct-distance statistics.
 
-Point sets are float arrays in R^d, optionally carrying an exact
-integer representation.  Distance sets come from one blocked pipeline
+Point sets are (n, 2) float arrays in the plane, optionally carrying an
+exact integer representation.  Distance sets come from one blocked pipeline
 in both modes: difference vectors, either all pairs or, for (rotated)
 lattices, the translation-invariance shortcut (the distances of the
-grid [0, q]^d are the gauge values of the difference grid [-q, q]^d,
+grid [0, q]^2 are the gauge values of the difference grid [-q, q]^2,
 with pair multiplicities recovered from the grid geometry), are mapped
 block by block to keys, each block keeps only its distinct keys with
 their multiplicities, and these merge as the blocks come, so memory is
@@ -37,12 +37,11 @@ _PAIR_CAP = 200_000_000
 # differ by far more than this unless genuinely equal.
 _DEDUP_RTOL = 1e-9
 
-# Hard caps on the lattice grid (q+1)^d, on the half difference grid
-# ((2q+1)^d - 1)/2 and on vectors x faces of exact polygon keys held in
-# Python integers, checked before anything is allocated.  The first two
-# admit q <= 2047 in the plane.
+# Hard caps on the lattice grid (q+1)^2 and on vectors x faces of exact
+# polygon keys held in Python integers, checked before anything is
+# allocated.  The lattice cap admits q <= 2047, which also bounds the half
+# difference grid ((2q+1)^2 - 1)/2 of a lattice to 8 384 512 < 2^23 vectors.
 _LATTICE_CAP = 1 << 22
-_DIFFERENCE_CAP = 1 << 23
 _FRACTION_CAP = 1 << 20
 
 # Exact int64 lattice keys in [0, top] are counted in one histogram of
@@ -51,21 +50,21 @@ _FRACTION_CAP = 1 << 20
 _HISTOGRAM_CAP = 1 << 20
 
 
-def _grid_size(q: int, d: int) -> int:
-    """(q+1)^d, the size of the grid [0, q]^d, once q and the cap are checked."""
+def _grid_size(q: int) -> int:
+    """(q+1)^2, the size of the grid [0, q]^2, once q and the cap are checked."""
     if q < 1:
         raise ValidationError("lattice needs q >= 1")
-    if (q + 1) ** d > _LATTICE_CAP:
-        raise BudgetError(f"(q+1)^d = {(q + 1) ** d} lattice points exceeds the cap of "
+    if (q + 1) ** 2 > _LATTICE_CAP:
+        raise BudgetError(f"(q+1)^2 = {(q + 1) ** 2} lattice points exceeds the cap of "
                           f"{_LATTICE_CAP}")
-    return (q + 1) ** d
+    return (q + 1) ** 2
 
 
-def _grid(q: int, d: int, dtype) -> np.ndarray:
-    """The integer grid [0, q]^d in lexicographic order, as ``dtype``."""
-    _grid_size(q, d)
-    axes = [np.arange(q + 1, dtype=dtype)] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+def _grid(q: int, dtype) -> np.ndarray:
+    """The integer grid [0, q]^2 in lexicographic order, as ``dtype``."""
+    _grid_size(q)
+    axis = np.arange(q + 1, dtype=dtype)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _unique_rows(pts: np.ndarray) -> np.ndarray:
@@ -78,19 +77,23 @@ def _unique_rows(pts: np.ndarray) -> np.ndarray:
 
 
 class PointSet:
-    """A finite point set with provenance.
+    """A finite planar point set with provenance.
 
-    Duplicate rows are removed.  Integer or Fraction input keeps an exact
-    copy for exact mode, deduplicated like the float points; distinct exact
+    Points are (n, 2); any other shape is a ValidationError.  Duplicate
+    rows are removed.  Integer or Fraction input keeps an exact copy for
+    exact mode, deduplicated like the float points; distinct exact
     points that round to one float point are a ValidationError, as both
     modes must count the same n points.  Only (rotated) lattices record the
     q (and angle) the fast path reads; they build their points on first read.
     """
 
+    dim = 2
+
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValidationError("points must be a nonempty (n, d) array")
+        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 2:
+            raise ValidationError(f"points must be a nonempty (n, 2) array, got shape "
+                                  f"{pts.shape}")
         bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
         if bad.size:
             raise ValidationError(f"points must be finite; row {bad[0]} is {pts[bad[0]].tolist()}")
@@ -105,7 +108,7 @@ class PointSet:
         # (float points, exact points): the exact ones an int ndarray, a list
         # of Fraction tuples or None; or a function that returns the pair
         self._rows = (_unique_rows(pts), exact)
-        self.n, self.dim = self._rows[0].shape
+        self.n = len(self._rows[0])
         if exact is not None and len(exact) != self.n:
             raise ValidationError(f"{len(exact)} distinct exact points round to "
                                   f"{self.n} distinct float points")
@@ -117,11 +120,11 @@ class PointSet:
         return cls(points)
 
     @classmethod
-    def _lattice(cls, q: int, d: int, rows, provenance: str, angle=None) -> "PointSet":
-        """The (q+1)^d distinct points of a (rotated) lattice grid, whose
+    def _lattice(cls, q: int, rows, provenance: str, angle=None) -> "PointSet":
+        """The (q+1)^2 distinct points of a (rotated) lattice grid, whose
         (points, exact) pair rows() builds when either is first read."""
-        S = cls(np.zeros((1, d)))
-        S.n, S._rows = _grid_size(q, d), rows
+        S = cls(np.zeros((1, 2)))
+        S.n, S._rows = _grid_size(q), rows
         S.provenance, S.q, S.angle = provenance, q, angle
         return S
 
@@ -132,7 +135,7 @@ class PointSet:
 
     @property
     def points(self) -> np.ndarray:
-        """The distinct points, (n, d) floats in lexicographic order."""
+        """The distinct points, (n, 2) floats in lexicographic order."""
         return self._built()[0]
 
     @property
@@ -140,20 +143,20 @@ class PointSet:
         return self._built()[1]
 
     def __repr__(self):
-        return f"PointSet({self.provenance}, n={self.n}, d={self.dim})"
+        return f"PointSet({self.provenance}, n={self.n})"
 
     def bounding_box(self):
         return self.points.min(axis=0), self.points.max(axis=0)
 
     @classmethod
-    def lattice(cls, q: int, d: int = 2) -> "PointSet":
-        """Integer grid Z^d cap [0, q]^d, exactly (q+1)^d points."""
+    def lattice(cls, q: int) -> "PointSet":
+        """Integer grid Z^2 cap [0, q]^2, exactly (q+1)^2 points."""
         def rows():
             # distinct and in lexicographic order already: no sort
-            grid = _grid(q, d, np.int64)
+            grid = _grid(q, np.int64)
             return grid.astype(float), grid
 
-        return cls._lattice(q, d, rows, "lattice")
+        return cls._lattice(q, rows, "lattice")
 
     @classmethod
     def rotated_lattice(cls, q: int, angle: float) -> "PointSet":
@@ -165,7 +168,7 @@ class PointSet:
         """
         c, s = math.cos(angle), math.sin(angle)
         R = np.array([[c, -s], [s, c]])
-        return cls._lattice(q, 2, lambda: (_unique_rows(_grid(q, 2, float) @ R.T), None),
+        return cls._lattice(q, lambda: (_unique_rows(_grid(q, float) @ R.T), None),
                             "rotated_lattice", angle)
 
     @classmethod
@@ -173,7 +176,7 @@ class PointSet:
         """Plane lattice grid with iid uniform jitter in [-max_jitter, max_jitter]^2."""
         if not 0 <= max_jitter < 0.5:
             raise ValidationError("max_jitter must lie in [0, 0.5) to keep points distinct")
-        grid = _grid(q, 2, float)
+        grid = _grid(q, float)
         rng = np.random.default_rng(seed)
         noise = rng.uniform(-max_jitter, max_jitter, size=grid.shape)
         S = cls(grid + noise)
@@ -223,8 +226,7 @@ class GrowthReport:
 
     beta reproduces the log-log least squares of counts against q over
     the largest three octaves of the scan (small q is boundary-biased).
-    d is the dimension of the counted point sets.  When alpha is supplied
-    the verdict checks beta >= d/alpha - slack.
+    When alpha is supplied the verdict checks beta >= 2/alpha - slack.
     min_gaps holds each q's min_gap when growth_scan counted the family;
     growth_fit, given counts only, leaves it None.
     """
@@ -233,7 +235,6 @@ class GrowthReport:
     counts: np.ndarray
     beta: float
     amplitude: float
-    d: int
     bound: Optional[float] = None
     verdict: Optional[bool] = None
     n_fit: int = 0
@@ -251,7 +252,6 @@ def well_distributed_check(S: PointSet, C: float) -> WellDistributedReport:
         raise ValidationError("cube side C must be positive")
     lo, hi = S.bounding_box()
     half = C / 2.0
-    d = S.dim
     # Number of candidate origins per axis: k = 0 .. floor((span - C)/half).
     kmax = np.floor((hi - lo - C) / half + 1e-12).astype(int)
     if np.any(kmax < 0):
@@ -263,13 +263,13 @@ def well_distributed_check(S: PointSet, C: float) -> WellDistributedReport:
     his = np.minimum(np.floor(t + 1e-12).astype(int), kmax) + 1
     keep = np.all(los < his, axis=1)
     los, his = los[keep], his[keep]
-    # difference array: +-1 at the 2^d corners of each point's index box,
-    # then a running sum along every axis counts the points covering a cube
+    # difference array: +-1 at the 4 corners of each point's index box,
+    # then a running sum along both axes counts the points covering a cube
     marks = np.zeros(tuple(k + 1 for k in shape), dtype=np.int32)
-    for corner in np.ndindex(*([2] * d)):
+    for corner in np.ndindex(2, 2):
         idx = tuple(his[:, j] if bit else los[:, j] for j, bit in enumerate(corner))
         np.add.at(marks, idx, (-1) ** sum(corner))
-    for axis in range(d):
+    for axis in (0, 1):
         np.cumsum(marks, axis=axis, out=marks)
     covered = marks[tuple(slice(k) for k in shape)] > 0
     if covered.all():
@@ -354,34 +354,29 @@ def _histogram(size: int):
     return reduce
 
 
-def _difference_rows(q: int, d: int, rows: range):
-    """Rows ``rows`` of the half difference grid: the vectors of [-q, q]^d
-    whose first nonzero coordinate is positive (one of each +-a pair), in
-    lexicographic order, with their unordered-pair multiplicities
-    prod_j (q + 1 - |a_j|) on [0, q]^d.
+def _difference_rows(q: int, rows: range):
+    """Rows ``rows`` of the half difference grid: the vectors (a, b) of
+    [-q, q]^2 whose first nonzero coordinate is positive (one of each +-
+    pair), in lexicographic order, with their unordered-pair multiplicities
+    (q + 1 - |a|)(q + 1 - |b|) on [0, q]^2.
 
-    Row i is entry ((2q+1)^d + 1)/2 + i of the full grid [-q, q]^d in
+    Row i is entry ((2q+1)^2 + 1)/2 + i of the full grid [-q, q]^2 in
     lexicographic order, the entries after its centre, the zero vector.
-    The rows cut a run of whole grid lines along the last axis: only the
-    leading coordinates of each line take a division.
+    The rows cut a run of whole grid lines along the second axis; line k
+    has first coordinate a = k - q.
     """
     base = 2 * q + 1
     n = len(rows)
-    first, skip = divmod(rows.start + (base ** d + 1) // 2, base)
-    lines = np.arange(first, first + -(-(skip + n) // base), dtype=np.int64)
-    # whole lines, the last coordinate running along each, then cut to rows
-    vecs = np.empty((len(lines), base, d), dtype=np.int64)
-    weights = np.empty((len(lines), base), dtype=np.int64)
+    first, skip = divmod(rows.start + (base * base + 1) // 2, base)
+    a = np.arange(first, first + -(-(skip + n) // base), dtype=np.int64) - q
     line = np.arange(-q, q + 1, dtype=np.int64)
-    vecs[:, :, -1] = line
-    weights[:] = q + 1 - np.abs(line)
-    for j in range(d - 2, -1, -1):
-        lines, a = np.divmod(lines, base)
-        a -= q
-        vecs[:, :, j] = a[:, None]
-        weights *= (q + 1 - np.abs(a))[:, None]
+    # whole lines, the second coordinate running along each, then cut to rows
+    vecs = np.empty((len(a), base, 2), dtype=np.int64)
+    vecs[:, :, 0] = a[:, None]
+    vecs[:, :, 1] = line
+    weights = (q + 1 - np.abs(a))[:, None] * (q + 1 - np.abs(line))
     take = slice(skip, skip + n)
-    return vecs.reshape(-1, d)[take], weights.reshape(-1)[take]
+    return vecs.reshape(-1, 2)[take], weights.reshape(-1)[take]
 
 
 def _cleared_faces(body: Polygon2D):
@@ -404,25 +399,19 @@ def _cleared_faces(body: Polygon2D):
     return [(nx * (L // c), ny * (L // c)) for nx, ny, c in faces], L
 
 
-def _key_width(body: ConvexBody, d: int) -> int:
-    """Entries one d-vector costs in a gauge or key buffer: a polygon's
-    faces, otherwise its coordinates."""
-    return len(body.vertices) if isinstance(body, Polygon2D) else d
-
-
 def _fits_int64(bound: int, what: str) -> None:
     """CapabilityError unless integers up to ``bound`` in absolute value fit int64."""
     if bound >= 1 << 63:
         raise CapabilityError(f"exact {what} reach {bound}, past the int64 bound 2^63")
 
 
-def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, d: int, n_vecs: int):
+def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
     """(fn, render, unit, top) for exact mode.
 
-    fn maps integer d-vectors, with coordinates at most ``reach`` in
+    fn maps integer 2-vectors, with coordinates at most ``reach`` in
     absolute value, to integer keys in the order of their distances: the
     squared Euclidean, l1 or linf norm for round balls and the disk, in
-    int64 (a CapabilityError where d reach^2, d reach or reach would pass
+    int64 (a CapabilityError where 2 reach^2, 2 reach or reach would pass
     it), and max_i M_i . x of ``_cleared_faces`` for a rational polygon,
     in int64 while that stays below 2^52 and in Python integers (at most
     ``_FRACTION_CAP`` vectors x faces) beyond.  render turns distinct keys
@@ -437,13 +426,13 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, d: int, n_vecs: i
         p = body.p if isinstance(body, LpBall) else 2
         s = float(scale) * (1.0 / float(axes[0]))
         if p == 2:
-            _fits_int64(d * reach * reach, "squared l2 keys")
+            _fits_int64(2 * reach * reach, "squared l2 keys")
             return (lambda v: np.einsum("ij,ij->i", v, v)), \
-                (lambda k: np.sqrt(k.astype(float)) * s), 1, d * reach * reach
+                (lambda k: np.sqrt(k.astype(float)) * s), 1, 2 * reach * reach
         if p == 1:
-            _fits_int64(d * reach, "l1 keys")
+            _fits_int64(2 * reach, "l1 keys")
             return (lambda v: np.abs(v).sum(axis=1)), (lambda k: k.astype(float) * s), 1, \
-                d * reach
+                2 * reach
         if math.isinf(p):
             return (lambda v: np.abs(v).max(axis=1)), (lambda k: k.astype(float) * s), 1, \
                 reach
@@ -497,8 +486,8 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
 
     One pipeline for both modes.  A producer cuts the difference vectors
     into blocks: for lattice and rotated-lattice provenance the half
-    difference grid with its pair weights (O(q^d) vectors instead of
-    O(q^{2d}) pairs), otherwise the pairs (i, j > i) by first index, capped
+    difference grid with its pair weights (O(q^2) vectors instead of
+    O(q^4) pairs), otherwise the pairs (i, j > i) by first index, capped
     at ``_PAIR_CAP`` pairs, with unit weights.  Each block maps its vectors
     to keys and returns the distinct keys with summed weights, merged with
     the earlier blocks' as they come, so memory is bounded by a block and
@@ -507,23 +496,16 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     keys within relative tolerance 1e-9; mode 'exact_rational' demands
     integer or rational points and an LpBall p in {1, 2, inf} or a
     rational-face Polygon2D, keys by integers and merges equal keys only.
-    A body whose dimension is not the points' is a ValidationError.
     """
     if mode not in ("exact_rational", "float_tol"):
         raise ValidationError(f"unknown mode {mode!r}; use exact_rational or float_tol")
-    if body.dim != S.dim:
-        raise ValidationError(f"body dimension {body.dim} does not match point "
-                              f"dimension {S.dim}")
     exact = mode == "exact_rational"
     if S.n < 2:
         return DistanceSet(np.empty(0), np.empty(0, dtype=np.int64), exact)
 
     lattice = S.q is not None  # set by the lattice and rotated lattice constructors
     if lattice:
-        n_vecs = ((2 * S.q + 1) ** S.dim - 1) // 2
-        if n_vecs > _DIFFERENCE_CAP:
-            raise BudgetError(f"{n_vecs} difference vectors exceeds the cap of "
-                              f"{_DIFFERENCE_CAP}")
+        n_vecs = ((2 * S.q + 1) ** 2 - 1) // 2  # below 2^23 under _LATTICE_CAP
     else:
         n_vecs = S.n * (S.n - 1) // 2
         if n_vecs > _PAIR_CAP:
@@ -532,17 +514,18 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     top = None
     if exact:
         if lattice and S.angle is None:
-            P, scale, reach = None, Fraction(1), S.q  # the integer grid [0, q]^d
+            P, scale, reach = None, Fraction(1), S.q  # the integer grid [0, q]^2
         else:
             P, scale = _exact_coords(S)
             # in Python integers: the int64 span of a column may wrap
             reach = max(int(c.max()) - int(c.min()) for c in P.T)
-        fn, render, unit, top = _exact_keys(body, scale, reach, S.dim, n_vecs)
+        fn, render, unit, top = _exact_keys(body, scale, reach, n_vecs)
     else:
         # the lattice path reads no points, so a lattice never builds them
         P, fn, render, unit = None if lattice else S.points, body.gauge, (lambda k: k), 1
-    # entries one vector costs in the key buffer
-    width = _key_width(body, S.dim) * unit
+    # entries one vector costs in the key buffer: a polygon's faces, otherwise
+    # its two coordinates, times the entries of one key
+    width = (len(body.vertices) if isinstance(body, Polygon2D) else 2) * unit
 
     def keyed(vecs, weights=None):
         """(key, weight) rows of the distinct keys of vecs, the keys computed
@@ -559,7 +542,7 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
         counted = top is not None and top < _HISTOGRAM_CAP
 
         def block(rows):
-            v, weights = _difference_rows(S.q, S.dim, rows)
+            v, weights = _difference_rows(S.q, rows)
             if counted:
                 return fn(v), weights
             if not exact:
@@ -603,21 +586,21 @@ def fit_window(q_values) -> np.ndarray:
     return window
 
 
-def conversion_bound(d: int, alpha: float) -> float:
-    """The growth exponent d/alpha that the conversion argument predicts."""
+def conversion_bound(alpha: float) -> float:
+    """The growth exponent 2/alpha that the conversion argument predicts."""
     if not 0 < alpha < math.inf:
         raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
-    return d / alpha
+    return 2 / alpha
 
 
-def growth_fit(q_values: Sequence[int], counts: Sequence[int], d: int, *,
+def growth_fit(q_values: Sequence[int], counts: Sequence[int], *,
                alpha: Optional[float] = None, slack: float = 0.1) -> GrowthReport:
     """Power-law fit of distinct-distance counts already computed per q.
 
     q_values must be strictly increasing.  The exponent beta comes from
     a log-log least-squares fit over the largest three octaves of q
     (small q carries boundary bias).  With alpha supplied,
-    verdict = (beta >= d/alpha - slack).
+    verdict = (beta >= 2/alpha - slack).
     """
     qs = np.asarray(q_values, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -631,9 +614,9 @@ def growth_fit(q_values: Sequence[int], counts: Sequence[int], d: int, *,
     beta = float(coef[1])
     bound = verdict = None
     if alpha is not None:
-        bound = conversion_bound(d, alpha)
+        bound = conversion_bound(alpha)
         verdict = bool(beta >= bound - slack)
-    return GrowthReport(qs, counts, beta, float(math.exp(coef[0])), d, bound, verdict,
+    return GrowthReport(qs, counts, beta, float(math.exp(coef[0])), bound, verdict,
                         int(window.sum()))
 
 
@@ -646,14 +629,14 @@ def growth_scan(family: Callable[[int], PointSet], body: ConvexBody,
     qs = sorted(set(int(q) for q in q_list))
     fit_window(qs)  # fail before counting anything
     if alpha is not None:
-        conversion_bound(1, alpha)
+        conversion_bound(alpha)
     counts, gaps = [], []
     for q in qs:
         S = family(q)
         ds = distance_set(S, body, mode, threads=threads)
         counts.append(ds.count)
         gaps.append(ds.min_gap)
-    report = growth_fit(qs, counts, S.dim, alpha=alpha, slack=slack)
+    report = growth_fit(qs, counts, alpha=alpha, slack=slack)
     report.min_gaps = np.array(gaps, dtype=np.float64)
     return report
 
@@ -663,10 +646,7 @@ def polygonality_probe(report: GrowthReport) -> str:
 
     Thresholds straddle the 3/2 dividing exponent with desk-scale
     slack: beta < 1.25 reads polygon_like, beta > 1.4 curved_like.
-    Reports of point sets in other dimensions than 2 are a CapabilityError.
     """
-    if report.d != 2:
-        raise CapabilityError("the polygonality probe is calibrated for d = 2")
     fit_window(report.q_values)
     if report.beta < 1.25:
         return "polygon_like"

@@ -19,7 +19,8 @@ class ConfigError(GaugedistError, ValueError):
 
 
 class CapabilityError(GaugedistError):
-    """Requested combination (body kind, dimension, mode) is not supported."""
+    """Requested combination (body kind, mode, exact data) is not supported;
+    never a dimension, as non-planar input is a ValidationError at construction."""
 
 
 class GeometryError(GaugedistError):

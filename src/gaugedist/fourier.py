@@ -128,13 +128,10 @@ def _transform(body: ConvexBody, rows: np.ndarray, kind: str,
                threads: int = 1) -> np.ndarray:
     if kind not in ("surface", "body"):
         raise ValidationError("kind must be 'surface' or 'body'")
-    if rows.shape[1] != body.dim:
-        raise ValidationError("xi dimension %d does not match body dimension %d"
-                              % (rows.shape[1], body.dim))
+    if rows.shape[1] != 2:
+        raise ValidationError(f"xi must be planar (two columns), got {rows.shape[1]}")
     if not np.all(np.isfinite(rows)):
         raise ValidationError("frequencies xi must be finite")
-    if body.dim != 2:
-        raise CapabilityError("transforms are planar only")
     poly = body.as_polygon()
     if poly is not None:
         return _polygon_ft(poly, rows, kind, threads)
@@ -278,8 +275,6 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
     A non-finite R is a ValidationError, and a rule that would evaluate more
     than ``_ANGULAR_CAP`` nodes a BudgetError, raised before any is built.
     """
-    if body.dim != 2:
-        raise CapabilityError("spherical averages are planar only")
     if p not in (1, 2):
         raise ValidationError("p must be 1 or 2")
     if not 0 <= R < math.inf:
@@ -463,8 +458,6 @@ class ChordBoundReport:
 
 
 def chord_bound_report(body: ConvexBody, t_values, n_theta: int = 64) -> ChordBoundReport:
-    if body.dim != 2:
-        raise CapabilityError("the chord bound report is planar only")
     t = np.sort(np.asarray(t_values, dtype=float).ravel())
     if np.any(t <= 0):
         raise ValidationError("t values must be positive")
@@ -522,8 +515,6 @@ class AnnulusBoundReport:
 
 def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
                          n_theta: int = 16) -> AnnulusBoundReport:
-    if body.dim != 2:
-        raise CapabilityError("the annulus bound report is planar only")
     R_values = np.asarray(R_values, dtype=float).ravel()
     xi_mags = np.sort(np.asarray(xi_mags, dtype=float).ravel())
     deltas = np.asarray(deltas, dtype=float).ravel()

@@ -196,7 +196,7 @@ def _grid_count_1d(iu: IntervalUnion, eps: Fraction) -> int:
 
 def _grid_count_points(pts: np.ndarray, eps: float) -> int:
     idx = np.floor(pts / eps).astype(np.int64)
-    # domain [0,1]^d: the upper face belongs to the last cell
+    # domain [0,1]^2: the upper face belongs to the last cell
     nmax = int(math.ceil(1.0 / eps - 1e-12))
     idx = np.minimum(idx, nmax - 1)
     return len(_unique_rows(idx))
@@ -210,8 +210,9 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
 
     Fits log N(eps) against log(1/eps) by least squares.  Interval
     unions (and product tuples of them) are counted exactly in rational
-    arithmetic; point sets are binned in floats on [0,1]^d, and one
-    outside it is a ValidationError.
+    arithmetic; point sets are binned in floats on [0,1]^2, and one
+    outside it is a ValidationError.  So is a count or a scale whose
+    reciprocal the float fit cannot hold.
     """
     eps_list = sorted(scales, reverse=True)
     if len(eps_list) < 3:
@@ -226,13 +227,18 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
     elif isinstance(obj, PointSet):
         lo, hi = obj.bounding_box()
         if lo.min() < 0.0 or hi.max() > 1.0:
-            raise ValidationError(f"box_dim bins point sets in [0, 1]^d; the bounding "
+            raise ValidationError(f"box_dim bins point sets in [0, 1]^2; the bounding "
                                   f"box is {lo.tolist()} to {hi.tolist()}")
         counts = [_grid_count_points(obj.points, float(eps)) for eps in eps_list]
     else:
         raise CapabilityError(f"cannot box-count {type(obj).__name__}")
-    x = np.log(1.0 / np.array([float(e) for e in eps_list]))
-    y = np.log(np.array(counts, dtype=float))
+    try:
+        with np.errstate(divide="raise", over="raise"):
+            x = np.log(1.0 / np.array([float(e) for e in eps_list]))
+            y = np.log(np.array(counts, dtype=float))
+    except (OverflowError, FloatingPointError):
+        raise ValidationError(f"box counts (the largest of {max(counts).bit_length()} bits) "
+                              f"or scales are past the float range") from None
     A = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(coef[1])
@@ -244,7 +250,7 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
 
 @dataclass(frozen=True)
 class DioSpec:
-    """Cubes of half-side q^{-d/s} at rational centers p/q, p in S."""
+    """Cubes of half-side q^{-2/s} at rational centers p/q, p in S."""
 
     S: PointSet
     q: int
@@ -253,20 +259,19 @@ class DioSpec:
     def __post_init__(self):
         if self.q < 1:
             raise ValidationError("q must be >= 1")
-        d = self.S.dim
-        if not 0 < self.s <= d:
-            raise ValidationError(f"s must lie in (0, {d}]")
+        if not 0 < self.s <= 2:
+            raise ValidationError("s must lie in (0, 2]")
 
     @property
     def half_side(self) -> float:
-        return float(self.q) ** (-self.S.dim / self.s)
+        return float(self.q) ** (-2 / self.s)
 
 
 @dataclass(frozen=True)
 class DioSet:
     """Finite-stage diophantine set: clipped cubes around center points.
 
-    disjoint reports the 2 q^{-d/s} < 1/q spacing diagnostic; the
+    disjoint reports the 2 q^{-2/s} < 1/q spacing diagnostic; the
     dimension count downstream assumes near-disjointness, overlap is
     merely merged.
     """
@@ -290,12 +295,12 @@ class DioSet:
 
 
 def dio_build(spec: DioSpec) -> DioSet:
-    """Cubes |x_j - p_j/q| <= q^{-d/s} for p in S cap [0,q]^d, clipped to [0,1]^d."""
+    """Cubes |x_j - p_j/q| <= q^{-2/s} for p in S cap [0,q]^2, clipped to [0,1]^2."""
     pts = spec.S.points
     inside = np.all((pts >= -1e-12) & (pts <= spec.q + 1e-12), axis=1)
     centers = pts[inside] / spec.q
     if len(centers) == 0:
-        raise ValidationError("no generator points inside [0, q]^d")
+        raise ValidationError("no generator points inside [0, q]^2")
     h = spec.half_side
     disjoint = 2.0 * h < 1.0 / spec.q
     return DioSet(spec, centers, h, disjoint)
@@ -315,12 +320,6 @@ class DeltaCover:
     total_length: float
 
 
-def _corner_gauge(body: ConvexBody, d: int) -> float:
-    """max gauge over the unit sup-norm cube; attained at a corner by convexity."""
-    corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
-    return float(np.max(body.gauge(corners)))
-
-
 def delta_cover(spec: DioSpec, body: ConvexBody, *, mode: str = "float_tol") -> DeltaCover:
     """Cover the K-distance set of the cube family by one window per value.
 
@@ -330,8 +329,9 @@ def delta_cover(spec: DioSpec, body: ConvexBody, *, mode: str = "float_tol") -> 
     """
     ds = distance_set(spec.S, body, mode)
     h = spec.half_side
-    g = _corner_gauge(body, spec.S.dim)
-    half_w = 2.0 * h * g
+    # the largest gauge over the unit sup-norm square, at a corner by convexity
+    corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    half_w = 2.0 * h * float(np.max(body.gauge(corners)))
     vals = ds.values / spec.q
     lo, hi = _merge(np.maximum(vals - half_w, 0.0), vals + half_w)
     total = float(sum((hi - lo).tolist()))  # in order: numpy's pairwise sum rounds differently
@@ -344,24 +344,23 @@ def delta_cover(spec: DioSpec, body: ConvexBody, *, mode: str = "float_tol") -> 
 
 @dataclass
 class AtomicMeasure:
-    """Finitely many atoms with positive weights summing to 1."""
+    """Finitely many planar atoms, (n, 2), with positive weights summing to 1."""
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = np.asarray(self.points, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != 2:
+            raise ValidationError(f"atoms must be an (n, 2) array, got shape "
+                                  f"{self.points.shape}")
         if len(self.weights) != len(self.points):
             raise ValidationError("one weight per atom required")
         if np.any(self.weights <= 0):
             raise ValidationError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValidationError("weights must sum to 1")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     def mass(self):
         return float(self.weights.sum())
@@ -382,23 +381,23 @@ class AtomicMeasure:
 
 
 class CantorMeasure(AtomicMeasure):
-    """Uniform weights on the depth-n cell centers of a Cantor product.
+    """Uniform weights on the depth-n cell centers of the Cantor square C x C.
 
     Per axis the centers are c + sum_k (2 j_k - m + 1) / base^k, j_k < m,
     around their mean c: a convolution of n symmetric digit measures, so
     the transform is the Riesz product e(-c xi) prod_k (1/m) sum_j
     cos(2 pi (2j - m + 1) xi / base^k), with e(t) = exp(2 pi i t).  That
-    is n m cosines per axis instead of m^(n d) atoms.
+    is n m cosines per axis instead of m^(2 n) atoms.
     """
 
-    def __init__(self, spec: CantorSpec, dims: int = 1):
-        n_atoms = spec.cell_count ** dims
+    def __init__(self, spec: CantorSpec):
+        n_atoms = spec.cell_count ** 2
         if n_atoms > _MAX_ATOMS:
             raise BudgetError(f"atom count {n_atoms} exceeds the cap of {_MAX_ATOMS}")
         self.spec = spec
         centers = (_digit_numerators(spec) + 0.5) / spec.base ** spec.depth
-        grids = np.meshgrid(*([centers] * dims), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = np.stack([g.ravel() for g in np.meshgrid(centers, centers, indexing="ij")],
+                       axis=-1)
         super().__init__(pts, np.full(n_atoms, 1.0 / n_atoms))
 
     def mass(self) -> Fraction:
@@ -417,9 +416,9 @@ class CantorMeasure(AtomicMeasure):
         return amp * np.exp(-2j * np.pi * center * xi.sum(axis=1))
 
 
-def natural_measure(spec: CantorSpec, dims: int = 1) -> CantorMeasure:
-    """Uniform weights on depth-n cell centers (product across dims axes)."""
-    return CantorMeasure(spec, dims)
+def natural_measure(spec: CantorSpec) -> CantorMeasure:
+    """Uniform weights on the depth-n cell centers of C x C."""
+    return CantorMeasure(spec)
 
 
 def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[float]):
@@ -428,11 +427,8 @@ def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[floa
     gamma enters only the radial weight, so |mu-hat|^2 is evaluated once
     per T and reused; all grids are checked against the cap before any is built.
     """
-    d = mu.dim
-    if d != 2:
-        raise CapabilityError("energy integrals are evaluated in d = 2 only")
-    if not all(0 < g < d for g in gammas):
-        raise ValidationError(f"gamma must lie in (0, {d})")
+    if not all(0 < g < 2 for g in gammas):
+        raise ValidationError("gamma must lie in (0, 2)")
     if min(Ts) <= 1:
         raise ValidationError("T must exceed 1")
     # diam(support) <= sqrt(2) on the unit square: ~8 radial nodes per unit
@@ -459,7 +455,7 @@ def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[floa
 def energy_integral(mu: AtomicMeasure, gamma: float, T: float) -> float:
     """integral of |xi|^{-gamma} |mu-hat|^2 over the annulus 1 <= |xi| <= T.
 
-    Polar-grid quadrature in d = 2; the unit ball is excluded so the
+    Polar-grid quadrature in the plane; the unit disk is excluded so the
     integrable singularity cannot contaminate trend reads.  Atomic
     measures make this a trend instrument, not a convergence test.
     """

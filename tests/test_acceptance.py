@@ -292,7 +292,7 @@ def test_criterion_09_cantor_identities():
 def test_criterion_10_energy_trends():
     point = AtomicMeasure([[0.3, 0.4]], [1.0])
     ratio = energy_integral(point, 1.0, 64.0) / energy_integral(point, 1.0, 32.0)
-    mu = natural_measure(CantorSpec(2, 8), dims=2)
+    mu = natural_measure(CantorSpec(2, 8))
     low = energy_ladder(mu, 0.8, [16.0, 32.0, 64.0])
     high = energy_ladder(mu, 1.2, [16.0, 32.0, 64.0])
     ok = (abs(ratio - 2.0) <= 0.2 and low.trend == "growth"

@@ -361,6 +361,8 @@ _PROBES = [
     ("fractal", "build", "[fractal]\nm = 10\ndepth = 8\n", "[fractal] m/depth"),
     ("fractal", "build", "[fractal]\nenergy_gammas = 0.8\nenergy_T = 16 32 5000\n",
      "[fractal] energy_T"),
+    ("fractal", "build", "[fractal]\nbox_exponents = 2 4 2000\n", "[fractal] box_exponents"),
+    ("body", "inspect", "[run]\nseed = -1\n[body]\nkind = disk\n", "[run] seed"),
 ]
 
 
@@ -381,6 +383,31 @@ def test_threads_flag_must_be_positive(tmp_path, capsys):
                "--threads", "0"])
     assert rc == 1
     assert "--threads: must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_seed_flag_must_be_nonnegative(tmp_path, capsys):
+    # a negative seed used to reach np.random.default_rng and end in a traceback
+    path = _cfg(tmp_path, "[run]\nexperiment = body\n[body]\nkind = disk\n")
+    rc = main(["body", "inspect", "--config", path, "--out", str(tmp_path / "a"),
+               "--seed", "-1"])
+    assert rc == 1
+    assert "error: --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not any((tmp_path / "a").glob("*.json"))
+
+
+def test_fractal_box_dim_of_many_axes(tmp_path):
+    # dims identical axes have dims times the slope of one; dims = 200 used
+    # to overflow the float box counts of the product, 256^200 at depth 8
+    fits = []
+    for dims in (1, 200):
+        path = _cfg(tmp_path, f"[run]\nexperiment = fractal\n[fractal]\nm = 2\ndepth = 8\n"
+                              f"dims = {dims}\n", name=f"{dims}.ini")
+        out = tmp_path / str(dims)
+        assert main(["fractal", "build", "--config", path, "--out", str(out)]) == 0
+        doc = json.loads((out / "fractal_build.json").read_text())
+        fits.append(doc["fits"]["box_dim"])
+    assert fits[1]["dims"] == 200
+    assert fits[1]["value"] == 200 * fits[0]["value"]
 
 
 _Q_LIST_CASES = [
@@ -443,6 +470,22 @@ def test_geometric_grids_capped_before_allocating(tmp_path, capsys, group, actio
         tracemalloc.stop()
     assert rc == 1
     assert (f"{path}: [{group}] {key}: {n} grid points exceeds the cap of {_SCAN_CAP}"
+            in capsys.readouterr().err)
+    assert peak < 1 << 20
+
+
+def test_inspect_n_theta_capped_before_allocating(tmp_path, capsys):
+    n = _SCAN_CAP + 1
+    path = _cfg(tmp_path, f"[run]\nexperiment = body\n[body]\nkind = disk\n"
+                          f"[inspect]\nn_theta = {n}\ncurvature = off\n")
+    tracemalloc.start()
+    try:
+        rc = main(["body", "inspect", "--config", path, "--out", str(tmp_path / "a")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert (f"{path}: [inspect] n_theta: {n} directions exceeds the cap of {_SCAN_CAP}"
             in capsys.readouterr().err)
     assert peak < 1 << 20
 

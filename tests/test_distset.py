@@ -12,8 +12,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gaugedist import (
+    AtomicMeasure,
     BudgetError,
     CapabilityError,
+    Ellipsoid,
     InsufficientDataError,
     LpBall,
     Polygon2D,
@@ -34,18 +36,18 @@ from gaugedist import (
 )
 from gaugedist import _blocks, distset
 from gaugedist._blocks import _BLOCK_ENTRIES
-from gaugedist.distset import (_DIFFERENCE_CAP, _FRACTION_CAP, _HISTOGRAM_CAP, _LATTICE_CAP,
-                               _cleared_faces, _difference_rows)
+from gaugedist.distset import (_FRACTION_CAP, _HISTOGRAM_CAP, _LATTICE_CAP, _cleared_faces,
+                               _difference_rows)
 
 linf = LpBall(np.inf, (1.0, 1.0))
 l1 = LpBall(1.0, (1.0, 1.0))
 
 
 def test_lattice_point_count():
-    for q, d in [(4, 2), (9, 2), (3, 3)]:
-        S = PointSet.lattice(q, d)
-        assert S.n == (q + 1) ** d
-        assert S.dim == d
+    for q in (1, 4, 9):
+        S = PointSet.lattice(q)
+        assert S.n == (q + 1) ** 2
+        assert S.dim == 2
 
 
 def test_lattice_points_match_sorted_unique_grid():
@@ -53,14 +55,13 @@ def test_lattice_points_match_sorted_unique_grid():
     # is the oracle for its order and its distinctness
     rng = np.random.default_rng(4)
     for q in (1, 2, 7, 64):
-        for d in (1, 2, 3):
-            grid = np.array(list(itertools.product(range(q + 1), repeat=d)), dtype=float)
-            want = np.unique(grid[rng.permutation(len(grid))], axis=0)
-            S = PointSet.lattice(q, d)
-            assert S.points.dtype == want.dtype and S.points.shape == want.shape
-            assert S.points.tobytes() == want.tobytes(), (q, d)
-            assert S.n == len(want)
-            assert np.array_equal(S._exact, want.astype(np.int64))
+        grid = np.array(list(itertools.product(range(q + 1), repeat=2)), dtype=float)
+        want = np.unique(grid[rng.permutation(len(grid))], axis=0)
+        S = PointSet.lattice(q)
+        assert S.points.dtype == want.dtype and S.points.shape == want.shape
+        assert S.points.tobytes() == want.tobytes(), q
+        assert S.n == len(want)
+        assert np.array_equal(S._exact, want.astype(np.int64))
 
 
 def test_explicit_dedup():
@@ -116,10 +117,10 @@ def test_exact_round_ball_keys_past_int64_rejected():
     with pytest.raises(CapabilityError, match=r"squared l2 keys reach .* bound 2\^63"):
         distance_set(S, LpBall(2.0), "exact_rational")
     # differences past 2^63 wrapped as well, and so did np.ptp over them
-    S = PointSet.explicit([[0], [2**62], [-2**62]])
-    assert distance_set(S, LpBall(np.inf, (1.0,))).count == 2
+    S = PointSet.explicit([[0, 0], [2**62, 0], [-2**62, 0]])
+    assert distance_set(S, linf).count == 2
     with pytest.raises(CapabilityError, match=f"coordinate differences reach {2**63},"):
-        distance_set(S, LpBall(np.inf, (1.0,)), "exact_rational")
+        distance_set(S, linf, "exact_rational")
     with pytest.raises(CapabilityError, match="l1 keys reach"):
         distance_set(PointSet.explicit([[0, 0], [2**62, 0], [0, 2**62]]), l1, "exact_rational")
     # an unsigned coordinate past int64 used to wrap in the exact copy
@@ -297,14 +298,13 @@ def test_point_set_structure_comes_from_its_constructor():
     sets = [PointSet(ints), PointSet.explicit(ints),
             PointSet([(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(2, 7)),
                       (Fraction(1, 3), Fraction(2, 7))]),
-            PointSet.lattice(6), PointSet.lattice(3, 3), PointSet.rotated_lattice(6, 0.3),
+            PointSet.lattice(6), PointSet.rotated_lattice(6, 0.3),
             PointSet.perturbed_lattice(6, 2, 0.2)]
-    assert [(S.provenance, S.q, S.angle) for S in sets[-4:]] == [
-        ("lattice", 6, None), ("lattice", 3, None), ("rotated_lattice", 6, 0.3),
-        ("perturbed_lattice", None, None)]
+    assert [(S.provenance, S.q, S.angle) for S in sets[-3:]] == [
+        ("lattice", 6, None), ("rotated_lattice", 6, 0.3), ("perturbed_lattice", None, None)]
     assert all((S.provenance, S.q, S.angle) == ("explicit", None, None) for S in sets[:3])
     for S in sets:
-        ds = distance_set(S, LpBall(np.inf, (1.0,) * S.dim))
+        ds = distance_set(S, linf)
         assert ds.multiplicities.sum() == S.n * (S.n - 1) // 2
         assert ds.count == len(ds.values)
         assert ds.min_gap == float(np.min(np.diff(ds.values)))
@@ -362,10 +362,9 @@ def _covered_by_loop(S, C):
 def test_well_distributed_matches_point_loop():
     rng = np.random.default_rng(7)
     cases = [(PointSet.lattice(16), 1.5), (PointSet.perturbed_lattice(20, 4, 0.45), 1.2),
-             (PointSet.rotated_lattice(12, 0.7), 1.1), (PointSet.lattice(5, 3), 1.5)]
+             (PointSet.rotated_lattice(12, 0.7), 1.1)]
     cases += [(PointSet.explicit(rng.uniform(0, 10, size=(n, 2))), C)
               for n in (30, 120, 400) for C in (0.7, 1.3, 2.5)]
-    cases += [(PointSet.explicit(rng.uniform(0, 4, size=(60, 3))), 1.0)]
     verdicts = set()
     for S, C in cases:
         lo, half, covered = _covered_by_loop(S, C)
@@ -406,7 +405,7 @@ def test_separated_check_matches_brute_force():
     rng = np.random.default_rng(11)
     triples = np.array([[0, 0], [3, 4], [6, 8], [9, 12], [4, -3], [-3, 4]], dtype=float)
     cases = [(rng.uniform(0, 10, size=(n, 2)), c) for n in (2, 3, 17, 200) for c in (0.1, 0.5)]
-    cases += [(rng.uniform(0, 1, size=(150, 3)), 0.05),
+    cases += [(rng.uniform(0, 1, size=(150, 2)), 0.05),
               # repeated rows collapse in PointSet
               (np.repeat(rng.integers(0, 6, size=(40, 2)), 3, axis=0).astype(float), 1.0),
               # points exactly c apart, at several scales
@@ -452,16 +451,6 @@ def test_growth_scan_disk_curved():
     assert polygonality_probe(rep) == "curved_like"
 
 
-def test_polygonality_probe_reads_the_report_dimension():
-    # the probe's thresholds are planar; a 3-d report (beta near 2 here)
-    # is refused rather than classified
-    rep = growth_scan(lambda q: PointSet.lattice(q, 3), LpBall(2.0, (1.0,) * 3), [2, 4, 8, 16])
-    assert rep.d == 3
-    with pytest.raises(CapabilityError, match="calibrated for d = 2"):
-        polygonality_probe(rep)
-    assert growth_fit([4, 8, 16, 32], [4, 8, 16, 32], 2).d == 2
-
-
 def test_min_gap_trend_nonincreasing():
     rep = growth_scan(PointSet.lattice, disk(), [4, 8, 16, 32])
     assert rep.q_values.tolist() == [4, 8, 16, 32]
@@ -500,7 +489,7 @@ def test_row_dedupe_matches_np_unique():
         (PointSet.perturbed_lattice(q, 5, 0.3), ij + noise),
     ]
     rng = np.random.default_rng(1)
-    for raw in (rng.integers(-3, 4, size=(500, 2)), rng.integers(0, 2, size=(40, 3)),
+    for raw in (rng.integers(-3, 4, size=(500, 2)), rng.integers(0, 2, size=(40, 2)),
                 np.repeat(rng.normal(size=(30, 2)), 3, axis=0)[rng.permutation(90)]):
         cases.append((PointSet.explicit(raw), raw.astype(float)))
     for S, raw in cases:
@@ -535,57 +524,46 @@ def test_lattice_families_match_deduped_lattice_construction():
         assert PointSet.perturbed_lattice(q, 5, 0.3).points.tobytes() == perturbed.points.tobytes()
 
 
-def _full_grid_half(q, d):
-    axes = [np.arange(-q, q + 1)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    keep = np.zeros(len(grid), dtype=bool)
-    decided = np.zeros(len(grid), dtype=bool)
-    for j in range(d):
-        keep |= ~decided & (grid[:, j] > 0)
-        decided |= grid[:, j] != 0
-    grid = grid[keep]
+def _full_grid_half(q):
+    axis = np.arange(-q, q + 1)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = grid[(grid[:, 0] > 0) | ((grid[:, 0] == 0) & (grid[:, 1] > 0))]
     return grid, np.prod(q + 1 - np.abs(grid), axis=1).astype(np.int64)
 
 
-def _divmod_difference_rows(q, d, rows):
-    """_difference_rows as it was: every coordinate of every row from a
+def _divmod_difference_rows(q, rows):
+    """_difference_rows row by row: both coordinates of every row from a
     divmod of its index in the full grid."""
     base = 2 * q + 1
-    idx = np.arange(rows.start, rows.stop, dtype=np.int64) + (base ** d + 1) // 2
-    vecs = np.empty((len(idx), d), dtype=np.int64)
-    weights = np.ones(len(idx), dtype=np.int64)
-    for j in range(d - 1, -1, -1):
-        idx, a = np.divmod(idx, base)
-        a -= q
-        vecs[:, j] = a
-        weights *= q + 1 - np.abs(a)
-    return vecs, weights
+    idx = np.arange(rows.start, rows.stop, dtype=np.int64) + (base * base + 1) // 2
+    a, b = np.divmod(idx, base)
+    vecs = np.stack([a - q, b - q], axis=1)
+    return vecs, np.prod(q + 1 - np.abs(vecs), axis=1)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("q", [1, 2, 5])
-def test_half_difference_grid_matches_full_grid_filter(q, d):
-    want_grid, want_weights = _full_grid_half(q, d)
-    n_vecs = ((2 * q + 1) ** d - 1) // 2
-    grid, weights = _difference_rows(q, d, range(n_vecs))
+def test_half_difference_grid_matches_full_grid_filter(q):
+    want_grid, want_weights = _full_grid_half(q)
+    n_vecs = ((2 * q + 1) ** 2 - 1) // 2
+    grid, weights = _difference_rows(q, range(n_vecs))
     assert grid.dtype == want_grid.dtype and weights.dtype == want_weights.dtype
     np.testing.assert_array_equal(grid, want_grid)
     np.testing.assert_array_equal(weights, want_weights)
-    # every unordered pair of [0, q]^d is counted once
-    n = (q + 1) ** d
+    # every unordered pair of [0, q]^2 is counted once
+    n = (q + 1) ** 2
     assert weights.sum() == n * (n - 1) // 2
     # any split of the rows concatenates to the whole half grid, each part
     # with the bits of the per-row divmod form; the parts start and stop
     # inside grid lines, on their ends, and across several
     for step in (1, 3, 7, 2 * q, 2 * q + 1, 2 * q + 2):
         ranges = [range(a, min(a + step, n_vecs)) for a in range(0, n_vecs, step)]
-        parts = [_difference_rows(q, d, rows) for rows in ranges]
+        parts = [_difference_rows(q, rows) for rows in ranges]
         np.testing.assert_array_equal(np.concatenate([v for v, _ in parts]), want_grid)
         np.testing.assert_array_equal(np.concatenate([w for _, w in parts]), want_weights)
         for rows, part in zip(ranges, parts):
-            for got, old in zip(part, _divmod_difference_rows(q, d, rows)):
+            for got, old in zip(part, _divmod_difference_rows(q, rows)):
                 assert got.dtype == old.dtype and got.shape == old.shape
-                assert got.tobytes() == old.tobytes(), (q, d, rows)
+                assert got.tobytes() == old.tobytes(), (q, rows)
 
 
 def test_growth_fit_matches_growth_scan(rng):
@@ -595,7 +573,7 @@ def test_growth_fit_matches_growth_scan(rng):
         scan = growth_scan(PointSet.lattice, body, [32, 8, 16, 4, 8], alpha=alpha,
                            mode=mode)
         sets = [distance_set(PointSet.lattice(q), body, mode) for q in qs]
-        fit = growth_fit(qs, [ds.count for ds in sets], 2, alpha=alpha)
+        fit = growth_fit(qs, [ds.count for ds in sets], alpha=alpha)
         for name in ("beta", "amplitude", "bound", "verdict", "n_fit"):
             assert getattr(fit, name) == getattr(scan, name), name
         np.testing.assert_array_equal(fit.q_values, scan.q_values)
@@ -609,16 +587,16 @@ def test_growth_fit_matches_growth_scan(rng):
 
 def test_growth_fit_input_checks():
     with pytest.raises(ValidationError):
-        growth_fit([8, 4, 16, 64], [1, 2, 3, 4], 2)
+        growth_fit([8, 4, 16, 64], [1, 2, 3, 4])
     with pytest.raises(ValidationError):
-        growth_fit([4, 8, 16, 32], [1, 2, 3], 2)
+        growth_fit([4, 8, 16, 32], [1, 2, 3])
     with pytest.raises(InsufficientDataError):
-        growth_fit([4, 8, 16], [1, 2, 3], 2)
+        growth_fit([4, 8, 16], [1, 2, 3])
     with pytest.raises(InsufficientDataError):  # one point in the fit window
-        growth_fit([1, 2, 1000], [1, 2, 3], 2)
+        growth_fit([1, 2, 1000], [1, 2, 3])
     for alpha in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValidationError, match="alpha must be positive and finite"):
-            growth_fit([4, 8, 16, 32], [1, 2, 3, 4], 2, alpha=alpha)
+            growth_fit([4, 8, 16, 32], [1, 2, 3, 4], alpha=alpha)
         with pytest.raises(ValidationError, match="alpha must be positive and finite"):
             growth_scan(PointSet.lattice, disk(), [4, 8, 16, 32], alpha=alpha)
 
@@ -631,22 +609,19 @@ def test_lattice_grids_capped_before_allocating():
                 build(10**6)
             with pytest.raises(ValidationError, match="lattice needs q >= 1"):
                 build(0)
-        # (2 * 128 + 1)^3 // 2 = 8 487 296 difference vectors, past the cap of
-        # 2^23, from a grid of 129^3 points, within the lattice cap; the
-        # lattice builds no points, so only the cap keeps memory bounded
-        huge = PointSet.lattice(128, 3)
-        for mode in ("float_tol", "exact_rational"):
-            with pytest.raises(BudgetError, match=f"cap of {_DIFFERENCE_CAP}"):
-                distance_set(huge, LpBall(2.0, (1.0,) * 3), mode)
+            # the cap admits q = 2047 and refuses q = 2048; the lattice
+            # builds no points until they are read
+            assert build(2047).n == 2048 ** 2
+            with pytest.raises(BudgetError, match=f"4198401 lattice points exceeds the cap "
+                                                  f"of {_LATTICE_CAP}"):
+                build(2048)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # both caps admit q = 2047 in the plane and nothing larger
+    # so no admitted lattice has a half difference grid of 2^23 vectors
     assert (2047 + 1) ** 2 <= _LATTICE_CAP < (2048 + 1) ** 2
-    assert ((2 * 2047 + 1) ** 2 - 1) // 2 <= _DIFFERENCE_CAP < ((2 * 2048 + 1) ** 2 - 1) // 2
-    with pytest.raises(BudgetError):
-        PointSet.lattice(8, d=8)
+    assert ((2 * 2047 + 1) ** 2 - 1) // 2 < 1 << 23
 
 
 def _fine_rational_polygon(n=64, den=10**6):
@@ -763,7 +738,7 @@ def _reference_distance_set(S, body, mode):
     here rows x faces, not by Polygon2D.gauge, whose faces x rows layout
     must give the same bits."""
     if S.provenance in ("lattice", "rotated_lattice"):
-        diffs, w = _full_grid_half(S.q, S.dim)
+        diffs, w = _full_grid_half(S.q)
         vecs, den = diffs.astype(float), 1
         if S.angle is not None:
             c, s = math.cos(S.angle), math.sin(S.angle)
@@ -849,20 +824,22 @@ _SETS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["float_tol", "exact_rational"])
-def test_distance_set_rejects_mismatched_dimensions(mode):
-    # planar bodies on a 3-d lattice used to count 3-d keys in exact mode and
-    # fail with bare numpy errors in float mode
-    cube = PointSet.lattice(5, 3)
-    for body in _EXACT_BODIES:
-        with pytest.raises(ValidationError,
-                           match="body dimension 2 does not match point dimension 3"):
-            distance_set(cube, body, mode)
-    # the pair path: a 1-d set under the disk, a 3-d ball on integer points
-    with pytest.raises(ValidationError, match="body dimension 2 does not match point dimension 1"):
-        distance_set(PointSet.explicit([[0], [3], [7]]), disk(), mode)
-    with pytest.raises(ValidationError, match="body dimension 3 does not match point dimension 2"):
-        distance_set(PointSet.explicit([[0, 0], [1, 2], [3, 1]]), LpBall(2.0, (1.0,) * 3), mode)
+def test_non_planar_input_rejected_at_construction():
+    # bodies, point sets and measures are planar by construction, so no
+    # later call compares dimensions
+    with pytest.raises(ValidationError, match="two semi-axes expected, got 3"):
+        Ellipsoid((1, 1, 1))
+    with pytest.raises(ValidationError, match="two semi-axes expected, got 3"):
+        LpBall(2.0, (1.0,) * 3)
+    with pytest.raises(ValidationError, match="two semi-axes expected, got 1"):
+        LpBall(math.inf, (1.0,))
+    for pts in ([[0], [3]], [[0, 0, 0], [1, 2, 3]], [(Fraction(1, 3),), (Fraction(0),)]):
+        with pytest.raises(ValidationError, match=r"nonempty \(n, 2\) array"):
+            PointSet(pts)
+    with pytest.raises(ValidationError, match=r"atoms must be an \(n, 2\) array"):
+        AtomicMeasure([[0.3]], [1.0])
+    with pytest.raises(ValidationError, match=r"atoms must be an \(n, 2\) array"):
+        AtomicMeasure([0.3, 0.4], [1.0])
 
 
 @pytest.mark.parametrize("mode, family", [("float_tol", f) for f in _SETS]

@@ -644,20 +644,16 @@ def test_panel_buckets_capped_before_allocating():
 
 
 def test_capability_errors():
-    with pytest.raises(CapabilityError):
-        surface_ft(LpBall(1.0, (1.0, 1.0, 1.0)), np.zeros((1, 3)))
+    # frequencies are caller input: three columns are refused, not truncated
     xi = np.array([[0.0, 0.0, 0.0], [0.5, -1.0, 2.0]])
-    for body in (Ellipsoid((1.0, 1.0, 1.0)), LpBall(2.0, (1.0,) * 3),
-                 LpBall(math.inf, (1.0,) * 3)):
+    for body in (Ellipsoid((1.0, 1.0)), LpBall(2.0), LpBall(math.inf), square()):
         for ft in (body_ft, surface_ft):
-            with pytest.raises(CapabilityError, match="transforms are planar only"):
+            with pytest.raises(ValidationError, match="xi must be planar"):
                 ft(body, xi)
-    with pytest.raises(CapabilityError, match="transforms are planar only"):
-        annulus_ft(Ellipsoid((1.0, 1.0, 1.0)), xi, AnnulusSpec(10.0, 0.5))
+    with pytest.raises(ValidationError, match="xi must be planar"):
+        annulus_ft(disk(), xi, AnnulusSpec(10.0, 0.5))
     # a planar body outside the polygon, ellipse and 1 < p < inf families
     blob = type("Blob", (ConvexBody,), {"dim": 2})()
     for ft in (body_ft, surface_ft):
         with pytest.raises(CapabilityError, match="no planar transform for Blob"):
             ft(blob, [1.0, 2.0])
-    with pytest.raises(CapabilityError):
-        spherical_average(LpBall(2.0, (1.0, 1.0, 1.0)), 4.0)

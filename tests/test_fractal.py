@@ -310,6 +310,16 @@ def test_box_dim_guards():
             box_dim(obj, scales)
 
 
+def test_box_dim_rejects_counts_and_scales_past_the_float_range():
+    iu = cantor_build(CantorSpec(2, 8))
+    # at 2^-2000 the count has 1 992 bits; at 2^-1030 the count fits a float
+    # but the reciprocal scale does not
+    for top in (2000, 1030):
+        with pytest.raises(ValidationError, match="past the float range"):
+            box_dim(iu, [Fraction(1, 2**e) for e in (2, 4, top)])
+    assert box_dim(iu, [Fraction(1, 2**e) for e in (2, 4, 1000)]) > 0.0
+
+
 def test_box_dim_rejects_point_set_outside_unit_cube():
     with pytest.raises(ValidationError, match=r"bounding box is \[0.0, 0.0\] to \[8.0, 8.0\]"):
         box_dim(PointSet.lattice(8), [0.5, 0.25, 0.125])
@@ -403,20 +413,17 @@ def test_delta_cover_covers_cube_distances(rng):
 
 def test_natural_measure_counts():
     mu = natural_measure(CantorSpec(m=2, depth=2))
-    assert len(mu.points) == 4
+    assert mu.points.shape == (16, 2)
     assert mu.mass() == Fraction(1)
-    assert np.allclose(mu.weights, 0.25)
-    prod = natural_measure(CantorSpec(m=2, depth=2), dims=2)
-    assert len(prod.points) == 16
-    assert prod.mass() == Fraction(1)
+    assert np.allclose(mu.weights, 1 / 16)
     # the product keeps its Cantor structure, so ft takes the Riesz product
-    assert isinstance(prod, CantorMeasure)
-    assert prod.spec == CantorSpec(m=2, depth=2)
+    assert isinstance(mu, CantorMeasure)
+    assert mu.spec == CantorSpec(m=2, depth=2)
 
 
 def test_natural_measure_atom_budget():
     with pytest.raises(BudgetError, match="atom count 1048576 exceeds the cap of 1000000"):
-        natural_measure(CantorSpec(m=2, depth=10), dims=2)
+        natural_measure(CantorSpec(m=2, depth=10))
 
 
 def test_atomic_measure_validation():
@@ -455,7 +462,7 @@ def test_ft_atom_sum_blocks_match_direct_sum(rng):
 
 
 def test_ft_factored_matches_direct(rng):
-    mu = natural_measure(CantorSpec(m=2, depth=3), dims=2)
+    mu = natural_measure(CantorSpec(m=2, depth=3))
     xi = rng.uniform(-20, 20, size=(40, 2))
     direct = np.exp(-2j * np.pi * (xi @ mu.points.T)) @ mu.weights
     assert np.allclose(mu.ft(xi), direct, atol=1e-10)
@@ -466,20 +473,19 @@ def test_natural_measure_atoms_are_cell_midpoints():
         spec = CantorSpec(m=m, depth=n)
         mids = [float((a + b) / 2) for a, b in cantor_build(spec).intervals]
         mu = natural_measure(spec)
-        assert np.array_equal(mu.points[:, 0], mids)
-        prod = natural_measure(spec, dims=2)
-        assert sorted(map(tuple, prod.points)) == [(x, y) for x in mids for y in mids]
+        assert sorted(map(tuple, mu.points)) == [(x, y) for x in mids for y in mids]
 
 
 @pytest.mark.parametrize("m, depth", [(2, 1), (2, 3), (2, 8), (3, 1), (3, 4)])
-@pytest.mark.parametrize("dims", [1, 2])
-def test_riesz_product_matches_atom_sum(m, depth, dims):
-    mu = natural_measure(CantorSpec(m=m, depth=depth), dims=dims)
-    rng = np.random.default_rng(1000 * m + 10 * depth + dims)
-    # directions uniform, radii up to |xi| = 64, plus the origin
-    xi = rng.normal(size=(64, dims))
-    xi *= (64.0 * rng.uniform(size=(64, 1))) / np.linalg.norm(xi, axis=1, keepdims=True)
-    xi = np.vstack([np.zeros((1, dims)), xi])
+@pytest.mark.parametrize("axes", [1, 2])
+def test_riesz_product_matches_atom_sum(m, depth, axes):
+    mu = natural_measure(CantorSpec(m=m, depth=depth))
+    rng = np.random.default_rng(1000 * m + 10 * depth + axes)
+    # directions uniform in the first ``axes`` coordinates (with axes = 1 the
+    # second axis's product is 1), radii up to |xi| = 64, plus the origin
+    xi = np.zeros((65, 2))
+    xi[1:, :axes] = rng.normal(size=(64, axes))
+    xi[1:] *= (64.0 * rng.uniform(size=(64, 1))) / np.linalg.norm(xi[1:], axis=1, keepdims=True)
     riesz = mu.ft(xi)
     oracle = AtomicMeasure(mu.points, mu.weights).ft(xi)
     assert riesz[0] == 1.0
@@ -489,7 +495,7 @@ def test_riesz_product_matches_atom_sum(m, depth, dims):
 @pytest.mark.parametrize("m, depth, gamma", [(2, 5, 0.8), (3, 3, 1.2)])
 def test_energy_integral_riesz_matches_atom_sum(m, depth, gamma):
     # depth 8 would cost the atom sum 65 536 atoms x 8192 nodes, ~30 s
-    mu = natural_measure(CantorSpec(m=m, depth=depth), dims=2)
+    mu = natural_measure(CantorSpec(m=m, depth=depth))
     want = energy_integral(AtomicMeasure(mu.points, mu.weights), gamma, 16.0)
     assert abs(energy_integral(mu, gamma, 16.0) - want) <= 1e-12 * abs(want)
 
@@ -519,9 +525,6 @@ def test_energy_validation():
         energy_integral(mu, 0.0, 16.0)
     with pytest.raises(ValidationError):
         energy_integral(mu, 1.0, 1.0)
-    line = natural_measure(CantorSpec(m=2, depth=2))
-    with pytest.raises(CapabilityError):
-        energy_integral(line, 1.0, 16.0)
 
 
 def test_energy_ladder_point_mass_growth():
@@ -541,7 +544,7 @@ def test_energy_ladder_needs_three_points():
 
 
 def test_energy_grid_budget_raises_before_allocating():
-    mu = natural_measure(CantorSpec(m=2, depth=8), dims=2)
+    mu = natural_measure(CantorSpec(m=2, depth=8))
     tracemalloc.start()
     try:
         # T = 5000 asks for 32 T^2 = 8e8 polar nodes, ~12 GiB of frequencies
@@ -578,7 +581,7 @@ def test_energy_ladders_share_one_grid_per_T():
 
 def test_energy_ladder_cantor_trends():
     # product measure has dimension 1; gamma brackets the critical index
-    mu = natural_measure(CantorSpec(m=2, depth=8), dims=2)
+    mu = natural_measure(CantorSpec(m=2, depth=8))
     low = energy_ladder(mu, 0.8, [16.0, 32.0, 64.0])
     assert low.trend == "growth"
     high = energy_ladder(mu, 1.2, [16.0, 32.0, 64.0])
