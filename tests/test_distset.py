@@ -824,16 +824,20 @@ _SETS = {
 }
 
 
-def test_non_planar_input_rejected_at_construction():
-    # bodies, point sets and measures are planar by construction, so no
-    # later call compares dimensions
+@pytest.mark.parametrize("mode", ["float_tol", "exact_rational"])
+def test_distance_set_rejects_mismatched_dimensions(mode):
+    # bodies, point sets and measures are planar by construction, so a
+    # non-planar body or point set is refused before distance_set runs
+    planar = PointSet.explicit([[0, 0], [1, 2], [3, 1]])
     with pytest.raises(ValidationError, match="two semi-axes expected, got 3"):
-        Ellipsoid((1, 1, 1))
+        distance_set(planar, Ellipsoid((1, 1, 1)), mode)
     with pytest.raises(ValidationError, match="two semi-axes expected, got 3"):
-        LpBall(2.0, (1.0,) * 3)
+        distance_set(planar, LpBall(2.0, (1.0,) * 3), mode)
     with pytest.raises(ValidationError, match="two semi-axes expected, got 1"):
-        LpBall(math.inf, (1.0,))
-    for pts in ([[0], [3]], [[0, 0, 0], [1, 2, 3]], [(Fraction(1, 3),), (Fraction(0),)]):
+        distance_set(planar, LpBall(math.inf, (1.0,)), mode)
+    for pts in ([[0], [3], [7]], [[0, 0, 0], [1, 2, 3]], [(Fraction(1, 3),), (Fraction(0),)]):
+        with pytest.raises(ValidationError, match=r"nonempty \(n, 2\) array"):
+            distance_set(PointSet.explicit(pts), disk(), mode)
         with pytest.raises(ValidationError, match=r"nonempty \(n, 2\) array"):
             PointSet(pts)
     with pytest.raises(ValidationError, match=r"atoms must be an \(n, 2\) array"):
