@@ -1,18 +1,19 @@
 """Origin-symmetric convex bodies and their basic geometric queries.
 
 A body K is described by its gauge ||x||_K = inf {t > 0 : x in tK}, a norm
-whose unit ball is K.  Four concrete families are provided:
+whose unit ball is K.  Two concrete families are provided:
 
 * Polygon2D   -- convex symmetric polygon given by vertices (optionally exact
                  rationals), gauge/support evaluated from face functionals;
-* Ellipsoid   -- axis-aligned ellipse;
-* LpBall      -- axis-scaled l^p ball, p in [1, inf];
+* LpBall      -- axis-scaled l^p ball, p in [1, inf]; Ellipsoid names its
+                 p = 2 member, the axis-aligned ellipse;
 
 and ``radial_polygon`` builds the Polygon2D whose vertices are radial
 samples at equally spaced angles.
 
 Every body is planar: the constructors take two semi-axes or (n, 2)
-vertices and raise ValidationError otherwise.
+vertices, gauge and support take points with a last axis of 2, and each
+raises ValidationError otherwise.
 
 On top of the gauge the module computes support values, chord lengths at a
 prescribed depth below a support line, and a curvature-condition report that
@@ -51,8 +52,8 @@ _FACES_MAJOR = 10
 
 def _as_xy(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.shape[-1] < 1:
-        raise ValidationError("point array has empty last axis")
+    if a.shape[-1:] != (2,):
+        raise ValidationError(f"points must be planar (a last axis of 2), got shape {a.shape}")
     return a
 
 
@@ -242,40 +243,6 @@ class Polygon2D(ConvexBody):
         return k, rolled_to(W, shift)
 
 
-class Ellipsoid(ConvexBody):
-    """Axis-aligned ellipse {(x/a)^2 + (y/b)^2 <= 1}."""
-
-    def __init__(self, semi_axes):
-        self.semi_axes = _semi_axes(semi_axes)
-
-    def gauge(self, x) -> np.ndarray:
-        x = _as_xy(x)
-        return np.sqrt(np.sum((x / self.semi_axes) ** 2, axis=-1))
-
-    def support(self, omega) -> np.ndarray:
-        omega = _as_xy(omega)
-        return np.sqrt(np.sum((omega * self.semi_axes) ** 2, axis=-1))
-
-    def circumradius(self) -> float:
-        return float(self.semi_axes.max())
-
-    def inradius(self) -> float:
-        return float(self.semi_axes.min())
-
-    def volume(self) -> float:
-        return math.pi * float(np.prod(self.semi_axes))
-
-    def scaled(self, s: float) -> "Ellipsoid":
-        if s <= 0:
-            raise ValidationError("scale factor must be positive")
-        return Ellipsoid(self.semi_axes * s)
-
-    def symmetry(self) -> tuple:
-        # every ellipse has the mirror; a round disk keeps the default, so
-        # its averages stay the N-node rule bit for bit
-        return 2, bool(np.ptp(self.semi_axes) > 0.0)
-
-
 class LpBall(ConvexBody):
     """Axis-scaled l^p ball {||x / a||_p <= 1}, p in [1, inf]."""
 
@@ -286,24 +253,13 @@ class LpBall(ConvexBody):
         self.semi_axes = _semi_axes(semi_axes)
 
     def gauge(self, x) -> np.ndarray:
-        x = _as_xy(x) / self.semi_axes
-        if math.isinf(self.p):
-            return np.max(np.abs(x), axis=-1)
-        if self.p == 1.0:
-            return np.sum(np.abs(x), axis=-1)
-        if self.p == 2.0:
-            return np.sqrt(np.sum(x * x, axis=-1))
-        return np.sum(np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
+        return _lp_norm(_as_xy(x) / self.semi_axes, self.p)
 
     def support(self, omega) -> np.ndarray:
         # dual norm of the scaled direction
-        w = _as_xy(omega) * self.semi_axes
-        if math.isinf(self.p):
-            return np.sum(np.abs(w), axis=-1)
-        if self.p == 1.0:
-            return np.max(np.abs(w), axis=-1)
-        q = self.p / (self.p - 1.0)
-        return np.sum(np.abs(w) ** q, axis=-1) ** (1.0 / q)
+        p = self.p
+        q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
+        return _lp_norm(_as_xy(omega) * self.semi_axes, q)
 
     def circumradius(self) -> float:
         # for p > 2 the farthest boundary point is the critical direction
@@ -331,6 +287,8 @@ class LpBall(ConvexBody):
         prod = float(np.prod(self.semi_axes))
         if math.isinf(self.p):
             return 4.0 * prod
+        if self.p == 2.0:
+            return math.pi * prod  # the Gamma form is an ulp off pi
         return (2.0 * math.gamma(1.0 + 1.0 / self.p)) ** 2 / math.gamma(1.0 + 2.0 / self.p) * prod
 
     def scaled(self, s: float) -> "LpBall":
@@ -352,6 +310,24 @@ class LpBall(ConvexBody):
             return None
         ev = [(Fraction(x), Fraction(y)) for x, y in V]
         return Polygon2D(np.array(V), ev)
+
+
+def _lp_norm(x: np.ndarray, p: float) -> np.ndarray:
+    """The l^p norm of x along its last axis."""
+    if math.isinf(p):
+        return np.max(np.abs(x), axis=-1)
+    if p == 1.0:
+        return np.sum(np.abs(x), axis=-1)
+    if p == 2.0:
+        return np.sqrt(np.sum(x * x, axis=-1))
+    return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
+
+
+class Ellipsoid(LpBall):
+    """Axis-aligned ellipse {(x/a)^2 + (y/b)^2 <= 1}: the l^2 ball."""
+
+    def __init__(self, semi_axes):
+        super().__init__(2.0, semi_axes)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +421,10 @@ def random_symmetric_hexagon(rng: np.random.Generator) -> Polygon2D:
 # ---------------------------------------------------------------------------
 # directional queries
 
+# Gauss-Legendre panels of boundary_quadrature for a smooth body's perimeter
+_PERIMETER_PANELS = 512
+
+
 def gauge_norm(body: ConvexBody, x) -> np.ndarray:
     """||x||_K; vectorized over leading axes of x."""
     return body.gauge(x)
@@ -455,11 +435,11 @@ def support(body: ConvexBody, omega) -> np.ndarray:
     return body.support(omega)
 
 
-def perimeter(body: ConvexBody, n_panels: int = 512) -> float:
+def perimeter(body: ConvexBody) -> float:
     poly = body.as_polygon()
     if poly is not None:
         return poly.perimeter()
-    _, w, _ = boundary_quadrature(body, n_panels)
+    _, w, _ = boundary_quadrature(body, _PERIMETER_PANELS)
     return float(w.sum())
 
 
@@ -468,9 +448,9 @@ def boundary_quadrature(body: ConvexBody, n_panels: int):
 
     Composite 16-node Gauss-Legendre panels over a smooth parametrization of
     the boundary; weights include the speed factor so sum(weights) converges
-    to the perimeter spectrally fast.  Supports Ellipsoid and LpBall with
-    1 < p < inf; polygonal boundaries have exact formulas and
-    are rejected here.
+    to the perimeter spectrally fast.  Supports LpBall with 1 < p < inf,
+    ellipses included; polygonal boundaries have exact formulas and are
+    rejected here.
     """
     n_panels = max(4, int(n_panels))
     t_edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
@@ -486,18 +466,16 @@ def boundary_quadrature(body: ConvexBody, n_panels: int):
 
 def _boundary_param(body: ConvexBody, t: np.ndarray):
     c, s = np.cos(t), np.sin(t)
-    if isinstance(body, Ellipsoid):
-        a, b = body.semi_axes
-        x = np.stack([a * c, b * s], axis=1)
-        dx = np.stack([-a * s, b * c], axis=1)
-        return x, dx
     if isinstance(body, LpBall) and 1.0 < body.p < math.inf:
         p = body.p
         a1, a2 = body.semi_axes
-        f = np.abs(c) ** p + np.abs(s) ** p
-        rho = f ** (-1.0 / p)
-        drho = -rho ** (1.0 + p) * (np.abs(s) ** (p - 1.0) * np.sign(s) * c
-                                    - np.abs(c) ** (p - 1.0) * np.sign(c) * s)
+        if p == 2.0:
+            rho, drho = 1.0, 0.0  # the ellipse is (a1 cos t, a2 sin t) exactly
+        else:
+            f = np.abs(c) ** p + np.abs(s) ** p
+            rho = f ** (-1.0 / p)
+            drho = -rho ** (1.0 + p) * (np.abs(s) ** (p - 1.0) * np.sign(s) * c
+                                        - np.abs(c) ** (p - 1.0) * np.sign(c) * s)
         x = np.stack([a1 * rho * c, a2 * rho * s], axis=1)
         dx = np.stack([a1 * (drho * c - rho * s), a2 * (drho * s + rho * c)], axis=1)
         return x, dx

@@ -502,6 +502,11 @@ def _run_fractal_build(cfg: ScanConfig, report: Report):
                 val = float(merged)
                 report.add_verdict("cover_length", val, f"< {_num(hi)}", val < hi)
         exps = cfg.get_list(sec, "box_exponents", None, cast=int)
+        # 2^-e is a positive float scale up to e = 1023
+        bad = [e for e in exps or () if not 0 <= e <= 1023]
+        if bad:
+            raise ConfigError(f"{cfg.path}: [{sec}] box_exponents: each exponent must lie "
+                              f"in 0..1023, got {bad[0]}")
         if exps is None:
             bits = max(1, int(round(math.log2(2 * m))))
             exps = [bits * j for j in range(1, depth + 1)]

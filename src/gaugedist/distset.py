@@ -410,7 +410,7 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
 
     fn maps integer 2-vectors, with coordinates at most ``reach`` in
     absolute value, to integer keys in the order of their distances: the
-    squared Euclidean, l1 or linf norm for round balls and the disk, in
+    squared Euclidean (the disk), l1 or linf norm for round balls, in
     int64 (a CapabilityError where 2 reach^2, 2 reach or reach would pass
     it), and max_i M_i . x of ``_cleared_faces`` for a rational polygon,
     in int64 while that stays below 2^52 and in Python integers (at most
@@ -421,10 +421,9 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
     lie in [0, top]; it is None for Python-integer keys.
     """
     _fits_int64(reach, "coordinate differences")
-    axes = getattr(body, "semi_axes", None)
-    if axes is not None and np.ptp(axes) == 0.0:
-        p = body.p if isinstance(body, LpBall) else 2
-        s = float(scale) * (1.0 / float(axes[0]))
+    if isinstance(body, LpBall) and np.ptp(body.semi_axes) == 0.0:
+        p = body.p
+        s = float(scale) * (1.0 / float(body.semi_axes[0]))
         if p == 2:
             _fits_int64(2 * reach * reach, "squared l2 keys")
             return (lambda v: np.einsum("ij,ij->i", v, v)), \

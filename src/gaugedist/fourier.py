@@ -7,15 +7,15 @@ FT f (xi) = integral f(x) exp(-2 pi i x . xi) dx:
 * ``body_ft``: the transform of the indicator function of the body.
 
 The transforms are planar only.  Polygons have exact per-edge closed
-forms, ellipses Bessel forms (for the surface measure round disks only).
-Other smooth boundaries (l^p balls with 1 < p < inf, surfaces of stretched
-ellipses) take composite Gauss-Legendre arc-length quadrature with a node
-count proportional to |xi|, so the phase advances a bounded amount per
-panel.  Against an 8x finer rule at |xi| in {8, 45, 300} the error,
-relative to the largest |value| on the circle, is at most 3e-13 on ellipses
-and l^3/l^4 balls and 2e-6, 1e-7 and 2e-8 on the l^1.5 ball.  The
-indicator transform is reduced to the boundary through the divergence
-identity
+forms, and l^2 balls (ellipses) Bessel forms: J1 for the body, J0 for the
+surface of a round disk.  The other smooth boundaries (l^p balls with
+p != 2, 1 < p < inf, and surfaces of stretched ellipses) take composite
+Gauss-Legendre arc-length quadrature with a node count proportional to
+|xi|, so the phase advances a bounded amount per panel.  Against an 8x
+finer rule at |xi| in {8, 45, 300} the error, relative to the largest
+|value| on the circle, is at most 3e-13 on ellipses and l^3/l^4 balls
+and 2e-6, 1e-7 and 2e-8 on the l^1.5 ball.  The indicator transform is
+reduced to the boundary through the divergence identity
 
     body_ft(xi) = -1/(2 pi i |xi|^2) * surface-integral of (xi . n) e(-x.xi),
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import bodies as _bodies
 from ._blocks import distinct, map_blocks
-from .bodies import ConvexBody, Ellipsoid, LpBall, Polygon2D
+from .bodies import ConvexBody, LpBall, Polygon2D
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
 # boundary rule: one 16-node panel per unit of |xi| * diam(K), i.e. a node
@@ -84,27 +84,26 @@ class AnnulusSpec:
                 % (self.R, self.delta))
 
 
-def _xi_rows(xi):
-    a = np.asarray(xi, dtype=float)
-    single = a.ndim == 1
-    rows = np.atleast_2d(a)
-    if rows.ndim != 2:
-        raise ValidationError("xi must be a vector or a matrix of row vectors")
-    return rows, single
+def _planar_rows(xi) -> np.ndarray:
+    """xi as finite planar frequency rows (k, 2); a vector is one row."""
+    rows = np.atleast_2d(np.asarray(xi, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValidationError(f"xi must be planar (two columns), got {rows.shape[-1]}")
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("frequencies xi must be finite")
+    return rows
 
 
 def surface_ft(body: ConvexBody, xi):
     """Transform of the boundary arc-length measure at xi (rows or vector)."""
-    rows, single = _xi_rows(xi)
-    out = _transform(body, rows, kind="surface")
-    return out[0] if single else out
+    out = _transform(body, xi, kind="surface")
+    return out[0] if np.ndim(xi) == 1 else out
 
 
 def body_ft(body: ConvexBody, xi):
     """Transform of the indicator of the body; body_ft(0) is the volume."""
-    rows, single = _xi_rows(xi)
-    out = _transform(body, rows, kind="body")
-    return out[0] if single else out
+    out = _transform(body, xi, kind="body")
+    return out[0] if np.ndim(xi) == 1 else out
 
 
 def annulus_ft(body: ConvexBody, xi, spec: AnnulusSpec):
@@ -114,34 +113,30 @@ def annulus_ft(body: ConvexBody, xi, spec: AnnulusSpec):
     evaluations are where all the cancellation happens, so no thin-shell
     mesh is ever built.
     """
-    rows, single = _xi_rows(xi)
+    rows = _planar_rows(xi)
     s1, s2 = spec.R, spec.R + spec.delta
     out = (s2 ** 2) * _transform(body, s2 * rows, kind="body") \
         - (s1 ** 2) * _transform(body, s1 * rows, kind="body")
-    return out[0] if single else out
+    return out[0] if np.ndim(xi) == 1 else out
 
 
 # ---------------------------------------------------------------------------
 # transform dispatch
 
-def _transform(body: ConvexBody, rows: np.ndarray, kind: str,
-               threads: int = 1) -> np.ndarray:
+def _transform(body: ConvexBody, xi, kind: str, threads: int = 1) -> np.ndarray:
     if kind not in ("surface", "body"):
         raise ValidationError("kind must be 'surface' or 'body'")
-    if rows.shape[1] != 2:
-        raise ValidationError(f"xi must be planar (two columns), got {rows.shape[1]}")
-    if not np.all(np.isfinite(rows)):
-        raise ValidationError("frequencies xi must be finite")
+    rows = _planar_rows(xi)
     poly = body.as_polygon()
     if poly is not None:
         return _polygon_ft(poly, rows, kind, threads)
-    if isinstance(body, Ellipsoid):
-        # arc length does not push forward under the linear map, so only
-        # round disks have a closed surface form
-        if kind == "body" or np.ptp(body.semi_axes) == 0.0:
-            return _ellipsoid_ft_closed(body, rows, kind)
-    elif not (isinstance(body, LpBall) and 1.0 < body.p < math.inf):
+    # l^1 and l^inf balls are polygons, so an LpBall here has 1 < p < inf
+    if not isinstance(body, LpBall):
         raise CapabilityError("no planar transform for %s" % type(body).__name__)
+    # arc length does not push forward under the linear map, so only round
+    # disks have a closed surface form
+    if body.p == 2.0 and (kind == "body" or np.ptp(body.semi_axes) == 0.0):
+        return _ellipsoid_ft_closed(body, rows, kind)
     return _smooth_ft(body, rows, kind, threads)
 
 
@@ -220,7 +215,7 @@ def _half_sum(x, w, n, rows, kind, volume, threads=1, edges=None) -> np.ndarray:
     return out
 
 
-def _ellipsoid_ft_closed(body: Ellipsoid, rows: np.ndarray, kind: str) -> np.ndarray:
+def _ellipsoid_ft_closed(body: LpBall, rows: np.ndarray, kind: str) -> np.ndarray:
     """a b J1(2 pi |(a, b) * xi|) / |(a, b) * xi|, or 2 pi r J0(2 pi r |xi|)."""
     from scipy.special import jv
 

@@ -20,6 +20,7 @@ from ._blocks import distinct, map_blocks
 from .bodies import ConvexBody
 from .distset import PointSet, _unique_rows, distance_set
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
+from .fourier import _planar_rows
 
 _MAX_CELLS = 10_000_000
 _MAX_ATOMS = 1_000_000
@@ -371,7 +372,7 @@ class AtomicMeasure:
         Evaluated in row blocks, so the phase buffer stays small whatever
         the atom count, as two real sums: cos minus i sin.
         """
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        xi = _planar_rows(xi)
 
         def block(b):
             phase = (b @ self.points.T) * (2.0 * np.pi)
@@ -405,7 +406,7 @@ class CantorMeasure(AtomicMeasure):
 
     def ft(self, xi: np.ndarray) -> np.ndarray:
         """mu-hat(xi): the real per-axis Riesz products times one phase."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        xi = _planar_rows(xi)
         m, base, n = self.spec.m, self.spec.base, self.spec.depth
         amp = np.ones(len(xi))
         for t in xi.T:

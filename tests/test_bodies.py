@@ -1,6 +1,7 @@
 """Gauge axioms, chord queries, curvature scans, and config parsing."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from gaugedist import (
     BudgetError,
     ConfigError,
+    Ellipsoid,
     GeometryError,
     LpBall,
     Polygon2D,
@@ -268,6 +270,19 @@ def test_polygon_exact_vertices_must_match():
         Polygon2D([(1, 0), (0, 1), (-1 - 1e-7, 0), (0, -1)])
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_points_must_be_planar(width):
+    # one column used to broadcast against both semi-axes of an l^p ball:
+    # disk().gauge([[3.0]]) read 4.243 and LpBall(4.0).gauge([[3.0]]) 3.568
+    pts = np.full((2, width), 3.0)
+    for body in (square(), Polygon2D(regular_polygon(6).vertices), LpBall(4.0),
+                 LpBall(2.0, (2.0, 0.5)), Ellipsoid((1.0, 1.0)), disk()):
+        for query in (body.gauge, body.support):
+            for x in (pts, pts[0]):
+                with pytest.raises(ValidationError, match=re.escape(f"got shape {x.shape}")):
+                    query(x)
+
+
 def test_symmetry_detection():
     assert square().symmetry() == (4, True)
     assert diamond().symmetry() == (4, True)
@@ -280,10 +295,11 @@ def test_symmetry_detection():
     assert LpBall(1.0, (2.0, 2.0)).symmetry() == (4, True)
     assert LpBall(4.0, (1.0, 0.6)).symmetry() == (2, True)
     assert LpBall(math.inf, (1.0, 2.0)).symmetry() == (2, True)
-    assert disk().symmetry() == (2, False)
+    # the disk is the round l^2 ball: the quarter turn and the mirror
+    assert disk().symmetry() == (4, True)
     assert ellipse(2.0, 1.0).symmetry() == (2, True)
     assert ellipse(1.0, 3.0).symmetry() == (2, True)
-    assert disk(2.0).symmetry() == (2, False)
+    assert disk(2.0).symmetry() == (4, True)
     assert random_symmetric_hexagon(np.random.default_rng(7)).symmetry() == (2, False)
     # a rectangle: the half turn and the mirror, no quarter turn
     assert Polygon2D([(2, 1), (-2, 1), (-2, -1), (2, -1)]).symmetry() == (2, True)

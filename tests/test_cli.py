@@ -366,8 +366,8 @@ _PROBES = [
 ]
 
 
-@pytest.mark.parametrize("group, action, text, where", _PROBES, ids=[c[3] for c in _PROBES])
-def test_config_errors_name_file_section_and_key(tmp_path, capsys, group, action, text, where):
+def _config_error(tmp_path, capsys, group, action, text, where) -> str:
+    """The error text of a run that must fail at [section] key, no output written."""
     path = _cfg(tmp_path, text)
     rc = main([group, action, "--config", path, "--out", str(tmp_path / "a")])
     assert rc == 1
@@ -375,6 +375,21 @@ def test_config_errors_name_file_section_and_key(tmp_path, capsys, group, action
     assert f"error: {path}: {where}: " in err
     assert "Traceback" not in err
     assert not any((tmp_path / "a").glob("*.json"))
+    return err
+
+
+@pytest.mark.parametrize("group, action, text, where", _PROBES, ids=[c[3] for c in _PROBES])
+def test_config_errors_name_file_section_and_key(tmp_path, capsys, group, action, text, where):
+    _config_error(tmp_path, capsys, group, action, text, where)
+
+
+@pytest.mark.parametrize("exponents, bad", [("2 -4 6", -4), ("2 4 1024", 1024)], ids=["-4", "1024"])
+def test_box_exponents_checked_before_any_scale(tmp_path, capsys, exponents, bad):
+    # more [fractal] box_exponents probes: -4 used to end in a TypeError from
+    # Fraction(1, 2 ** -4); past 1023, 2^-e is no positive float scale
+    err = _config_error(tmp_path, capsys, "fractal", "build",
+                        f"[fractal]\nbox_exponents = {exponents}\n", "[fractal] box_exponents")
+    assert f"each exponent must lie in 0..1023, got {bad}" in err
 
 
 def test_threads_flag_must_be_positive(tmp_path, capsys):

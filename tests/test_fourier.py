@@ -16,6 +16,7 @@ from gaugedist import (
     CapabilityError,
     InsufficientDataError,
     LpBall,
+    PointSet,
     ValidationError,
     annulus_bound_report,
     annulus_ft,
@@ -24,6 +25,7 @@ from gaugedist import (
     decay_fit,
     diamond,
     disk,
+    distance_set,
     ellipse,
     octave_envelope,
     radial_polygon,
@@ -117,6 +119,35 @@ def test_disk_bessel_oracles():
     quad_vals = _smooth_ft(disk(), xi, "surface")
     np.testing.assert_allclose(quad_vals.real,
                                2 * math.pi * j0(2 * math.pi * R), atol=1e-8)
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.0), (0.75, 0.75), (2.0, 0.5)],
+                         ids=["unit disk", "disk 0.75", "ellipse 2:0.5"])
+def test_ellipse_is_the_l2_ball(rng, axes):
+    # one body, one path: Ellipsoid(axes) is LpBall(2.0, axes) bit for bit
+    e, l2 = Ellipsoid(axes), LpBall(2.0, axes)
+    pts = rng.normal(size=(50, 2))
+    xi = np.concatenate([[[0.0, 0.0]], rng.normal(size=(40, 2)) * 30])
+    for f in (lambda b: b.gauge(pts), lambda b: b.support(pts), lambda b: b.gauge(pts[0]),
+              lambda b: b.support(pts[0]), lambda b: b.volume(), lambda b: b.symmetry(),
+              lambda b: body_ft(b, xi), lambda b: surface_ft(b, xi)):
+        assert np.array_equal(f(e), f(l2))
+    assert e.volume() == math.pi * (axes[0] * axes[1])
+    S = PointSet.lattice(12)
+    for mode in ("float_tol", "exact_rational"):
+        if mode == "exact_rational" and axes[0] != axes[1]:
+            for body in (e, l2):
+                with pytest.raises(CapabilityError):
+                    distance_set(S, body, mode)
+            continue
+        de, dl = distance_set(S, e, mode), distance_set(S, l2, mode)
+        assert np.array_equal(de.values, dl.values)
+        assert np.array_equal(de.multiplicities, dl.multiplicities)
+    if axes[0] == axes[1]:
+        # the round l^2 ball's surface takes the J0 form; quadrature is its oracle
+        quad_vals = _smooth_ft(l2, xi, "surface")
+        got = surface_ft(l2, xi)
+        assert np.max(np.abs(got - quad_vals)) <= 1e-12 * np.max(np.abs(quad_vals))
 
 
 def test_polygon_closed_form_vs_edge_quadrature(rng):

@@ -436,6 +436,19 @@ def test_atomic_measure_validation():
         AtomicMeasure(pts, [0.5])
 
 
+def test_ft_frequencies_must_be_planar_and_finite():
+    # the Riesz product used to take any column count: three columns
+    # returned 2.6e-33 - 1.1e-33j, and the atom sum ended in numpy's matmul error
+    mu = natural_measure(CantorSpec(2, 2))
+    for measure in (mu, AtomicMeasure(mu.points, mu.weights)):
+        for xi, n in (([[1.0, 2.0, 3.0]], 3), ([[1.0], [2.0]], 1), ([1.0, 2.0, 3.0], 3)):
+            with pytest.raises(ValidationError, match=f"xi must be planar \\(two columns\\), got {n}"):
+                measure.ft(xi)
+        with pytest.raises(ValidationError, match="frequencies xi must be finite"):
+            measure.ft([[1.0, math.inf]])
+        assert measure.ft([1.0, 2.0]).shape == (1,)
+
+
 def test_ft_single_atom_modulus_one():
     mu = AtomicMeasure([[0.3, 0.7]], [1.0])
     xi = np.array([[1.0, 0.0], [2.5, -3.0], [0.0, 0.0]])
