@@ -3,8 +3,9 @@
 A body K is described by its gauge ||x||_K = inf {t > 0 : x in tK}, a norm
 whose unit ball is K.  Two concrete families are provided:
 
-* Polygon2D   -- convex symmetric polygon given by vertices (optionally exact
-                 rationals), gauge/support evaluated from face functionals;
+* Polygon2D   -- convex symmetric polygon given by vertices, exact when they
+                 are integers or Fractions (their numerators over one
+                 denominator), gauge/support evaluated from face functionals;
 * LpBall      -- axis-scaled l^p ball, p in [1, inf]; Ellipsoid names its
                  p = 2 member, the axis-aligned ellipse;
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,6 +56,42 @@ def _as_xy(x) -> np.ndarray:
     if a.shape[-1:] != (2,):
         raise ValidationError(f"points must be planar (a last axis of 2), got shape {a.shape}")
     return a
+
+
+def _finite_rows(a: np.ndarray, what: str) -> None:
+    """ValidationError naming the first row of the (n, 2) array a that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"{what} must be finite; row {bad[0]} is {a[bad[0]].tolist()}")
+
+
+def _numerators(values):
+    """(nums, den), integer numerators over the lcm of the denominators, for
+    integers or Fractions (nested lists or arrays of them; a list that numpy
+    does not read as integers is read element by element, so no integer is
+    rounded to float64); else None.  nums has the input's shape: int64 when
+    every numerator fits, else Python integers in an object array."""
+    a = np.asarray(values)
+    if a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64), 1
+    if a.dtype.kind == "u" or not isinstance(values, np.ndarray):
+        # uint64, or a list numpy may have read as float64: Python numbers
+        a = np.array(values, dtype=object)
+    if a.dtype != object or not all(isinstance(v, (int, np.integer, Fraction)) for v in a.flat):
+        return None
+    # integers, numpy integers and Fractions all carry the two attributes
+    fracs = [(int(v.numerator), int(v.denominator)) for v in a.flat]
+    den = math.lcm(*(d for _, d in fracs))
+    nums = [n * (den // d) for n, d in fracs]
+    fits = all(-(1 << 63) <= v < 1 << 63 for v in nums)
+    return np.array(nums, dtype=np.int64 if fits else object).reshape(a.shape), den
+
+
+def _positive(x, what: str):
+    """x once it is checked to be positive and finite (a NaN is neither)."""
+    if not (x > 0 and x < math.inf):
+        raise ValidationError(f"{what} must be positive and finite, got {x!r}")
+    return x
 
 
 def _semi_axes(semi_axes) -> np.ndarray:
@@ -123,11 +160,11 @@ class Polygon2D(ConvexBody):
 
     Gauge and support are exact up to float rounding: gauge is the max of the
     face functionals x.n_i / c_i, support the max of vertex dot products.
-    When ``exact_vertices`` (Fraction pairs) are supplied, chord queries can
-    be answered in exact rational arithmetic.
+    Integer or Fraction vertices also keep an exact copy, integer numerators
+    over one denominator, for exact chords and distance keys.
     """
 
-    def __init__(self, vertices, exact_vertices: Optional[Sequence] = None):
+    def __init__(self, vertices):
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 4:
             raise ValidationError(
@@ -135,12 +172,14 @@ class Polygon2D(ConvexBody):
                 % (V.shape,))
         if V.shape[0] % 2 != 0:
             raise ValidationError("symmetric polygon needs an even vertex count")
+        _finite_rows(V, "vertices")
+        exact = _numerators(vertices)
         W = np.roll(V, -1, axis=0)
         area2 = float((V[:, 0] * W[:, 1] - V[:, 1] * W[:, 0]).sum())
         if area2 < 0:
             V = V[::-1].copy()
-            if exact_vertices is not None:
-                exact_vertices = list(exact_vertices)[::-1]
+            if exact is not None:
+                exact = (exact[0][::-1], exact[1])
             area2 = -area2
         if area2 <= 0:
             raise ValidationError("polygon is degenerate (zero area)")
@@ -156,17 +195,10 @@ class Polygon2D(ConvexBody):
         anti = np.roll(V, -half, axis=0)
         if not np.allclose(anti, -V, rtol=0.0, atol=tol):
             raise ValidationError("polygon is not symmetric about the origin")
+        if exact is not None and not np.array_equal(exact[0][half:], -exact[0][:half]):
+            raise ValidationError("exact vertices are not exactly symmetric about the origin")
         self.vertices = V
-        self.exact_vertices = None
-        if exact_vertices is not None:
-            ev = [(Fraction(a), Fraction(b)) for a, b in exact_vertices]
-            if len(ev) != n:
-                raise ValidationError("exact_vertices length mismatch")
-            if not np.allclose(np.array(ev, dtype=float), V, rtol=0.0, atol=tol):
-                raise ValidationError("exact_vertices differ from vertices")
-            if any(ev[k + half] != (-x, -y) for k, (x, y) in enumerate(ev[:half])):
-                raise ValidationError("exact_vertices are not exactly symmetric about the origin")
-            self.exact_vertices = ev
+        self._exact = exact
         # outward normals and offsets; origin must be strictly inside
         nx = E[:, 1]
         ny = -E[:, 0]
@@ -178,6 +210,14 @@ class Polygon2D(ConvexBody):
         if np.any(self._face_c <= 1e-12 * max(scale, 1.0)):
             raise ValidationError("origin is not strictly inside the polygon")
         self._area = 0.5 * area2
+
+    @property
+    def exact_vertices(self):
+        """The vertices as Fraction pairs, or None for float vertices."""
+        if self._exact is None:
+            return None
+        nums, den = self._exact
+        return [(Fraction(x, den), Fraction(y, den)) for x, y in nums.tolist()]
 
     def gauge(self, x) -> np.ndarray:
         x = _as_xy(x)
@@ -203,13 +243,10 @@ class Polygon2D(ConvexBody):
         return float(np.hypot(E[:, 0], E[:, 1]).sum())
 
     def scaled(self, s: float) -> "Polygon2D":
-        if s <= 0:
-            raise ValidationError("scale factor must be positive")
-        ev = None
-        if self.exact_vertices is not None and isinstance(s, (int, Fraction)):
-            fs = Fraction(s)
-            ev = [(a * fs, b * fs) for a, b in self.exact_vertices]
-        return Polygon2D(self.vertices * float(s), ev)
+        _positive(s, "scale factor")
+        if self._exact is not None and isinstance(s, (int, Fraction)):
+            return Polygon2D([(a * s, b * s) for a, b in self.exact_vertices])
+        return Polygon2D(self.vertices * float(s))
 
     def rotated(self, angle: float) -> "Polygon2D":
         c, s = math.cos(angle), math.sin(angle)
@@ -292,8 +329,7 @@ class LpBall(ConvexBody):
         return (2.0 * math.gamma(1.0 + 1.0 / self.p)) ** 2 / math.gamma(1.0 + 2.0 / self.p) * prod
 
     def scaled(self, s: float) -> "LpBall":
-        if s <= 0:
-            raise ValidationError("scale factor must be positive")
+        _positive(s, "scale factor")
         return LpBall(self.p, self.semi_axes * s)
 
     def symmetry(self) -> tuple:
@@ -301,15 +337,12 @@ class LpBall(ConvexBody):
         return (4 if np.all(self.semi_axes == self.semi_axes[0]) else 2), True
 
     def as_polygon(self) -> Optional[Polygon2D]:
-        a1, a2 = float(self.semi_axes[0]), float(self.semi_axes[1])
+        a1, a2 = (Fraction(float(a)) for a in self.semi_axes)
         if math.isinf(self.p):
-            V = [(a1, a2), (-a1, a2), (-a1, -a2), (a1, -a2)]
-        elif self.p == 1.0:
-            V = [(a1, 0.0), (0.0, a2), (-a1, 0.0), (0.0, -a2)]
-        else:
-            return None
-        ev = [(Fraction(x), Fraction(y)) for x, y in V]
-        return Polygon2D(np.array(V), ev)
+            return Polygon2D([(a1, a2), (-a1, a2), (-a1, -a2), (a1, -a2)])
+        if self.p == 1.0:
+            return Polygon2D([(a1, 0), (0, a2), (-a1, 0), (0, -a2)])
+        return None
 
 
 def _lp_norm(x: np.ndarray, p: float) -> np.ndarray:
@@ -352,17 +385,13 @@ def ellipse(a: float, b: float) -> Ellipsoid:
 
 
 def square(half: float = 1.0) -> Polygon2D:
-    h = Fraction(half) if float(half) == half else None
-    V = [(half, half), (-half, half), (-half, -half), (half, -half)]
-    ev = [(h, h), (-h, h), (-h, -h), (h, -h)] if h is not None else None
-    return Polygon2D(np.array(V, dtype=float), ev)
+    h = Fraction(_positive(half, "half"))
+    return Polygon2D([(h, h), (-h, h), (-h, -h), (h, -h)])
 
 
 def diamond(half: float = 1.0) -> Polygon2D:
-    h = Fraction(half) if float(half) == half else None
-    V = [(half, 0.0), (0.0, half), (-half, 0.0), (0.0, -half)]
-    ev = [(h, 0), (0, h), (-h, 0), (0, -h)] if h is not None else None
-    return Polygon2D(np.array(V, dtype=float), ev)
+    h = Fraction(_positive(half, "half"))
+    return Polygon2D([(h, 0), (0, h), (-h, 0), (0, -h)])
 
 
 def regular_polygon(n_vertices: int, circumradius: float = 1.0,
@@ -370,6 +399,9 @@ def regular_polygon(n_vertices: int, circumradius: float = 1.0,
     if n_vertices < 4 or n_vertices % 2 != 0:
         raise ValidationError("symmetric regular polygon needs even n >= 4")
     check_vertex_count(n_vertices)
+    _positive(circumradius, "circumradius")
+    if not math.isfinite(phase):
+        raise ValidationError(f"phase must be finite, got {phase!r}")
     th = 2.0 * math.pi * np.arange(n_vertices) / n_vertices + phase
     V = circumradius * np.stack([np.cos(th), np.sin(th)], axis=1)
     return Polygon2D(V)
@@ -681,8 +713,8 @@ def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360) -> 
     if eps_grid is None:
         eps_grid = 2.0 ** -np.arange(4, 21)
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
-    if np.any(eps_grid <= 0):
-        raise ValidationError("eps grid must be positive")
+    if not np.all((eps_grid > 0) & np.isfinite(eps_grid)):
+        raise ValidationError("eps grid must be positive and finite")
     if n_theta < 4:
         raise ValidationError("n_theta must be at least 4")
     if n_theta * eps_grid.size > _CURVATURE_CAP:

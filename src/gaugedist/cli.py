@@ -250,7 +250,7 @@ def _body_from(cfg: ScanConfig) -> B.ConvexBody:
                 raise ConfigError(f"{cfg.path}: [body] vertices: expected 'x, y' pairs "
                                   f"separated by ';', got {chunk.strip()!r}")
             pairs.append((xy[0] / den, xy[1] / den))
-        return cfg.build(sec, "vertices", B.Polygon2D, np.array(pairs, dtype=float), pairs)
+        return cfg.build(sec, "vertices", B.Polygon2D, pairs)
     if kind == "radial":
         raw = cfg.get(sec, "radii")
         if not raw.startswith("random:"):

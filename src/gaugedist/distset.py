@@ -1,18 +1,17 @@
 """Discrete point sets and distinct-distance statistics.
 
-Point sets are (n, 2) float arrays in the plane, optionally carrying an
-exact integer representation.  Distance sets come from one blocked pipeline
-in both modes: difference vectors, either all pairs or, for (rotated)
-lattices, the translation-invariance shortcut (the distances of the
-grid [0, q]^2 are the gauge values of the difference grid [-q, q]^2,
-with pair multiplicities recovered from the grid geometry), are mapped
-block by block to keys, each block keeps only its distinct keys with
+Point sets are (n, 2) float arrays in the plane; integer or Fraction input
+also keeps integer numerators over one denominator.  Distance sets come
+from one blocked pipeline in both modes: difference vectors, either all
+pairs or, for (rotated) lattices, the translation-invariance shortcut (the
+distances of the grid [0, q]^2 are the gauge values of the difference grid
+[-q, q]^2, with pair multiplicities recovered from the grid geometry), are
+mapped block by block to keys, each block keeps only its distinct keys with
 their multiplicities, and these merge as the blocks come, so memory is
-bounded by a block and the result (small exact lattice keys are counted
-in one histogram instead).  Exact
-counting keys by integers (squared Euclidean, l1, linf, or cleared
-rational polygon gauges), so the reported counts are identities rather
-than float artifacts.
+bounded by a block and the result (small exact lattice keys are counted in
+one histogram instead).  Exact counting keys by integers (squared
+Euclidean, l1, linf, or cleared rational polygon gauges), so the reported
+counts are identities rather than float artifacts.
 """
 
 from __future__ import annotations
@@ -20,13 +19,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._blocks import map_blocks
-from .bodies import ConvexBody, LpBall, Polygon2D
+from .bodies import ConvexBody, LpBall, Polygon2D, _finite_rows, _numerators, _positive
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
 # Hard cap on brute-force pair enumeration; beyond it the caller gets
@@ -52,8 +50,8 @@ _HISTOGRAM_CAP = 1 << 20
 
 def _grid_size(q: int) -> int:
     """(q+1)^2, the size of the grid [0, q]^2, once q and the cap are checked."""
-    if q < 1:
-        raise ValidationError("lattice needs q >= 1")
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise ValidationError(f"lattice needs q >= 1, an integer, got {q!r}")
     if (q + 1) ** 2 > _LATTICE_CAP:
         raise BudgetError(f"(q+1)^2 = {(q + 1) ** 2} lattice points exceeds the cap of "
                           f"{_LATTICE_CAP}")
@@ -79,11 +77,11 @@ def _unique_rows(pts: np.ndarray) -> np.ndarray:
 class PointSet:
     """A finite planar point set with provenance.
 
-    Points are (n, 2); any other shape is a ValidationError.  Duplicate
-    rows are removed.  Integer or Fraction input keeps an exact copy for
-    exact mode, deduplicated like the float points; distinct exact
-    points that round to one float point are a ValidationError, as both
-    modes must count the same n points.  Only (rotated) lattices record the
+    Points are (n, 2) and finite, else a ValidationError; duplicate rows are
+    removed.  Integer or Fraction input keeps an exact copy for exact mode:
+    the distinct rows of integer numerators over one denominator.  Distinct
+    exact points that round to one float point are a ValidationError, as
+    both modes must count the same n points.  Only (rotated) lattices record the
     q (and angle) the fast path reads; they build their points on first read.
     """
 
@@ -94,23 +92,16 @@ class PointSet:
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 2:
             raise ValidationError(f"points must be a nonempty (n, 2) array, got shape "
                                   f"{pts.shape}")
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-        if bad.size:
-            raise ValidationError(f"points must be finite; row {bad[0]} is {pts[bad[0]].tolist()}")
-        arr = np.asarray(points)
-        if arr.dtype.kind == "u" and arr.max() >= 1 << 63:
-            arr = arr.astype(object)  # Python integers: the int64 copy would wrap
-        exact = None
-        if arr.dtype.kind in "iu":
-            exact = _unique_rows(arr.astype(np.int64))
-        elif arr.dtype == object and all(isinstance(v, (int, Fraction)) for v in arr.flat):
-            exact = sorted({tuple(Fraction(v) for v in row) for row in arr.tolist()})
-        # (float points, exact points): the exact ones an int ndarray, a list
-        # of Fraction tuples or None; or a function that returns the pair
+        _finite_rows(pts, "points")
+        exact = _numerators(points)
+        if exact is not None:
+            exact = (_unique_rows(exact[0]), exact[1])
+        # (float points, exact (numerators, denominator) or None); or a
+        # function that returns the pair
         self._rows = (_unique_rows(pts), exact)
         self.n = len(self._rows[0])
-        if exact is not None and len(exact) != self.n:
-            raise ValidationError(f"{len(exact)} distinct exact points round to "
+        if exact is not None and len(exact[0]) != self.n:
+            raise ValidationError(f"{len(exact[0])} distinct exact points round to "
                                   f"{self.n} distinct float points")
         self.provenance, self.q, self.angle = "explicit", None, None
 
@@ -154,7 +145,7 @@ class PointSet:
         def rows():
             # distinct and in lexicographic order already: no sort
             grid = _grid(q, np.int64)
-            return grid.astype(float), grid
+            return grid.astype(float), (grid, 1)
 
         return cls._lattice(q, rows, "lattice")
 
@@ -166,6 +157,8 @@ class PointSet:
         math.sin of ``angle``, so brute force and fast path see the same
         floats.  The rotation keeps the (q+1)^2 points distinct.
         """
+        if not math.isfinite(angle):
+            raise ValidationError(f"angle must be finite, got {angle!r}")
         c, s = math.cos(angle), math.sin(angle)
         R = np.array([[c, -s], [s, c]])
         return cls._lattice(q, lambda: (_unique_rows(_grid(q, float) @ R.T), None),
@@ -248,8 +241,7 @@ def well_distributed_check(S: PointSet, C: float) -> WellDistributedReport:
     bounding-box corner and lie fully inside the box.  Returns the
     origin of an empty cube as witness on failure.
     """
-    if C <= 0:
-        raise ValidationError("cube side C must be positive")
+    _positive(C, "cube side C")
     lo, hi = S.bounding_box()
     half = C / 2.0
     # Number of candidate origins per axis: k = 0 .. floor((span - C)/half).
@@ -286,8 +278,7 @@ def separated_check(S: PointSet, c: float) -> SeparatedReport:
     itself and its nearest other point: rows are distinct after PointSet's
     dedupe.
     """
-    if c <= 0:
-        raise ValidationError("separation c must be positive")
+    _positive(c, "separation c")
     if S.n < 2:
         return SeparatedReport(True, math.inf)
     # imported here: the import alone costs about 0.4 s, which every CLI run
@@ -405,7 +396,7 @@ def _fits_int64(bound: int, what: str) -> None:
         raise CapabilityError(f"exact {what} reach {bound}, past the int64 bound 2^63")
 
 
-def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
+def _exact_keys(body: ConvexBody, den: int, reach: int, n_vecs: int):
     """(fn, render, unit, top) for exact mode.
 
     fn maps integer 2-vectors, with coordinates at most ``reach`` in
@@ -415,7 +406,7 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
     it), and max_i M_i . x of ``_cleared_faces`` for a rational polygon,
     in int64 while that stays below 2^52 and in Python integers (at most
     ``_FRACTION_CAP`` vectors x faces) beyond.  render turns distinct keys
-    into the float distances of the points ints * ``scale``.  unit is the
+    into the float distances of the points ints / ``den``.  unit is the
     number of 8-byte entries one key costs: 1 for int64, and for a Python
     integer its pointer and its object.  top bounds the int64 keys, which
     lie in [0, top]; it is None for Python-integer keys.
@@ -423,7 +414,7 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
     _fits_int64(reach, "coordinate differences")
     if isinstance(body, LpBall) and np.ptp(body.semi_axes) == 0.0:
         p = body.p
-        s = float(scale) * (1.0 / float(body.semi_axes[0]))
+        s = (1 / den) * (1.0 / float(body.semi_axes[0]))
         if p == 2:
             _fits_int64(2 * reach * reach, "squared l2 keys")
             return (lambda v: np.einsum("ij,ij->i", v, v)), \
@@ -449,34 +440,18 @@ def _exact_keys(body: ConvexBody, scale: Fraction, reach: int, n_vecs: int):
                     np.maximum(keys, a * x + b * y, out=keys)
                 return keys
 
-            return fn, (lambda k: k.astype(float) * (float(scale) / L)), 1, bound
+            return fn, (lambda k: k.astype(float) * ((1 / den) / L)), 1, bound
         if n_vecs * len(M) > _FRACTION_CAP:
             raise BudgetError(f"{n_vecs} vectors x {len(M)} faces of Python-integer "
                               f"gauges exceeds the cap of {_FRACTION_CAP}")
         Mt = np.array(M, dtype=object).T
-        num, den = scale.numerator, scale.denominator * L
-        # int / int is correctly rounded, as float(Fraction) is
+        den_l = den * L
+        # int / int is correctly rounded, however large the integers
         return (lambda v: (v.astype(object) @ Mt).max(axis=1)), \
-            (lambda k: np.array([x * num / den for x in k.tolist()])), \
+            (lambda k: np.array([x / den_l for x in k.tolist()])), \
             1 + -(-sys.getsizeof(bound) // 8), None
     raise CapabilityError(
         "exact mode supports LpBall p in {1, 2, inf} and rational Polygon2D gauges")
-
-
-def _exact_coords(S: PointSet):
-    """Integer coordinate array and rational scale with points = ints * scale."""
-    if S._exact is None:
-        raise CapabilityError("exact mode requires integer or rational points")
-    if isinstance(S._exact, np.ndarray):
-        return S._exact, Fraction(1)
-    den = 1
-    for row in S._exact:
-        for v in row:
-            den = den // math.gcd(den, v.denominator) * v.denominator
-    ints = [[int(v * den) for v in row] for row in S._exact]
-    _fits_int64(max(abs(v) for row in ints for v in row),
-                "coordinates over their common denominator")
-    return np.array(ints, dtype=np.int64), Fraction(1, den)
 
 
 def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
@@ -513,12 +488,16 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     top = None
     if exact:
         if lattice and S.angle is None:
-            P, scale, reach = None, Fraction(1), S.q  # the integer grid [0, q]^2
+            P, den, reach = None, 1, S.q  # the integer grid [0, q]^2
         else:
-            P, scale = _exact_coords(S)
+            if S._exact is None:
+                raise CapabilityError("exact mode requires integer or rational points")
+            P, den = S._exact
+            _fits_int64(max(-int(P.min()), int(P.max())),
+                        "coordinates over their common denominator")
             # in Python integers: the int64 span of a column may wrap
             reach = max(int(c.max()) - int(c.min()) for c in P.T)
-        fn, render, unit, top = _exact_keys(body, scale, reach, n_vecs)
+        fn, render, unit, top = _exact_keys(body, den, reach, n_vecs)
     else:
         # the lattice path reads no points, so a lattice never builds them
         P, fn, render, unit = None if lattice else S.points, body.gauge, (lambda k: k), 1
@@ -606,6 +585,10 @@ def growth_fit(q_values: Sequence[int], counts: Sequence[int], *,
     if len(qs) != len(counts) or np.any(np.diff(qs) <= 0):
         raise ValidationError("need one count per q, with q strictly increasing")
     window = fit_window(qs)
+    empty = np.flatnonzero(window & (counts < 1))
+    if empty.size:
+        raise InsufficientDataError(f"the fit window needs positive counts; q = "
+                                    f"{qs[empty[0]]} counts {counts[empty[0]]}")
     lg_q = np.log(qs[window].astype(float))
     lg_c = np.log(counts[window].astype(float))
     A = np.stack([np.ones_like(lg_q), lg_q], axis=1)

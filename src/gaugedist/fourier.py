@@ -454,8 +454,10 @@ class ChordBoundReport:
 
 def chord_bound_report(body: ConvexBody, t_values, n_theta: int = 64) -> ChordBoundReport:
     t = np.sort(np.asarray(t_values, dtype=float).ravel())
-    if np.any(t <= 0):
-        raise ValidationError("t values must be positive")
+    if not np.all((t > 0) & np.isfinite(t)):
+        raise ValidationError("t values must be positive and finite")
+    if n_theta < 1:
+        raise ValidationError(f"n_theta must be >= 1, got {n_theta}")
     if t.size * n_theta > _SCAN_CAP:
         raise BudgetError(f"{t.size} t values x {n_theta} directions exceeds the cap "
                           f"of {_SCAN_CAP}")
@@ -513,8 +515,10 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
     R_values = np.asarray(R_values, dtype=float).ravel()
     xi_mags = np.sort(np.asarray(xi_mags, dtype=float).ravel())
     deltas = np.asarray(deltas, dtype=float).ravel()
-    if np.any(R_values <= 0) or np.any(xi_mags <= 0) or np.any(deltas <= 0):
-        raise ValidationError("grids must be positive")
+    if not all(np.all((g > 0) & np.isfinite(g)) for g in (R_values, xi_mags, deltas)):
+        raise ValidationError("grids must be positive and finite")
+    if n_theta < 1:
+        raise ValidationError(f"n_theta must be >= 1, got {n_theta}")
     n = R_values.size * deltas.size * xi_mags.size * n_theta
     if n > _SCAN_CAP:
         raise BudgetError(f"{n} annulus ratios exceeds the cap of {_SCAN_CAP}")

@@ -17,7 +17,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from ._blocks import distinct, map_blocks
-from .bodies import ConvexBody
+from .bodies import ConvexBody, _numerators, _positive
 from .distset import PointSet, _unique_rows, distance_set
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 from .fourier import _planar_rows
@@ -57,10 +57,9 @@ class IntervalUnion:
     @classmethod
     def build(cls, pairs) -> "IntervalUnion":
         """The union of rational (a, b) pairs, cleared to the lcm of their denominators."""
-        ends = [Fraction(x) for pair in pairs for x in pair]
-        den = math.lcm(*(x.denominator for x in ends))
-        nums = np.array([x.numerator * (den // x.denominator) for x in ends],
-                        dtype=object).reshape(-1, 2)
+        nums, den = _numerators([(Fraction(a), Fraction(b)) for a, b in pairs])
+        # Python integers, so that lengths and their sums cannot wrap
+        nums = nums.astype(object).reshape(-1, 2)
         if np.any(nums[:, 1] < nums[:, 0]):
             raise ValidationError("interval endpoints out of order")
         return cls._from_numerators(nums[:, 0], nums[:, 1], den)
@@ -215,7 +214,7 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
     outside it is a ValidationError.  So is a count or a scale whose
     reciprocal the float fit cannot hold.
     """
-    eps_list = sorted(scales, reverse=True)
+    eps_list = sorted((_positive(eps, "box scales") for eps in scales), reverse=True)
     if len(eps_list) < 3:
         raise InsufficientDataError("box_dim needs at least 3 scales")
     if isinstance(obj, IntervalUnion):
@@ -258,8 +257,8 @@ class DioSpec:
     s: float
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValidationError("q must be >= 1")
+        if not isinstance(self.q, (int, np.integer)) or self.q < 1:
+            raise ValidationError(f"q must be an integer >= 1, got {self.q!r}")
         if not 0 < self.s <= 2:
             raise ValidationError("s must lie in (0, 2]")
 

@@ -256,18 +256,38 @@ def test_polygon_requires_symmetry():
 
 def test_polygon_exact_vertices_must_match():
     V = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    # such a list made exact mode count 24 distances on the q = 8 lattice,
-    # float mode 16
-    with pytest.raises(ValidationError, match="differ from vertices"):
-        Polygon2D(V, exact_vertices=[(2, 0), (0, 1), (-1, 0), (0, -1)])
-    # equal to the floats within 1e-9 but not the exact negation of its first half
+    # symmetric within 1e-9 but not the exact negation of its first half
     near = [(1 + Fraction(1, 10**12), 0), (0, 1), (-1, 0), (0, -1)]
     with pytest.raises(ValidationError, match="exactly symmetric"):
-        Polygon2D(V, exact_vertices=near)
-    assert Polygon2D(V, exact_vertices=V).exact_vertices[2] == (-1, 0)
+        Polygon2D(near)
+    assert Polygon2D(V).exact_vertices[2] == (-1, 0)
     # float antipodes agree within 1e-9 * scale, not numpy's default 1e-5 relative
     with pytest.raises(ValidationError, match="not symmetric"):
         Polygon2D([(1, 0), (0, 1), (-1 - 1e-7, 0), (0, -1)])
+
+
+_BAD_POLYGONS = {
+    "inf vertex": (lambda: Polygon2D([(math.inf, 0), (0, 1), (-math.inf, 0), (0, -1)]),
+                   r"vertices must be finite; row 0 is \[inf, 0.0\]"),
+    "nan vertex": (lambda: Polygon2D([(1, 0), (0, math.nan), (-1, 0), (0, -1)]),
+                   r"vertices must be finite; row 1 is \[0.0, nan\]"),
+    "inf circumradius": (lambda: regular_polygon(8, math.inf),
+                         "circumradius must be positive and finite, got inf"),
+    "nan phase": (lambda: regular_polygon(8, 1.0, math.nan), "phase must be finite, got nan"),
+    "inf half": (lambda: square(math.inf), "half must be positive and finite, got inf"),
+    "negative half": (lambda: square(-1), "half must be positive and finite, got -1"),
+    "nan half": (lambda: diamond(math.nan), "half must be positive and finite, got nan"),
+    "nan scale": (lambda: square().scaled(math.nan), "scale factor must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_POLYGONS))
+def test_invalid_polygon_input_refused(name):
+    # these built bodies with infinite vertices, warned and reported "not
+    # symmetric", ended in an OverflowError, or (half = -1) gave the unit square
+    build, message = _BAD_POLYGONS[name]
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("width", [1, 3])

@@ -363,6 +363,7 @@ _PROBES = [
      "[fractal] energy_T"),
     ("fractal", "build", "[fractal]\nbox_exponents = 2 4 2000\n", "[fractal] box_exponents"),
     ("body", "inspect", "[run]\nseed = -1\n[body]\nkind = disk\n", "[run] seed"),
+    ("body", "inspect", "[body]\nkind = square\nhalf = -1\n", "[body] half"),
 ]
 
 

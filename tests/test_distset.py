@@ -14,13 +14,20 @@ from hypothesis import assume, given, settings, strategies as st
 from gaugedist import (
     AtomicMeasure,
     BudgetError,
+    CantorSpec,
     CapabilityError,
+    DioSpec,
     Ellipsoid,
     InsufficientDataError,
     LpBall,
     Polygon2D,
     PointSet,
     ValidationError,
+    annulus_bound_report,
+    box_dim,
+    cantor_build,
+    chord_bound_report,
+    curvature_condition,
     diamond,
     disk,
     distance_set,
@@ -61,7 +68,7 @@ def test_lattice_points_match_sorted_unique_grid():
         assert S.points.dtype == want.dtype and S.points.shape == want.shape
         assert S.points.tobytes() == want.tobytes(), q
         assert S.n == len(want)
-        assert np.array_equal(S._exact, want.astype(np.int64))
+        assert np.array_equal(S._exact[0], want.astype(np.int64)) and S._exact[1] == 1
 
 
 def test_explicit_dedup():
@@ -92,6 +99,10 @@ def test_explicit_exact_points_that_round_together_rejected():
                            (Fraction(10**16 + 1, 10**16), Fraction(0))])
     with pytest.raises(ValidationError, match="3 distinct exact points round to 2"):
         PointSet.explicit([[2**60, 0], [2**60 + 1, 0], [0, 0]])
+    # numpy reads this list as float64, which used to leave one float point
+    # and no exact copy
+    with pytest.raises(ValidationError, match="2 distinct exact points round to 1"):
+        PointSet([[2**63 + 1, 0], [2**63, 0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -107,6 +118,28 @@ def test_exact_mode_needs_exact_polygon_vertices():
         for S in (PointSet.lattice(4), PointSet.explicit([[0, 0], [1, 2], [3, 1]])):
             with pytest.raises(CapabilityError, match="rational Polygon2D"):
                 distance_set(S, body, "exact_rational")
+
+
+def test_polygon_exactness_comes_from_its_vertices():
+    # integer and Fraction vertices are diamond()'s exact polygon; integer
+    # vertices used to refuse exact mode
+    ints = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    fracs = [(Fraction(x), Fraction(y)) for x, y in ints]
+    thirds = PointSet([(Fraction(a, 3), Fraction(b, 2))
+                       for a, b in itertools.product(range(-3, 4), repeat=2)])
+    for S in (PointSet.lattice(4), thirds):
+        want = distance_set(S, diamond(), "exact_rational")
+        for V in (ints, fracs, np.array(ints)):
+            got = distance_set(S, Polygon2D(V), "exact_rational")
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.multiplicities.tobytes() == want.multiplicities.tobytes()
+    assert distance_set(PointSet.lattice(4), Polygon2D(ints), "exact_rational").count == 8
+    with pytest.raises(CapabilityError, match="rational Polygon2D"):
+        distance_set(thirds, Polygon2D(np.array(ints, dtype=float)), "exact_rational")
+    # a rational scale keeps the copy; the floats are its rounding
+    third = diamond().scaled(Fraction(1, 3))
+    assert third.exact_vertices[0] == (Fraction(1, 3), 0)
+    assert third.vertices.tolist() == [[float(x), float(y)] for x, y in third.exact_vertices]
 
 
 def test_exact_round_ball_keys_past_int64_rejected():
@@ -601,6 +634,55 @@ def test_growth_fit_input_checks():
             growth_scan(PointSet.lattice, disk(), [4, 8, 16, 32], alpha=alpha)
 
 
+def test_growth_fit_needs_positive_counts_in_its_window():
+    # log(0) used to warn and give a non-finite beta
+    with pytest.raises(InsufficientDataError, match="q = 8 counts 0"):
+        growth_fit([8, 16, 32, 64], [0, 1, 2, 3])
+    # a zero count below the window is never read
+    assert math.isfinite(growth_fit([1, 8, 16, 32, 64], [0, 1, 2, 3, 4]).beta)
+
+
+_BAD_LATTICES = {
+    "lattice q 4.5": (lambda: PointSet.lattice(4.5), "lattice needs q >= 1, an integer, got 4.5"),
+    "perturbed q 4.5": (lambda: PointSet.perturbed_lattice(4.5, 0, 0.1),
+                        "lattice needs q >= 1, an integer, got 4.5"),
+    "rotated inf": (lambda: PointSet.rotated_lattice(4, math.inf), "angle must be finite"),
+    "rotated nan": (lambda: PointSet.rotated_lattice(4, math.nan), "angle must be finite"),
+    "dio q 4.5": (lambda: DioSpec(PointSet.lattice(4), 4.5, 1.0),
+                  "q must be an integer >= 1, got 4.5"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_LATTICES))
+def test_lattice_parameters_checked(name):
+    # a fractional q reported n = 30.25 for 36 points, an infinite angle
+    # ended in a math domain error and a NaN angle counted 1 distance
+    build, message = _BAD_LATTICES[name]
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+_NAN_PROBES = {
+    "separated_check": lambda: separated_check(PointSet.lattice(2), math.nan),
+    "well_distributed_check": lambda: well_distributed_check(PointSet.lattice(2), math.nan),
+    "curvature_condition": lambda: curvature_condition(square(), [math.nan, 0.1, 0.01]),
+    "chord_bound_report": lambda: chord_bound_report(square(), [math.nan, 4, 8]),
+    "box_dim zero": lambda: box_dim(cantor_build(CantorSpec(2, 3)),
+                                    [Fraction(1, 2), 0, Fraction(1, 8)]),
+    "box_dim negative": lambda: box_dim(cantor_build(CantorSpec(2, 3)),
+                                        [Fraction(1, 2), -0.25, Fraction(1, 8)]),
+    "annulus n_theta": lambda: annulus_bound_report(disk(), [1.0], [4.0], [0.05], n_theta=0),
+}
+
+
+@pytest.mark.parametrize("name", list(_NAN_PROBES))
+def test_nan_and_nonpositive_parameters_refused(name):
+    # each passed a `x <= 0` check: it returned a report, warned, or ended in
+    # a ZeroDivisionError or a bare numpy ValueError
+    with pytest.raises(ValidationError):
+        _NAN_PROBES[name]()
+
+
 def test_lattice_grids_capped_before_allocating():
     tracemalloc.start()
     try:
@@ -630,7 +712,7 @@ def _fine_rational_polygon(n=64, den=10**6):
              Fraction(math.sin(2 * math.pi * k / n)).limit_denominator(den))
             for k in range(n // 2)]
     ev = half + [(-x, -y) for x, y in half]
-    return Polygon2D(np.array(ev, dtype=float), ev)
+    return Polygon2D(ev)
 
 
 def test_exact_polygon_rational_fallback():
@@ -669,7 +751,7 @@ def test_polygon_gauge_blocked_by_face_count():
     # end: 419 000 rows for the 12 274 distances of the last hexagon below,
     # a 23 MiB peak
     gon = regular_polygon(256)
-    hexagon = Polygon2D(np.array(_INT_HEXAGON, dtype=float), _INT_HEXAGON)
+    hexagon = Polygon2D(_INT_HEXAGON)
     rational = _fine_rational_polygon(16, 10)
     points = PointSet.explicit(PointSet.lattice(40).points.astype(np.int64))
     for S, body, mode, cap in (
@@ -681,8 +763,7 @@ def test_polygon_gauge_blocked_by_face_count():
             (PointSet.lattice(64), _fine_rational_polygon(), "exact_rational", 4 << 20),
             (PointSet.lattice(1024), hexagon, "exact_rational", 16 << 20),
             (PointSet.lattice(1024), hexagon, "float_tol", 16 << 20),
-            (PointSet.lattice(1024), Polygon2D(np.array(_KEYED_HEXAGON, dtype=float),
-                                               _KEYED_HEXAGON), "float_tol", 8 << 20)):
+            (PointSet.lattice(1024), Polygon2D(_KEYED_HEXAGON), "float_tol", 8 << 20)):
         tracemalloc.start()
         try:
             distance_set(S, body, mode)
@@ -712,7 +793,7 @@ def _rational_zonotopes(draw):
         for gx, gy in gens:
             verts.append(v)
             v = (v[0] + sign * gx, v[1] + sign * gy)
-    return Polygon2D(np.array(verts, dtype=float), verts)
+    return Polygon2D(verts)
 
 
 @given(_rational_zonotopes(), st.integers(1, 24))
@@ -748,10 +829,7 @@ def _reference_distance_set(S, body, mode):
         w = np.ones(len(i), dtype=np.int64)
         vecs = S.points[i] - S.points[j]
         if mode == "exact_rational":
-            rows = [[Fraction(v) for v in r] for r in (
-                S._exact.tolist() if isinstance(S._exact, np.ndarray) else S._exact)]
-            den = math.lcm(*(v.denominator for r in rows for v in r))
-            ints = np.array([[int(v * den) for v in r] for r in rows], dtype=np.int64)
+            ints, den = S._exact
             diffs = ints[i] - ints[j]
     if mode == "float_tol":
         if isinstance(body, Polygon2D):
@@ -805,7 +883,7 @@ _KEYED_HEXAGON = [(-1, -2), (4, -4), (4, -2), (1, 2), (-4, 4), (-4, 2)]
 # 256-gon's pass 2^1024, beyond any float
 _EXACT_BODIES = [disk(), disk(3.0), disk(0.5), l1, linf, LpBall(np.inf, (2.0, 2.0)),
                  LpBall(1.0, (3.0, 3.0)), LpBall(2.0), square(), diamond(),
-                 Polygon2D(np.array(_INT_HEXAGON, dtype=float), _INT_HEXAGON),
+                 Polygon2D(_INT_HEXAGON),
                  _fine_rational_polygon(16, 10), _fine_rational_polygon(16, 10**4),
                  _fine_rational_polygon(), _fine_rational_polygon(256)]
 # polygons of few faces take their gauge faces x rows, the 64- and 256-gon
@@ -905,7 +983,7 @@ def test_exact_lattice_histogram_bounded():
     # its vectors, weights and keys and their temporaries, about twice its
     # key buffer.  The second hexagon's keys reach just below the cap
     for verts, q in ((_KEYED_HEXAGON, 1024), (_CAP_HEXAGON, 560)):
-        body = Polygon2D(np.array(verts, dtype=float), verts)
+        body = Polygon2D(verts)
         top = max(abs(a) + abs(b) for a, b in _cleared_faces(body)[0]) * q
         assert top < _HISTOGRAM_CAP
         S = PointSet.lattice(q)
@@ -928,7 +1006,7 @@ def test_exact_lattice_counted_or_sorted_matches_reference(monkeypatch, q):
     # either reducer, the histogram below the cap and the per-block sort past
     # it, gives the reference's bits; 64-entry blocks would make 63 000
     # blocks here, 2^14 entries still cut the grid into 231
-    body = Polygon2D(np.array(_CAP_HEXAGON, dtype=float), _CAP_HEXAGON)
+    body = Polygon2D(_CAP_HEXAGON)
     top = max(abs(a) + abs(b) for a, b in _cleared_faces(body)[0]) * q
     assert (top < _HISTOGRAM_CAP) == (q == 560)
     sizes = []
