@@ -658,9 +658,11 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 def _direction_vector(direction) -> np.ndarray:
+    v = np.asarray(direction, dtype=float).ravel()
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"direction must be finite, got {v.tolist()}")
     if isinstance(direction, (int, float)):
         return np.array([math.cos(direction), math.sin(direction)])
-    v = np.asarray(direction, dtype=float).ravel()
     if v.shape != (2,):
         raise ValidationError("direction must be an angle or a 2-vector")
     n = math.hypot(v[0], v[1])

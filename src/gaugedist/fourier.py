@@ -11,10 +11,12 @@ forms, and l^2 balls (ellipses) Bessel forms: J1 for the body, J0 for the
 surface of a round disk.  The other smooth boundaries (l^p balls with
 p != 2, 1 < p < inf, and surfaces of stretched ellipses) take composite
 Gauss-Legendre arc-length quadrature with a node count proportional to
-|xi|, so the phase advances a bounded amount per panel.  Against an 8x
+|xi|, so the phase advances a bounded amount per panel.  Against a 16x
 finer rule at |xi| in {8, 45, 300} the error, relative to the largest
-|value| on the circle, is at most 3e-13 on ellipses and l^3/l^4 balls
-and 2e-6, 1e-7 and 2e-8 on the l^1.5 ball.  The indicator transform is
+|value| on the circle, is at most 4e-12 on ellipses and l^3/l^4 balls
+(the l^4 body transform at |xi| = 8; 3e-13 from |xi| = 45 on) and
+2.3e-6, 2.8e-7 and 4.3e-8 on the l^1.5 ball, whose boundary curvature is
+infinite where it crosses the axes.  The indicator transform is
 reduced to the boundary through the divergence identity
 
     body_ft(xi) = -1/(2 pi i |xi|^2) * surface-integral of (xi . n) e(-x.xi),
@@ -53,8 +55,11 @@ _PANELS_PER_UNIT = 1.0
 _NODES_PER_PANEL = 16
 # angular rule: half-circle nodes per unit of R * diam(K).  For a symmetric
 # body the integrand has period pi, so N nodes on [0, pi) give the identical
-# value to 2N uniform nodes on [0, 2 pi); 16 per unit here is the 32-per-unit
-# full-circle budget, ~5x past the integrand's angular band limit.
+# value to 2N uniform nodes on [0, 2 pi).  p = 1 averages take 16 per unit
+# (the 32-per-unit full-circle budget): |transform| has kinks at the zeros,
+# and the rule converges only algebraically.  p = 2 averages take half that:
+# |transform|^2 is smooth and band-limited, aliasing sets in only below about
+# pi per unit, and 8 per unit agrees with a 4x finer rule to about 2e-14.
 _ANGULAR_PER_UNIT = 16.0
 _MIN_ANGULAR = 128
 # Hard caps, checked before anything is allocated: on the transform
@@ -158,18 +163,17 @@ def _polygon_ft(poly: Polygon2D, rows: np.ndarray, kind: str,
 
 def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str,
                threads: int = 1) -> np.ndarray:
-    """Quadrature transform, each |xi| on the power-of-two panel count >= 4
-    that covers its phase.  Node k + Q/2 of such a rule is the antipode of
-    node k, with its weight and the opposite normal, so the first half of
-    the rule feeds the half sum."""
+    """Quadrature transform, each |xi| on the panel bucket (``_panel_buckets``)
+    of the count >= 4 that covers its phase.  A bucket is a multiple of 4,
+    so node k + Q/2 of its rule is the antipode of node k, with its weight
+    and the opposite normal, and the first half of the rule feeds the half
+    sum."""
     diam = body.diameter()
     mags = np.hypot(rows[:, 0], rows[:, 1])
-    need = np.maximum(4, np.ceil(_PANELS_PER_UNIT * mags * diam))
-    # a bucket holds 16 * 2^k >= 16 * need nodes, past the power-of-two cap iff 16 * need is
-    if need.size and need.max() * _NODES_PER_PANEL > _PANEL_NODE_CAP:
+    buckets = _panel_buckets(np.maximum(4, np.ceil(_PANELS_PER_UNIT * mags * diam)))
+    if buckets.size and buckets.max() * _NODES_PER_PANEL > _PANEL_NODE_CAP:
         raise BudgetError(f"|xi| = {mags.max():g} needs a panel bucket past the cap of "
                           f"{_PANEL_NODE_CAP} boundary nodes")
-    buckets = 1 << np.ceil(np.log2(need)).astype(int)
     out = np.empty(rows.shape[0], dtype=complex)
     for p in distinct(buckets):
         idx = np.nonzero(buckets == p)[0]
@@ -178,6 +182,15 @@ def _smooth_ft(body: ConvexBody, rows: np.ndarray, kind: str,
         out[idx] = _half_sum(x[:h], w[:h], n[:h], rows[idx], kind, body.volume(),
                              threads)
     return out
+
+
+def _panel_buckets(need: np.ndarray) -> np.ndarray:
+    """Panel counts need >= 4 rounded up to a multiple of 2^max(2, floor(log2
+    need) - 2), as floats: at most four buckets per octave, each a multiple
+    of 4 and, from need = 16 on, less than 1.25 need.  A bucket passes 2^15
+    exactly when need does, so a cap of 2^15 panels reads the same either way."""
+    step = np.ldexp(1.0, np.maximum(2, np.frexp(need)[1] - 3))
+    return np.ceil(need / step) * step
 
 
 def _half_sum(x, w, n, rows, kind, volume, threads=1, edges=None) -> np.ndarray:
@@ -244,12 +257,16 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
     """L^p average of |transform| over the frequency circle of radius R.
 
     Rectangle rule over a half circle (the integrand has period pi for a
-    symmetric body); the node count N grows linearly with R * diam(K).  For
-    p = 2 the integrand |transform|^2 is smooth and band-limited, the rule
-    stays far past its angular band limit, and the value agrees with a much
-    finer rule to about 1e-14.  For p = 1 that claim does not hold:
-    |transform| has kinks at the transform's zeros, so the rule loses its
-    spectral accuracy.  On the square the p = 1 average is off by a
+    symmetric body); the default node count N is at least 128 and grows
+    linearly with R * diam(K), at 8 nodes per unit for p = 2 and 16 for
+    p = 1.  For p = 2 the integrand |transform|^2 is smooth and
+    band-limited (its angular modes end near 2 pi R diam(K), so the rule
+    aliases only below about pi nodes per unit), and the value agrees with
+    a rule of 64 nodes per unit to 4e-15 relative on smooth bodies and
+    2e-14 on the square and the 256-gon (R in 8..128).  For
+    p = 1 that claim does not hold: |transform| has kinks at the
+    transform's zeros, so the rule loses its spectral accuracy, and it keeps
+    twice the p = 2 density.  On the square the p = 1 average is off by a
     relative 1e-4 to 2e-3 at the default count, and the error falls only
     algebraically, and unevenly, as nodes are added.
 
@@ -277,9 +294,10 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
     k, mirror = body.symmetry()
     if n_nodes is None:
         # half-circle count: at least the max(256, 32 R diam) full-circle
-        # rule, rounded up to whole symmetry cells
-        n_nodes = max(_MIN_ANGULAR,
-                      int(math.ceil(_ANGULAR_PER_UNIT * R * body.diameter())))
+        # rule for p = 1, max(256, 16 R diam) for p = 2, rounded up to whole
+        # symmetry cells
+        per_unit = _ANGULAR_PER_UNIT if p == 1 else _ANGULAR_PER_UNIT / 2
+        n_nodes = max(_MIN_ANGULAR, int(math.ceil(per_unit * R * body.diameter())))
         n_nodes = -(-n_nodes // (k // 2)) * (k // 2)
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")

@@ -17,7 +17,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from ._blocks import distinct, map_blocks
-from .bodies import ConvexBody, _numerators, _positive
+from .bodies import ConvexBody, _finite_rows, _numerators, _positive
 from .distset import PointSet, _unique_rows, distance_set
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 from .fourier import _planar_rows
@@ -355,10 +355,11 @@ class AtomicMeasure:
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValidationError(f"atoms must be an (n, 2) array, got shape "
                                   f"{self.points.shape}")
+        _finite_rows(self.points, "atoms")
         if len(self.weights) != len(self.points):
             raise ValidationError("one weight per atom required")
-        if np.any(self.weights <= 0):
-            raise ValidationError("weights must be positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValidationError("weights must be positive and finite")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValidationError("weights must sum to 1")
 

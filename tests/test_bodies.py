@@ -161,6 +161,17 @@ def test_chord_depth_validation():
         chord_length(disk(), w, -0.1)
 
 
+@pytest.mark.parametrize("direction", [math.nan, math.inf, -math.inf, [math.nan, 1.0],
+                                       [1.0, math.inf]],
+                         ids=["nan", "inf", "-inf", "nan row", "inf row"])
+def test_chord_direction_must_be_finite(direction):
+    # a nan angle used to give the disk's chord 0.0 and the square's a
+    # GeometryError, and an infinite one a bare math domain error
+    for body in (disk(), square(), LpBall(4.0)):
+        with pytest.raises(ValidationError, match="direction must be finite"):
+            chord_length(body, direction, 0.1)
+
+
 def test_disk_chord_closed_form():
     # depth eps below the support line: half-chord sqrt(1 - (1-eps)^2)
     for eps in (1e-4, 1e-2, 0.3, 0.9):

@@ -41,7 +41,7 @@ from gaugedist import fourier
 from gaugedist.bodies import ConvexBody, Ellipsoid, boundary_quadrature
 from gaugedist.fourier import (_ANGULAR_CAP, _ANGULAR_PER_UNIT, _MIN_ANGULAR, _NODES_PER_PANEL,
                                _PANEL_NODE_CAP, _PANELS_PER_UNIT, _SCAN_CAP, _half_sum,
-                               _smooth_ft)
+                               _panel_buckets, _smooth_ft)
 
 
 # leggauss(4000) costs seconds and the oracle needs the same rule each call
@@ -183,12 +183,12 @@ def _full_polygon_ft(poly, xi, kind):
 
 def _full_quadrature_ft(body, xi, kind):
     """Complex exponential summed over every node of the full-boundary rule,
-    with the package's power-of-two panel budget: the oracle for the real
-    sum over half the nodes."""
+    with the package's panel bucket: the oracle for the real sum over half
+    the nodes."""
     out = np.empty(len(xi), dtype=complex)
     for i, row in enumerate(xi):
         need = max(4, math.ceil(_PANELS_PER_UNIT * np.linalg.norm(row) * body.diameter()))
-        x, w, n = boundary_quadrature(body, 1 << math.ceil(math.log2(need)))
+        x, w, n = boundary_quadrature(body, int(_panel_buckets(need)))
         terms = w * np.exp(-2j * math.pi * (x @ row))
         out[i] = terms.sum() if kind == "surface" else (terms * (n @ row)).sum()
     return out if kind == "surface" else _flux_to_body(out, xi, body.volume())
@@ -351,8 +351,17 @@ def test_spherical_average_rotation_invariance():
         assert avg == pytest.approx(pointwise, rel=1e-10)
 
 
-def _default_nodes(body, R):
-    return max(_MIN_ANGULAR, math.ceil(_ANGULAR_PER_UNIT * R * body.diameter()))
+def _default_nodes(body, R, p=1):
+    """The default N of a p-average before rounding to whole symmetry cells:
+    16 nodes per unit of R * diam for p = 1, 8 for p = 2."""
+    per_unit = _ANGULAR_PER_UNIT if p == 1 else _ANGULAR_PER_UNIT / 2
+    return max(_MIN_ANGULAR, math.ceil(per_unit * R * body.diameter()))
+
+
+def _rounded_nodes(body, R, p=1):
+    """The default N: _default_nodes rounded up to a multiple of k/2."""
+    g = body.symmetry()[0] // 2
+    return -(-_default_nodes(body, R, p) // g) * g
 
 
 def _full_rule_values(body, R, kind, n_nodes):
@@ -413,12 +422,6 @@ def test_spherical_average_cell_rule_vs_full_rule():
     assert any(not mirror and shorter for _, _, mirror, shorter in seen)
 
 
-def _rounded_nodes(body, R):
-    """The default N: _default_nodes rounded up to a multiple of k/2."""
-    g = body.symmetry()[0] // 2
-    return -(-_default_nodes(body, R) // g) * g
-
-
 def _record_rows(monkeypatch):
     """Replace fourier._transform by a stub that records the rows it gets."""
     calls = []
@@ -465,14 +468,35 @@ def test_spherical_average_default_vs_full_rule():
     for name, make, radii in _CELL_CASES:
         body = make()
         for R in radii:
-            n = _rounded_nodes(body, R)
-            for kind in ("body", "surface"):
-                vals = _full_rule_values(body, R, kind, n)
-                for p in (1, 2):
+            for p in (1, 2):
+                n = _rounded_nodes(body, R, p)
+                for kind in ("body", "surface"):
                     got = spherical_average(body, R, kind=kind, p=p)
-                    want = _full_rule(vals, p)
+                    want = _full_rule(_full_rule_values(body, R, kind, n), p)
                     rtol = 1e-12 if R <= 128 else 1e-11
                     assert abs(got - want) <= rtol * want, (name, R, kind, p)
+
+
+@pytest.mark.parametrize("make", [lambda: LpBall(4.0), lambda: LpBall(1.5),
+                                  lambda: LpBall(4.0, (2.0, 0.5)), lambda: ellipse(1.0, 0.5),
+                                  disk, square, lambda: regular_polygon(256)],
+                         ids=["l4", "l1.5", "l4 (2, 0.5)", "1:0.5 ellipse", "disk", "square",
+                              "256-gon"])
+def test_spherical_average_p2_default_vs_4x_rule(make):
+    # the p = 2 default, 8 nodes per unit of R * diam, against 64 per unit;
+    # the measured worst case is 1.7e-14 (square, 256-gon).  The rule aliases below
+    # about pi nodes per unit (3 per unit: 3.9e-3 on the square), so the
+    # default's count is checked on its own
+    body = make()
+    g = body.symmetry()[0] // 2
+    for R in (8.0, 33.3, 128.0):
+        n = -(-4 * _default_nodes(body, R, p=1) // g) * g
+        for kind in ("body", "surface"):
+            got = spherical_average(body, R, kind=kind, p=2)
+            assert got == spherical_average(body, R, kind=kind, p=2,
+                                             n_nodes=_rounded_nodes(body, R, p=2))
+            want = spherical_average(body, R, kind=kind, p=2, n_nodes=n)
+            assert abs(got - want) <= 1e-13 * want, (R, kind)
 
 
 def test_spherical_average_default_unchanged_for_half_turn_bodies():
@@ -482,7 +506,7 @@ def test_spherical_average_default_unchanged_for_half_turn_bodies():
                 for p in (1, 2):
                     assert (spherical_average(body, R, kind=kind, p=p)
                             == spherical_average(body, R, kind=kind, p=p,
-                                                 n_nodes=_default_nodes(body, R)))
+                                                 n_nodes=_rounded_nodes(body, R, p)))
 
 
 def test_spherical_average_thread_stability(monkeypatch):
@@ -655,6 +679,27 @@ def test_spherical_average_nodes_capped_before_allocating():
     assert peak < 1 << 20
     # the disk evaluates every node of its rule: 32 R of them
     assert _ANGULAR_PER_UNIT * 512 * disk().diameter() * 64 <= _ANGULAR_CAP
+
+
+def test_panel_buckets_quarter_octave():
+    # every panel count up to the cap: a bucket covers need with less than
+    # a quarter to spare, and is a multiple of 4, so the rule pairs each
+    # node with its antipode
+    need = np.arange(4, (1 << 15) + 1)
+    buckets = _panel_buckets(need.astype(float))
+    assert np.all(buckets == np.round(buckets))
+    b = buckets.astype(np.int64)
+    assert np.all(b >= need) and np.all(b % 4 == 0)
+    assert np.all(b[need >= 16] < 1.25 * need[need >= 16])
+    octave = np.frexp(b)[1]
+    for e in np.unique(octave):
+        assert np.unique(b[octave == e]).size <= 4, e
+    for q in (12, 20, 28, 40, 320):
+        x, w, n = boundary_quadrature(LpBall(4.0, (2.0, 0.5)), q)
+        h = len(x) // 2
+        np.testing.assert_allclose(x[h:], -x[:h], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(w[h:], w[:h], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(n[h:], -n[:h], rtol=0, atol=1e-12)
 
 
 def test_panel_buckets_capped_before_allocating():

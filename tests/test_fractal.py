@@ -436,6 +436,20 @@ def test_atomic_measure_validation():
         AtomicMeasure(pts, [0.5])
 
 
+@pytest.mark.parametrize("points, weights, match", [
+    ([[0.1, 0.2], [0.3, 0.4]], [math.nan, 1.0], "weights must be positive and finite"),
+    ([[0.1, 0.2], [0.3, 0.4]], [math.inf, 1.0], "weights must be positive and finite"),
+    ([[0.1, 0.2], [0.3, 0.4]], [0.0, 1.0], "weights must be positive and finite"),
+    ([[math.inf, 0.2], [0.3, 0.4]], [0.5, 0.5], r"atoms must be finite; row 0 is \[inf, 0.2\]"),
+    ([[0.1, 0.2], [0.3, math.nan]], [0.5, 0.5], r"atoms must be finite; row 1 is \[0.3, nan\]"),
+], ids=["nan weight", "inf weight", "zero weight", "inf atom", "nan atom"])
+def test_atomic_measure_refuses_non_finite_input(points, weights, match):
+    # a nan weight used to construct and transform to nan+nanj, an infinite
+    # atom to end in numpy's RuntimeWarning from cos
+    with pytest.raises(ValidationError, match=match):
+        AtomicMeasure(points, weights)
+
+
 def test_ft_frequencies_must_be_planar_and_finite():
     # the Riesz product used to take any column count: three columns
     # returned 2.6e-33 - 1.1e-33j, and the atom sum ended in numpy's matmul error
