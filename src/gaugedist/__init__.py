@@ -29,8 +29,6 @@ from .bodies import (
     regular_polygon,
     radial_polygon,
     random_symmetric_hexagon,
-    gauge_norm,
-    support,
     perimeter,
     chord_length,
     chord_length_exact,
@@ -43,7 +41,6 @@ from .fourier import (
     annulus_ft,
     AnnulusSpec,
     spherical_average,
-    radial_samples,
     DecayProfile,
     decay_fit,
     octave_envelope,
@@ -83,7 +80,6 @@ from .fractal import (
     natural_measure,
     energy_integral,
     EnergyLadder,
-    energy_ladder,
     energy_ladders,
 )
 from .svgplot import svg_decay_plot
@@ -95,11 +91,11 @@ __all__ = [
     "BudgetError", "InsufficientDataError", "ConfigError", "PlotDataError",
     "ConvexBody", "Polygon2D", "Ellipsoid", "LpBall",
     "disk", "ellipse", "square", "diamond", "regular_polygon", "radial_polygon",
-    "random_symmetric_hexagon", "gauge_norm", "support", "perimeter",
+    "random_symmetric_hexagon", "perimeter",
     "chord_length", "chord_length_exact", "curvature_condition",
     "CurvatureReport",
     "surface_ft", "body_ft", "annulus_ft", "AnnulusSpec",
-    "spherical_average", "radial_samples", "DecayProfile", "decay_fit",
+    "spherical_average", "DecayProfile", "decay_fit",
     "octave_envelope", "window_aggregate", "chord_bound_report",
     "ChordBoundReport", "annulus_bound_report", "AnnulusBoundReport",
     "PointSet", "DistanceSet", "distance_set", "well_distributed_check",
@@ -108,7 +104,6 @@ __all__ = [
     "IntervalUnion", "CantorSpec", "cantor_build", "DifferenceCover",
     "difference_cover", "box_dim", "DioSpec", "DioSet", "dio_build",
     "DeltaCover", "delta_cover", "AtomicMeasure", "CantorMeasure",
-    "natural_measure", "energy_integral", "EnergyLadder", "energy_ladder",
-    "energy_ladders",
+    "natural_measure", "energy_integral", "EnergyLadder", "energy_ladders",
     "svg_decay_plot",
 ]

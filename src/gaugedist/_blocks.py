@@ -1,11 +1,14 @@
 """Row-blocked evaluation shared by the transform, gauge and atom-sum kernels,
-and the sorted distinct values of an array."""
+the sorted distinct values of an array, and the one least-squares line fit."""
 
 from __future__ import annotations
 
+import math
 from concurrent import futures
 
 import numpy as np
+
+from .errors import InsufficientDataError
 
 # rows x width entries per block: a 2 MiB float64 buffer.  Decay scans of the
 # 256-gon and the l4 ball ran alike from 2^17 to 2^20 entries and slower from
@@ -47,3 +50,23 @@ def distinct(a) -> np.ndarray:
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+def _line_fit(x, y):
+    """(slope, intercept, rms residual) of the least-squares line y ~ a x + b.
+
+    Every sum is a math.fsum of Python floats in input order, about the means,
+    so the result depends on the values alone: no BLAS kernel, LAPACK routine
+    or CPU dispatch enters it.  Fewer than 2 distinct x is an
+    InsufficientDataError.
+    """
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    if len(set(x)) < 2:
+        raise InsufficientDataError(f"a line fit needs at least 2 distinct x, "
+                                    f"have {len(set(x))}")
+    n = len(x)
+    mx, my = math.fsum(x) / n, math.fsum(y) / n
+    dx, dy = [v - mx for v in x], [v - my for v in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    rss = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    return slope, my - slope * mx, math.sqrt(rss / n)

@@ -457,16 +457,6 @@ def random_symmetric_hexagon(rng: np.random.Generator) -> Polygon2D:
 _PERIMETER_PANELS = 512
 
 
-def gauge_norm(body: ConvexBody, x) -> np.ndarray:
-    """||x||_K; vectorized over leading axes of x."""
-    return body.gauge(x)
-
-
-def support(body: ConvexBody, omega) -> np.ndarray:
-    """Support value sup_{y in K} y . omega; omega need not be unit length."""
-    return body.support(omega)
-
-
 def perimeter(body: ConvexBody) -> float:
     poly = body.as_polygon()
     if poly is not None:

@@ -290,7 +290,10 @@ def _geometric_grid(cfg: ScanConfig, sec: str, name: str, lo: float, hi: float,
     if n > F._SCAN_CAP:
         raise BudgetError(f"{cfg.path}: [{sec}] {per_key}: {n} grid points exceeds "
                           f"the cap of {F._SCAN_CAP}")
-    return np.geomspace(lo, hi, n)
+    # math.pow, not np.geomspace: numpy's exp and log take other bits under
+    # other CPU dispatch
+    inner = [lo * math.pow(hi / lo, k / (n - 1)) for k in range(1, n - 1)]
+    return np.array([lo, *inner, hi] if n > 1 else [lo])
 
 
 # ---------------------------------------------------------------------------

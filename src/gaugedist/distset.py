@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._blocks import map_blocks
+from ._blocks import _line_fit, map_blocks
 from .bodies import ConvexBody, LpBall, Polygon2D, _finite_rows, _numerators, _positive
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
@@ -589,16 +589,13 @@ def growth_fit(q_values: Sequence[int], counts: Sequence[int], *,
     if empty.size:
         raise InsufficientDataError(f"the fit window needs positive counts; q = "
                                     f"{qs[empty[0]]} counts {counts[empty[0]]}")
-    lg_q = np.log(qs[window].astype(float))
-    lg_c = np.log(counts[window].astype(float))
-    A = np.stack([np.ones_like(lg_q), lg_q], axis=1)
-    coef, *_ = np.linalg.lstsq(A, lg_c, rcond=None)
-    beta = float(coef[1])
+    beta, intercept, _ = _line_fit(map(math.log, qs[window].tolist()),
+                                   map(math.log, counts[window].tolist()))
     bound = verdict = None
     if alpha is not None:
         bound = conversion_bound(alpha)
         verdict = bool(beta >= bound - slack)
-    return GrowthReport(qs, counts, beta, float(math.exp(coef[0])), bound, verdict,
+    return GrowthReport(qs, counts, beta, math.exp(intercept), bound, verdict,
                         int(window.sum()))
 
 

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bodies as _bodies
-from ._blocks import distinct, map_blocks
+from ._blocks import _line_fit, distinct, map_blocks
 from .bodies import ConvexBody, LpBall, Polygon2D
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 
@@ -316,18 +316,10 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
         w[0] = 1.0
         if M % 2 == 0:
             w[-1] = 1.0
-        mean = float(w @ vals) / M
+        mean = math.fsum((w * vals).tolist()) / M
     else:
         mean = float(vals.mean())
     return mean if p == 1 else math.sqrt(mean)
-
-
-def radial_samples(body: ConvexBody, R_values, theta: float,
-                   kind: str = "surface") -> np.ndarray:
-    """|transform| sampled along the ray of direction theta at radii R."""
-    R = np.asarray(R_values, dtype=float).ravel()
-    xi = np.stack([R * math.cos(theta), R * math.sin(theta)], axis=1)
-    return np.abs(_transform(body, xi, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +377,12 @@ def decay_fit(R_values, values, log_power: int = 0,
         raise InsufficientDataError(
             "decay fit needs samples spanning >= %g octaves, have %.3g"
             % (_MIN_OCTAVES, math.log2(R[-1] / R[0])))
-    y = np.log(v)
+    lg_R = [math.log(r) for r in R.tolist()]
+    y = [math.log(a) for a in v.tolist()]
     if log_power:
-        y = y - log_power * np.log(np.log(R))
-    X = np.stack([np.ones_like(R), -np.log(R)], axis=1)
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = float(np.sqrt(np.mean((X @ coef - y) ** 2)))
-    return DecayProfile(gamma=float(coef[1]), amplitude=float(math.exp(coef[0])),
+        y = [a - log_power * math.log(b) for a, b in zip(y, lg_R)]
+    slope, intercept, resid = _line_fit(lg_R, y)
+    return DecayProfile(gamma=-slope, amplitude=math.exp(intercept),
                         residual=resid, n_used=int(R.size), n_dropped=n_dropped,
                         log_power=log_power, R=R, values=v)
 
@@ -439,7 +430,8 @@ def window_aggregate(R_values, values, windows_per_octave: int = 2,
               "max": np.max}.get(agg)
     if reduce is None:
         raise ValidationError("agg must be rms, mean, or max")
-    return (np.array([float(np.exp(np.mean(np.log(R[idx])))) for idx in windows]),
+    return (np.array([math.exp(math.fsum(map(math.log, R[idx].tolist())) / idx.size)
+                      for idx in windows]),
             np.array([float(reduce(v[idx])) for idx in windows]))
 
 
@@ -535,6 +527,8 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
     deltas = np.asarray(deltas, dtype=float).ravel()
     if not all(np.all((g > 0) & np.isfinite(g)) for g in (R_values, xi_mags, deltas)):
         raise ValidationError("grids must be positive and finite")
+    if np.any(np.diff(xi_mags) == 0):
+        raise ValidationError(f"|xi| values must be distinct, got {xi_mags.tolist()}")
     if n_theta < 1:
         raise ValidationError(f"n_theta must be >= 1, got {n_theta}")
     n = R_values.size * deltas.size * xi_mags.size * n_theta
@@ -566,7 +560,7 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
                              float(vals[j]), float(rhs), float(ratio[j])))
                 c_by_xi[k] = max(c_by_xi[k], float(ratio.max()))
     if len(xi_mags) >= 2:
-        slope = float(np.polyfit(np.log(xi_mags), np.log(c_by_xi), 1)[0])
+        slope = _line_fit(map(math.log, xi_mags.tolist()), map(math.log, c_by_xi.tolist()))[0]
     else:
         slope = 0.0
     return AnnulusBoundReport(rows, float(c_by_xi.max()), xi_mags, c_by_xi,

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from ._blocks import distinct, map_blocks
+from ._blocks import _line_fit, distinct, map_blocks
 from .bodies import ConvexBody, _finite_rows, _numerators, _positive
 from .distset import PointSet, _unique_rows, distance_set
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
@@ -215,8 +215,10 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
     reciprocal the float fit cannot hold.
     """
     eps_list = sorted((_positive(eps, "box scales") for eps in scales), reverse=True)
-    if len(eps_list) < 3:
-        raise InsufficientDataError("box_dim needs at least 3 scales")
+    n_distinct = len(set(eps_list))
+    if n_distinct < 3:
+        raise InsufficientDataError(f"box_dim needs at least 3 distinct scales, "
+                                    f"got {n_distinct}")
     if isinstance(obj, IntervalUnion):
         obj = (obj,)
     if isinstance(obj, tuple):
@@ -233,15 +235,14 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
     else:
         raise CapabilityError(f"cannot box-count {type(obj).__name__}")
     try:
-        with np.errstate(divide="raise", over="raise"):
-            x = np.log(1.0 / np.array([float(e) for e in eps_list]))
-            y = np.log(np.array(counts, dtype=float))
-    except (OverflowError, FloatingPointError):
+        x = [math.log(1.0 / float(e)) for e in eps_list]
+        y = [math.log(float(c)) for c in counts]
+        if x[-1] == math.inf:  # 1 / 2^-1030 overflows without an error
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
         raise ValidationError(f"box counts (the largest of {max(counts).bit_length()} bits) "
                               f"or scales are past the float range") from None
-    A = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[1])
+    return _line_fit(x, y)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +508,3 @@ def energy_ladders(mu: AtomicMeasure, gammas: Sequence[float],
             trend = "mixed"
         ladders.append(EnergyLadder(tuple(Ts), tuple(vals), tuple(incs), trend))
     return tuple(ladders)
-
-
-def energy_ladder(mu: AtomicMeasure, gamma: float, T_list: Sequence[float]) -> EnergyLadder:
-    """energy_ladders for a single gamma."""
-    return energy_ladders(mu, [gamma], T_list)[0]

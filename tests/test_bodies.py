@@ -23,7 +23,6 @@ from gaugedist import (
     diamond,
     disk,
     ellipse,
-    gauge_norm,
     perimeter,
     radial_polygon,
     random_symmetric_hexagon,
@@ -106,10 +105,10 @@ def test_polygon_gauge_layout_keeps_bits(m):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, n)
 
 
-def test_gauge_norm_wrapper_vectorizes(rng):
+def test_gauge_vectorizes(rng):
     pts = rng.normal(size=(40, 2))
     for body in _bodies(rng):
-        vals = gauge_norm(body, pts)
+        vals = body.gauge(pts)
         assert vals.shape == (40,)
         assert np.all(vals >= 0)
 

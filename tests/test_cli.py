@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -393,6 +394,19 @@ def test_box_exponents_checked_before_any_scale(tmp_path, capsys, exponents, bad
     assert f"each exponent must lie in 0..1023, got {bad}" in err
 
 
+@pytest.mark.parametrize("group, action, text, where, why", [
+    ("fractal", "build", "[fractal]\nbox_exponents = 4 4 4\n", "[fractal] box_exponents",
+     "at least 3 distinct scales, got 1"),
+    ("lemma", "check", "[body]\nkind = disk\n[lemma]\nwhich = annulus\nxi_list = 8 8\n",
+     "[lemma] r_list/xi_list/delta_list", "|xi| values must be distinct"),
+], ids=["box_exponents", "xi_list"])
+def test_repeated_fit_points_refused(tmp_path, capsys, group, action, text, where, why):
+    # both fits used to run rank-deficient and pass a verdict: box_exponents
+    # 4 4 4 gave box_dim 0.442 inside a [0.2, 0.55] band, xi_list 8 8 gave
+    # annulus_behavior = bounded
+    assert why in _config_error(tmp_path, capsys, group, action, text, where)
+
+
 def test_threads_flag_must_be_positive(tmp_path, capsys):
     path = _cfg(tmp_path, "[run]\nexperiment = body\n[body]\nkind = square\n")
     rc = main(["body", "inspect", "--config", path, "--out", str(tmp_path / "a"),
@@ -543,16 +557,66 @@ _BUNDLED = [
 ]
 
 
-@pytest.mark.parametrize("cmd, stem", _BUNDLED)
-def test_bundled_config_reproduces_committed_outputs(tmp_path, cmd, stem):
-    out = tmp_path / stem
-    rc = main(cmd + ["--config", str(_ROOT / "configs" / f"{stem}.ini"), "--out", str(out)])
-    assert rc == 0
-    want = _ROOT / "out" / stem
+def _bundled_argv(cmd, stem, out_root):
+    return cmd + ["--config", str(_ROOT / "configs" / f"{stem}.ini"),
+                  "--out", str(out_root / stem)]
+
+
+def _assert_committed_bytes(out_root, stem):
+    out, want = out_root / stem, _ROOT / "out" / stem
     names = sorted(p.name for p in want.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
-        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+        assert (out / name).read_bytes() == (want / name).read_bytes(), (stem, name)
+
+
+@pytest.mark.parametrize("cmd, stem", _BUNDLED)
+def test_bundled_config_reproduces_committed_outputs(tmp_path, cmd, stem):
+    assert main(_bundled_argv(cmd, stem, tmp_path)) == 0
+    _assert_committed_bytes(tmp_path, stem)
+
+
+# Runs argv lists through the CLI in one process, after importing numpy with
+# its warnings recorded: a numpy that names other CPU features than the
+# variable lists warns (or raises) at import and prints SKIP instead.
+_RUN_UNDER_VARIANT = """
+import json, sys, warnings
+try:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        import numpy
+    caught = [str(w.message) for w in caught]
+except Exception as exc:
+    caught = [str(exc)]
+refused = [m for m in caught if "NPY_DISABLE_CPU_FEATURES" in m]
+if refused:
+    print("SKIP " + " ".join(refused[0].split()))
+    sys.exit(0)
+import gaugedist.cli as cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.mark.parametrize("variant", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+], ids=["openblas-haswell", "openblas-prescott-numpy-no-avx512"])
+def test_bundled_outputs_same_bytes_under_other_cpu_kernels(tmp_path, variant):
+    # OpenBLAS picks its kernel, and numpy its SIMD loops, by CPU; these
+    # variables make this process take the choices of older x86-64 CPUs
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip(f"the variant names x86-64 kernels; this is {platform.machine()}")
+    argvs = [_bundled_argv(cmd, stem, tmp_path) for cmd, stem in _BUNDLED]
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), **variant)
+    proc = subprocess.run([sys.executable, "-c", _RUN_UNDER_VARIANT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    if last.startswith("SKIP "):
+        pytest.skip(last[5:])
+    assert json.loads(last) == [0] * len(_BUNDLED)
+    for _, stem in _BUNDLED:
+        _assert_committed_bytes(tmp_path, stem)
 
 
 def _perfbench_invocations(name, run_dir):
@@ -591,8 +655,7 @@ print(json.dumps([codes, "numpy.ma" in sys.modules, Watch.outside_scipy]))
 def test_runs_import_numpy_ma_only_through_scipy(tmp_path, stem):
     bundled = {s: cmd for cmd, s in _BUNDLED}
     if stem in bundled:
-        argvs = [bundled[stem] + ["--config", str(_ROOT / "configs" / f"{stem}.ini"),
-                                  "--out", str(tmp_path / "out")]]
+        argvs = [_bundled_argv(bundled[stem], stem, tmp_path)]
     else:
         argvs = _perfbench_invocations(stem, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))

@@ -29,7 +29,6 @@ from gaugedist import (
     ellipse,
     octave_envelope,
     radial_polygon,
-    radial_samples,
     random_symmetric_hexagon,
     regular_polygon,
     spherical_average,
@@ -625,7 +624,7 @@ def test_window_aggregate_modes():
 
 def test_envelope_gamma_disk_surface():
     grid = np.geomspace(8, 512, 49)
-    vals = radial_samples(disk(), grid, 0.0, kind="surface")
+    vals = np.abs(surface_ft(disk(), np.stack([grid, 0 * grid], axis=1)))
     Re, ve = octave_envelope(grid, vals, 2)
     prof = decay_fit(Re, ve)
     assert abs(prof.gamma - 0.5) <= 0.05
@@ -633,7 +632,7 @@ def test_envelope_gamma_disk_surface():
 
 def test_square_pointwise_no_decay():
     grid = np.geomspace(8, 512, 49)
-    vals = radial_samples(square(), grid, 0.0, kind="surface")
+    vals = np.abs(surface_ft(square(), np.stack([grid, 0 * grid], axis=1)))
     Re, ve = octave_envelope(grid, vals, 2)
     prof = decay_fit(Re, ve)
     assert prof.gamma <= 0.05
@@ -661,6 +660,15 @@ def test_bound_scans_capped_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_annulus_bound_report_refuses_repeated_xi():
+    # a repeated |xi| used to reach np.polyfit, which warned of a rank-deficient
+    # fit and still returned a slope: xi = 8 8 passed as bounded on 0.128
+    for xi in ([8.0, 8.0], [16.0, 8.0, 16.0]):
+        with pytest.raises(ValidationError, match=r"\|xi\| values must be distinct"):
+            annulus_bound_report(disk(), [1.0], xi, [0.05])
+    assert annulus_bound_report(disk(), [1.0], [8.0], [0.05]).growth_slope == 0.0
 
 
 def test_spherical_average_nodes_capped_before_allocating():

@@ -28,11 +28,10 @@ from gaugedist import (
     disk,
     distance_set,
     energy_integral,
-    energy_ladder,
     energy_ladders,
     natural_measure,
 )
-from gaugedist._blocks import _BLOCK_ENTRIES
+from gaugedist._blocks import _BLOCK_ENTRIES, _line_fit
 from gaugedist.fractal import _grid_count_1d
 
 linf = LpBall(np.inf, (1.0, 1.0))
@@ -117,6 +116,16 @@ _SCALES = [Fraction(1, 2 ** k) for k in range(0, 9, 2)] + [Fraction(2, 7),
                                                           Fraction(1, 2 ** 64 + 13)]
 
 
+def _fraction_fit(x, y):
+    """The exact least-squares (slope, intercept, rms residual) of the float
+    points (x, y): rational sums, one rounding at the end."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x)
+    rss = sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(x, y))
+    return float(slope), float(my - slope * mx), math.sqrt(rss / len(x))
+
+
 @given(_pairs, _pairs, _endpoints)
 def test_interval_union_matches_fraction_oracle(pairs, other_pairs, x):
     iu, other = IntervalUnion.build(pairs), IntervalUnion.build(other_pairs)
@@ -130,11 +139,12 @@ def test_interval_union_matches_fraction_oracle(pairs, other_pairs, x):
     counts = [_grid_count_1d(iu, eps) for eps in _SCALES]
     assert counts == [_oracle_grid_count(want, eps) for eps in _SCALES]
     if want:
-        # box_dim is the least-squares slope of the log counts
-        x = np.log(1.0 / np.array([float(e) for e in _SCALES[:5]]))
-        A = np.stack([np.ones_like(x), x], axis=1)
-        slope = np.linalg.lstsq(A, np.log(np.array(counts[:5], dtype=float)), rcond=None)[0][1]
-        assert box_dim(iu, _SCALES[:5]) == float(slope)
+        # box_dim is the least-squares slope of the log counts; a flat count
+        # has slope 0, which the float fit meets to within 1e-32
+        x = [math.log(1.0 / float(e)) for e in _SCALES[:5]]
+        y = [math.log(c) for c in counts[:5]]
+        slope = _fraction_fit(x, y)[0]
+        assert box_dim(iu, _SCALES[:5]) == pytest.approx(slope, rel=1e-12, abs=1e-30)
 
 
 def test_interval_union_empty():
@@ -308,6 +318,40 @@ def test_box_dim_guards():
     for obj in (empty, (iu, empty)):
         with pytest.raises(InsufficientDataError, match="empty interval union"):
             box_dim(obj, scales)
+
+
+def test_box_dim_needs_three_distinct_scales():
+    # repeated scales used to reach a rank-deficient lstsq, which returned
+    # its minimum-norm slope: 0.329 for three copies of 1/4
+    iu = cantor_build(CantorSpec(2, 4))
+    for scales in ([Fraction(1, 4)] * 3, [0.25, Fraction(1, 4), 0.5, 0.5]):
+        with pytest.raises(InsufficientDataError, match="3 distinct scales"):
+            box_dim(iu, scales)
+    assert box_dim(iu, [0.25, 0.25, 1 / 16, 1 / 64]) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_line_fit_matches_fraction_oracle():
+    # 120 fits of 3-300 points against the exact fit of the same floats; over
+    # 5 000 such fits without the offset the worst slope error was 8.2e-16
+    # relative, lstsq's 3.8e-13.  The x offset of 1000 leaves 7 digits to a
+    # fit that skips the centring
+    rng = np.random.default_rng(7)
+    for trial in range(120):
+        n = int(rng.integers(3, 301))
+        x = np.log(rng.uniform(1, 1000, n)) + (1000.0 if trial % 4 == 0 else 0.0)
+        y = rng.normal(0, 2) * x + rng.normal(0, 3) + rng.normal(0, 0.1, n)
+        want = _fraction_fit(x.tolist(), y.tolist())
+        got = _line_fit(x, y)
+        assert got[0] == pytest.approx(want[0], rel=1e-12), trial
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12), trial
+        assert got[2] == pytest.approx(want[2], rel=1e-9), trial
+    assert _line_fit([0, 1, 2, 3], [1, 3, 5, 7]) == (2.0, 1.0, 0.0)
+
+
+def test_line_fit_needs_two_distinct_x():
+    for x in ([2.0], [2.0, 2.0, 2.0]):
+        with pytest.raises(InsufficientDataError, match="2 distinct x"):
+            _line_fit(x, range(len(x)))
 
 
 def test_box_dim_rejects_counts_and_scales_past_the_float_range():
@@ -556,7 +600,7 @@ def test_energy_validation():
 
 def test_energy_ladder_point_mass_growth():
     mu = AtomicMeasure([[0.25, 0.6]], [1.0])
-    lad = energy_ladder(mu, 1.0, [16.0, 32.0, 64.0])
+    lad = energy_ladders(mu, [1.0], [16.0, 32.0, 64.0])[0]
     assert lad.trend == "growth"
     assert len(lad.increments) == 2
     assert lad.integrals == tuple(sorted(lad.integrals))
@@ -565,9 +609,9 @@ def test_energy_ladder_point_mass_growth():
 def test_energy_ladder_needs_three_points():
     mu = AtomicMeasure([[0.25, 0.6]], [1.0])
     with pytest.raises(InsufficientDataError):
-        energy_ladder(mu, 1.0, [16.0, 32.0])
+        energy_ladders(mu, [1.0], [16.0, 32.0])
     with pytest.raises(ValidationError, match="distinct"):
-        energy_ladder(mu, 1.0, [16.0, 32.0, 16.0])
+        energy_ladders(mu, [1.0], [16.0, 32.0, 16.0])
 
 
 def test_energy_grid_budget_raises_before_allocating():
@@ -576,7 +620,7 @@ def test_energy_grid_budget_raises_before_allocating():
     try:
         # T = 5000 asks for 32 T^2 = 8e8 polar nodes, ~12 GiB of frequencies
         with pytest.raises(BudgetError, match="cap of 2097152"):
-            energy_ladder(mu, 0.8, [16.0, 32.0, 5000.0])
+            energy_ladders(mu, [0.8], [16.0, 32.0, 5000.0])
         with pytest.raises(BudgetError, match="cap of 2097152"):
             energy_integral(mu, 1.0, 5000.0)
         _, peak = tracemalloc.get_traced_memory()
@@ -601,7 +645,7 @@ def test_energy_ladders_share_one_grid_per_T():
     both = energy_ladders(mu, [0.8, 1.2], Ts)
     assert mu.grids == [8192, 32768, 131072]
     for gamma, lad in zip((0.8, 1.2), both):
-        single = energy_ladder(mu, gamma, Ts)
+        single = energy_ladders(mu, [gamma], Ts)[0]
         assert lad == single
         assert lad.integrals == tuple(energy_integral(mu, gamma, T) for T in Ts)
 
@@ -609,7 +653,7 @@ def test_energy_ladders_share_one_grid_per_T():
 def test_energy_ladder_cantor_trends():
     # product measure has dimension 1; gamma brackets the critical index
     mu = natural_measure(CantorSpec(m=2, depth=8))
-    low = energy_ladder(mu, 0.8, [16.0, 32.0, 64.0])
+    low = energy_ladders(mu, [0.8], [16.0, 32.0, 64.0])[0]
     assert low.trend == "growth"
-    high = energy_ladder(mu, 1.2, [16.0, 32.0, 64.0])
+    high = energy_ladders(mu, [1.2], [16.0, 32.0, 64.0])[0]
     assert high.trend in ("plateau", "decay")
