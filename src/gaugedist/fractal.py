@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -381,15 +382,24 @@ class AtomicMeasure:
 
         return map_blocks(block, xi, len(self.points))
 
+    def _ring_power(self, r: np.ndarray, nt: int) -> np.ndarray:
+        """|mu-hat|^2 (an even function) averaged over nt half-circle directions, per radius."""
+        theta = (np.arange(nt) + 0.5) * (np.pi / nt)
+        xi = np.empty((len(r) * nt, 2))
+        xi[:, 0] = np.outer(r, np.cos(theta)).ravel()
+        xi[:, 1] = np.outer(r, np.sin(theta)).ravel()
+        return (np.abs(self.ft(xi)) ** 2).reshape(len(r), nt).mean(axis=1)
+
 
 class CantorMeasure(AtomicMeasure):
     """Uniform weights on the depth-n cell centers of the Cantor square C x C.
 
     Per axis the centers are c + sum_k (2 j_k - m + 1) / base^k, j_k < m,
     around their mean c: a convolution of n symmetric digit measures, so
-    the transform is the Riesz product e(-c xi) prod_k (1/m) sum_j
-    cos(2 pi (2j - m + 1) xi / base^k), with e(t) = exp(2 pi i t).  That
-    is n m cosines per axis instead of m^(2 n) atoms.
+    the transform is e(-c (xi_1 + xi_2)) A(xi_1) A(xi_2), e(t) = exp(2 pi i t),
+    with the Riesz product A(t) = prod_k (1/m) sum_j cos(2 pi (2j - m + 1) t / base^k).
+    That is n m cosines per axis instead of m^(2 n) atoms, which are built
+    only when points or weights is first read.
     """
 
     def __init__(self, spec: CantorSpec):
@@ -397,13 +407,27 @@ class CantorMeasure(AtomicMeasure):
         if n_atoms > _MAX_ATOMS:
             raise BudgetError(f"atom count {n_atoms} exceeds the cap of {_MAX_ATOMS}")
         self.spec = spec
-        centers = (_digit_numerators(spec) + 0.5) / spec.base ** spec.depth
-        pts = np.stack([g.ravel() for g in np.meshgrid(centers, centers, indexing="ij")],
-                       axis=-1)
-        super().__init__(pts, np.full(n_atoms, 1.0 / n_atoms))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        centers = (_digit_numerators(self.spec) + 0.5) / self.spec.base ** self.spec.depth
+        return np.stack([g.ravel() for g in np.meshgrid(centers, centers, indexing="ij")],
+                        axis=-1)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.full(self.spec.cell_count ** 2, 1.0 / self.spec.cell_count ** 2)
 
     def mass(self) -> Fraction:
         return Fraction(1)  # N atoms of weight 1/N
+
+    def _riesz(self, t: np.ndarray, amp: np.ndarray) -> np.ndarray:
+        """amp times A(t), in place; the cosines of +-c pair off, and odd m keeps cos 0 = 1."""
+        m, base = self.spec.m, self.spec.base
+        for k in range(1, self.spec.depth + 1):
+            a = (2.0 * np.pi / base ** k) * t
+            amp *= sum((2.0 * np.cos(c * a) for c in range(m - 1, 0, -2)), m % 2) / m
+        return amp
 
     def ft(self, xi: np.ndarray) -> np.ndarray:
         """mu-hat(xi): the real per-axis Riesz products times one phase."""
@@ -411,11 +435,18 @@ class CantorMeasure(AtomicMeasure):
         m, base, n = self.spec.m, self.spec.base, self.spec.depth
         amp = np.ones(len(xi))
         for t in xi.T:
-            for k in range(1, n + 1):
-                a = (2.0 * np.pi / base ** k) * t
-                amp *= sum(np.cos((2 * j - m + 1) * a) for j in range(m)) / m
+            self._riesz(t, amp)
         center = ((m - 1) * ((base ** n - 1) // (base - 1)) + 0.5) / base ** n
         return amp * np.exp(-2j * np.pi * center * xi.sum(axis=1))
+
+    def _ring_power(self, r: np.ndarray, nt: int) -> np.ndarray:
+        """A(xi_1)^2 A(xi_2)^2 on the first nt/2 directions (nt even), whose mean the
+        mirror theta -> pi - theta shares with the other half; sin theta_k = cos
+        theta_{nt/2-1-k}, so A(xi_2)^2 is A(xi_1)^2 with its columns reversed."""
+        theta = (np.arange(nt // 2) + 0.5) * (np.pi / nt)
+        u = np.outer(r, np.cos(theta))
+        a2 = self._riesz(u, np.ones_like(u)) ** 2
+        return (a2 * a2[:, ::-1]).mean(axis=1)
 
 
 def natural_measure(spec: CantorSpec) -> CantorMeasure:
@@ -435,7 +466,8 @@ def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[floa
         raise ValidationError("T must exceed 1")
     # diam(support) <= sqrt(2) on the unit square: ~8 radial nodes per unit
     # resolves the exponential-sum oscillation envelope
-    grids = [(max(128, int(8 * T)), max(64, int(4 * T))) for T in Ts]
+    # an even angular count, which CantorMeasure's quadrant fold needs
+    grids = [(max(128, int(8 * T)), max(64, 2 * int(2 * T))) for T in Ts]
     nodes = max(a * b for a, b in grids)
     if nodes > _MAX_ENERGY_NODES:
         raise BudgetError(f"energy grid of {nodes} polar nodes exceeds the cap of "
@@ -443,12 +475,7 @@ def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[floa
     vals = [[] for _ in gammas]
     for T, (nr, nt) in zip(Ts, grids):
         r = np.linspace(1.0, float(T), nr)
-        theta = (np.arange(nt) + 0.5) * (np.pi / nt)  # half circle, |mu-hat| even
-        xi = np.empty((nr * nt, 2))
-        xi[:, 0] = np.outer(r, np.cos(theta)).ravel()
-        xi[:, 1] = np.outer(r, np.sin(theta)).ravel()
-        power = (np.abs(mu.ft(xi)) ** 2).reshape(nr, nt)
-        ang = power.mean(axis=1) * (2.0 * np.pi)  # full-circle angular integral
+        ang = mu._ring_power(r, nt) * (2.0 * np.pi)  # full-circle angular integral
         for row, gamma in zip(vals, gammas):
             row.append(float(np.trapezoid(r ** (1.0 - gamma) * ang, r)))
     return vals

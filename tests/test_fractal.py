@@ -563,6 +563,36 @@ def test_riesz_product_matches_atom_sum(m, depth, axes):
     assert np.max(np.abs(riesz - oracle)) <= 1e-12
 
 
+@pytest.mark.parametrize("m, depth", [(2, 8), (3, 5), (4, 4), (5, 3)])
+@pytest.mark.parametrize("T", [16.0, 64.0, 256.0])
+def test_ring_power_quadrant_fold_matches_full_half_circle(m, depth, T):
+    # the Cantor override folds the half circle onto its first quadrant and
+    # squares the per-axis amplitudes; the base method takes |ft|^2 on every
+    # direction.  Odd m has the unpaired centre cosine.  The ladder's nt for
+    # this T, on 128 radii up to T (the fold acts on directions alone)
+    mu = natural_measure(CantorSpec(m=m, depth=depth))
+    r = np.linspace(1.0, T, 128)
+    nt = max(64, 2 * int(2 * T))
+    folded = mu._ring_power(r, nt)
+    full = AtomicMeasure._ring_power(mu, r, nt)
+    assert folded.shape == (128,)
+    np.testing.assert_allclose(folded, full, rtol=0, atol=1e-15)
+
+
+def test_cantor_energy_builds_no_atoms():
+    # the 65 536 atoms of depth 8 take 1 MiB of points and 0.5 MiB of weights;
+    # the Riesz product needs neither, so they are built on first read
+    tracemalloc.start()
+    try:
+        mu = natural_measure(CantorSpec(m=2, depth=8))
+        energy_integral(mu, 1.0, 16.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+    assert mu.points.shape == (65536, 2) and mu.weights.shape == (65536,)
+
+
 @pytest.mark.parametrize("m, depth, gamma", [(2, 5, 0.8), (3, 3, 1.2)])
 def test_energy_integral_riesz_matches_atom_sum(m, depth, gamma):
     # depth 8 would cost the atom sum 65 536 atoms x 8192 nodes, ~30 s
@@ -641,9 +671,10 @@ class _CountingMeasure(AtomicMeasure):
 def test_energy_ladders_share_one_grid_per_T():
     mu = _CountingMeasure([[0.25, 0.6], [0.5, 0.1]], [0.5, 0.5])
     mu.grids = []
-    Ts = [16.0, 32.0, 64.0]
+    # floor(4 T) = 65 is odd at T = 16.3: the angular count rounds down to 64
+    Ts = [16.0, 16.3, 32.0, 64.0]
     both = energy_ladders(mu, [0.8, 1.2], Ts)
-    assert mu.grids == [8192, 32768, 131072]
+    assert mu.grids == [8192, 130 * 64, 32768, 131072]
     for gamma, lad in zip((0.8, 1.2), both):
         single = energy_ladders(mu, [gamma], Ts)[0]
         assert lad == single
