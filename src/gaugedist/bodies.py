@@ -221,9 +221,15 @@ class Polygon2D(ConvexBody):
 
     def gauge(self, x) -> np.ndarray:
         x = _as_xy(x)
+        # divided in place: a second temporary of the block's size costs its
+        # page faults on every call
         if x.ndim == 2 and len(self._face_c) <= _FACES_MAJOR:
-            return np.max(self._face_n @ x.T / self._face_c[:, None], axis=0)
-        return np.max(x @ self._face_n.T / self._face_c, axis=-1)
+            M = self._face_n @ x.T
+            M /= self._face_c[:, None]
+            return np.max(M, axis=0)
+        M = x @ self._face_n.T
+        M /= self._face_c
+        return np.max(M, axis=-1)
 
     def support(self, omega) -> np.ndarray:
         omega = _as_xy(omega)

@@ -299,10 +299,16 @@ def _distinct(keys: np.ndarray, weights: Optional[np.ndarray] = None, rtol: floa
     """The sorted distinct keys with summed weights (unit weights when None).
     With rtol > 0, a key whose gap to the previous key is at most rtol times
     itself merges into that key; with rtol = 0 only equal keys merge, so
-    Python-integer keys are never converted to float."""
+    Python-integer keys are never converted to float.  The sort is stable,
+    which is timsort for these dtypes: a gauge is convex along every grid
+    line, so a lattice block's keys come in a few monotone runs per line, and
+    the parts ``_fold_distinct`` concatenates are sorted already; timsort
+    merges such runs instead of sorting them afresh.  The order of equal keys
+    does not reach the result: their weights are int64, or float64 integers
+    below 2^53, whose sums are exact in any order."""
     if weights is None:
         return np.unique(keys, return_counts=True)
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")
     keys, weights = keys[order], weights[order]
     keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
@@ -316,8 +322,9 @@ def _fold_distinct(parts) -> np.ndarray:
     with the weights of equal keys summed as the parts come.  Parts wait
     until they hold as many rows as those merged so far, so memory stays
     near the size of the result rather than of all parts, and each row is
-    sorted a bounded number of times on average.  The last parts may still
-    repeat keys of the merged rows."""
+    merged as runs a bounded number of times on average: the merged rows
+    and every part are sorted, which ``_distinct``'s stable sort merges.
+    The last parts may still repeat keys of the merged rows."""
     parts = iter(parts)
     merged, pending, size = next(parts), [], 0
     for part in parts:
@@ -345,29 +352,35 @@ def _histogram(size: int):
     return reduce
 
 
-def _difference_rows(q: int, rows: range):
-    """Rows ``rows`` of the half difference grid: the vectors (a, b) of
-    [-q, q]^2 whose first nonzero coordinate is positive (one of each +-
-    pair), in lexicographic order, with their unordered-pair multiplicities
-    (q + 1 - |a|)(q + 1 - |b|) on [0, q]^2.
+def _vectors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The 2-vectors (x, y) of broadcast coordinate arrays, on a last axis."""
+    return np.stack(np.broadcast_arrays(x, y), axis=-1)
+
+
+def _difference_rows(q: int, rows: range, fn=_vectors):
+    """fn(a, b) on rows ``rows`` of the half difference grid: the vectors
+    (a, b) of [-q, q]^2 whose first nonzero coordinate is positive (one of
+    each +- pair), in lexicographic order, with their unordered-pair
+    multiplicities (q + 1 - |a|)(q + 1 - |b|) on [0, q]^2.  By default fn
+    stacks the vectors themselves.
 
     Row i is entry ((2q+1)^2 + 1)/2 + i of the full grid [-q, q]^2 in
     lexicographic order, the entries after its centre, the zero vector.
     The rows cut a run of whole grid lines along the second axis; line k
-    has first coordinate a = k - q.
+    has first coordinate a = k - q.  fn maps coordinates elementwise and
+    broadcasts: it is called once on those whole lines, a column of their
+    first coordinates and the line -q..q of second ones, and its values are
+    then cut to rows, so no (n, 2) array of the vectors need be built.
     """
     base = 2 * q + 1
     n = len(rows)
     first, skip = divmod(rows.start + (base * base + 1) // 2, base)
-    a = np.arange(first, first + -(-(skip + n) // base), dtype=np.int64) - q
+    a = np.arange(first, first + -(-(skip + n) // base), dtype=np.int64)[:, None] - q
     line = np.arange(-q, q + 1, dtype=np.int64)
-    # whole lines, the second coordinate running along each, then cut to rows
-    vecs = np.empty((len(a), base, 2), dtype=np.int64)
-    vecs[:, :, 0] = a[:, None]
-    vecs[:, :, 1] = line
-    weights = (q + 1 - np.abs(a))[:, None] * (q + 1 - np.abs(line))
+    out = fn(a, line)
+    weights = (q + 1 - np.abs(a)) * (q + 1 - np.abs(line))
     take = slice(skip, skip + n)
-    return vecs.reshape(-1, 2)[take], weights.reshape(-1)[take]
+    return out.reshape(-1, *out.shape[2:])[take], weights.reshape(-1)[take]
 
 
 def _cleared_faces(body: Polygon2D):
@@ -399,17 +412,19 @@ def _fits_int64(bound: int, what: str) -> None:
 def _exact_keys(body: ConvexBody, den: int, reach: int, n_vecs: int):
     """(fn, render, unit, top) for exact mode.
 
-    fn maps integer 2-vectors, with coordinates at most ``reach`` in
-    absolute value, to integer keys in the order of their distances: the
-    squared Euclidean (the disk), l1 or linf norm for round balls, in
-    int64 (a CapabilityError where 2 reach^2, 2 reach or reach would pass
-    it), and max_i M_i . x of ``_cleared_faces`` for a rational polygon,
-    in int64 while that stays below 2^52 and in Python integers (at most
-    ``_FRACTION_CAP`` vectors x faces) beyond.  render turns distinct keys
-    into the float distances of the points ints / ``den``.  unit is the
-    number of 8-byte entries one key costs: 1 for int64, and for a Python
-    integer its pointer and its object.  top bounds the int64 keys, which
-    lie in [0, top]; it is None for Python-integer keys.
+    fn(x, y) maps integer coordinate arrays, at most ``reach`` in absolute
+    value, elementwise to integer keys in the order of the distances of the
+    vectors (x, y); x and y broadcast, so a lattice passes whole grid lines
+    as a column and a row.  The keys are the squared Euclidean (the disk),
+    l1 or linf norm for round balls, in int64 (a CapabilityError where
+    2 reach^2, 2 reach or reach would pass it), and max_i M_i . (x, y) of
+    ``_cleared_faces`` for a rational polygon, in int64 while that stays
+    below 2^52 and in Python integers (at most ``_FRACTION_CAP`` vectors x
+    faces) beyond.  render turns distinct keys into the float distances of
+    the points ints / ``den``.  unit is the number of 8-byte entries one key
+    costs: 1 for int64, and for a Python integer its pointer and its object.
+    top bounds the int64 keys, which lie in [0, top]; it is None for
+    Python-integer keys.
     """
     _fits_int64(reach, "coordinate differences")
     if isinstance(body, LpBall) and np.ptp(body.semi_axes) == 0.0:
@@ -417,38 +432,41 @@ def _exact_keys(body: ConvexBody, den: int, reach: int, n_vecs: int):
         s = (1 / den) * (1.0 / float(body.semi_axes[0]))
         if p == 2:
             _fits_int64(2 * reach * reach, "squared l2 keys")
-            return (lambda v: np.einsum("ij,ij->i", v, v)), \
+            return (lambda x, y: x * x + y * y), \
                 (lambda k: np.sqrt(k.astype(float)) * s), 1, 2 * reach * reach
         if p == 1:
             _fits_int64(2 * reach, "l1 keys")
-            return (lambda v: np.abs(v).sum(axis=1)), (lambda k: k.astype(float) * s), 1, \
+            return (lambda x, y: np.abs(x) + np.abs(y)), (lambda k: k.astype(float) * s), 1, \
                 2 * reach
         if math.isinf(p):
-            return (lambda v: np.abs(v).max(axis=1)), (lambda k: k.astype(float) * s), 1, \
-                reach
+            return (lambda x, y: np.maximum(np.abs(x), np.abs(y))), \
+                (lambda k: k.astype(float) * s), 1, reach
     if isinstance(body, Polygon2D) and body.exact_vertices is not None:
         M, L = _cleared_faces(body)
         bound = max(abs(a) + abs(b) for a, b in M) * reach
-        if bound < 2**52:
-            # keys stay exact through the float rendering
-            def fn(v):
-                # one face at a time, elementwise: 2-4x faster than v @ M.T
-                # and its max over the faces, and exact all the same
-                x, y = v.T
-                keys = M[0][0] * x + M[0][1] * y
-                for a, b in M[1:]:
-                    np.maximum(keys, a * x + b * y, out=keys)
-                return keys
-
-            return fn, (lambda k: k.astype(float) * ((1 / den) / L)), 1, bound
-        if n_vecs * len(M) > _FRACTION_CAP:
+        # keys below 2^52 stay exact through the float rendering
+        small = bound < 2**52
+        if not small and n_vecs * len(M) > _FRACTION_CAP:
             raise BudgetError(f"{n_vecs} vectors x {len(M)} faces of Python-integer "
                               f"gauges exceeds the cap of {_FRACTION_CAP}")
-        Mt = np.array(M, dtype=object).T
+
+        def fn(x, y):
+            # one face at a time, elementwise: 2-4x faster than a matrix
+            # product and its max over the faces, and exact all the same.
+            # The vertices are exactly symmetric, so the faces come in pairs
+            # M_{i+h} = -M_i, whose max is |M_i . (x, y)|
+            if not small:
+                x, y = x.astype(object), y.astype(object)
+            keys = np.abs(M[0][0] * x + M[0][1] * y)
+            for a, b in M[1:len(M) // 2]:
+                np.maximum(keys, np.abs(a * x + b * y), out=keys)
+            return keys
+
+        if small:
+            return fn, (lambda k: k.astype(float) * ((1 / den) / L)), 1, bound
         den_l = den * L
         # int / int is correctly rounded, however large the integers
-        return (lambda v: (v.astype(object) @ Mt).max(axis=1)), \
-            (lambda k: np.array([x / den_l for x in k.tolist()])), \
+        return fn, (lambda k: np.array([x / den_l for x in k.tolist()])), \
             1 + -(-sys.getsizeof(bound) // 8), None
     raise CapabilityError(
         "exact mode supports LpBall p in {1, 2, inf} and rational Polygon2D gauges")
@@ -498,9 +516,10 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
             # in Python integers: the int64 span of a column may wrap
             reach = max(int(c.max()) - int(c.min()) for c in P.T)
         fn, render, unit, top = _exact_keys(body, den, reach, n_vecs)
+        gauge = lambda v: fn(v[:, 0], v[:, 1])
     else:
         # the lattice path reads no points, so a lattice never builds them
-        P, fn, render, unit = None if lattice else S.points, body.gauge, (lambda k: k), 1
+        P, gauge, render, unit = None if lattice else S.points, body.gauge, (lambda k: k), 1
     # entries one vector costs in the key buffer: a polygon's faces, otherwise
     # its two coordinates, times the entries of one key
     width = (len(body.vertices) if isinstance(body, Polygon2D) else 2) * unit
@@ -508,7 +527,7 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
     def keyed(vecs, weights=None):
         """(key, weight) rows of the distinct keys of vecs, the keys computed
         in blocks sized by their buffer."""
-        return np.column_stack(_distinct(map_blocks(fn, vecs, width), weights))
+        return np.column_stack(_distinct(map_blocks(gauge, vecs, width), weights))
 
     if lattice:
         turn = None
@@ -520,13 +539,13 @@ def distance_set(S: PointSet, body: ConvexBody, mode: str = "float_tol", *,
         counted = top is not None and top < _HISTOGRAM_CAP
 
         def block(rows):
+            if exact:
+                keys, weights = _difference_rows(S.q, rows, fn)
+                return (keys, weights) if counted else np.column_stack(_distinct(keys, weights))
             v, weights = _difference_rows(S.q, rows)
-            if counted:
-                return fn(v), weights
-            if not exact:
-                v = v.astype(float)
-                if turn is not None:
-                    v = v @ turn
+            v = v.astype(float)
+            if turn is not None:
+                v = v @ turn
             return keyed(v, weights)
 
         # blocks sized by the key buffer, so that each is one key block

@@ -344,9 +344,14 @@ def delta_cover(spec: DioSpec, body: ConvexBody, *, mode: str = "float_tol") -> 
 # atomic measures and energy integrals
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AtomicMeasure:
-    """Finitely many planar atoms, (n, 2), with positive weights summing to 1."""
+    """Finitely many planar atoms, (n, 2), with positive weights summing to 1.
+
+    Measures compare by identity: a field-by-field comparison of their
+    arrays has no single truth value, and the atoms of one measure may come
+    in any order.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -364,6 +369,9 @@ class AtomicMeasure:
             raise ValidationError("weights must be positive and finite")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValidationError("weights must sum to 1")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={len(self.weights)})"
 
     def mass(self):
         return float(self.weights.sum())
@@ -407,6 +415,10 @@ class CantorMeasure(AtomicMeasure):
         if n_atoms > _MAX_ATOMS:
             raise BudgetError(f"atom count {n_atoms} exceeds the cap of {_MAX_ATOMS}")
         self.spec = spec
+
+    def __repr__(self):
+        # the atom count from the spec: reading the atoms would build them
+        return f"CantorMeasure({self.spec}, n={self.spec.cell_count ** 2})"
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -462,8 +474,8 @@ def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[floa
     """
     if not all(0 < g < 2 for g in gammas):
         raise ValidationError("gamma must lie in (0, 2)")
-    if min(Ts) <= 1:
-        raise ValidationError("T must exceed 1")
+    if not all(1 < T < math.inf for T in Ts):
+        raise ValidationError(f"every T must be finite and exceed 1, got {list(Ts)}")
     # diam(support) <= sqrt(2) on the unit square: ~8 radial nodes per unit
     # resolves the exponential-sum oscillation envelope
     # an even angular count, which CantorMeasure's quadrant fold needs

@@ -103,6 +103,14 @@ def test_polygon_gauge_layout_keeps_bits(m):
         want = np.max(x[:n] @ body._face_n.T / body._face_c, axis=-1)
         got = body.gauge(x[:n])
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, n)
+    # single and stacked points take the rows x faces product, which the gauge
+    # divides in place: the bits of the quotient in a second array
+    for shape in [(2,), (1, 2), (5, 61, 2), (2, 3, 4, 2)]:
+        for part in (x[:math.prod(shape) // 2], x[-(math.prod(shape) // 2):]):
+            pts = part.reshape(shape)
+            want = np.max(pts @ body._face_n.T / body._face_c, axis=-1)
+            got = body.gauge(pts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, shape)
 
 
 def test_gauge_vectorizes(rng):

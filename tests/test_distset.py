@@ -1023,3 +1023,67 @@ def test_exact_lattice_counted_or_sorted_matches_reference(monkeypatch, q):
             assert ds.min_gap == float(np.min(np.diff(values)))
             assert ds.count == len(values) and ds.exact
     assert sizes == ([top + 1] * 4 if q == 560 else [])
+
+
+# a 16-gon whose cleared face keys pass 2^52 on every lattice below: its keys
+# are Python integers, evaluated on object arrays
+_PYINT_GON = _fine_rational_polygon(16, 10**4)
+_LINE_BODIES = {"l1": l1, "l2": disk(), "linf": linf, "hexagon": Polygon2D(_INT_HEXAGON),
+                "pyint": _PYINT_GON}
+
+
+@pytest.mark.parametrize("name", list(_LINE_BODIES))
+@pytest.mark.parametrize("counted", [True, False])
+def test_exact_lattice_keys_on_grid_lines_match_brute_pairs(monkeypatch, name, counted):
+    # the lattice path evaluates the keys on whole grid lines, a column of
+    # first coordinates against the line -q..q, and cuts them to its rows; the
+    # brute-force path keys every pair of the explicit integer grid.  Blocks
+    # of 37 and 100 entries cut through grid lines (a line holds 2q + 1 <= 19
+    # vectors); a histogram cap of 1 sends the int64 keys to the per-block sort
+    body = _LINE_BODIES[name]
+    top = distset._exact_keys(body, 1, 9, 1)[3]
+    assert (top is None) == (name == "pyint")
+    if not counted:
+        monkeypatch.setattr(distset, "_HISTOGRAM_CAP", 1)
+    for q in (1, 2, 5, 9):
+        S = PointSet.lattice(q)
+        grid = PointSet.explicit(S.points.astype(np.int64))
+        assert grid.q is None and grid.n == S.n
+        values, mult = _reference_distance_set(grid, body, "exact_rational")
+        mult = mult.astype(np.int64)
+        for entries in (_BLOCK_ENTRIES, 100, 37):
+            monkeypatch.setattr(_blocks, "_BLOCK_ENTRIES", entries)
+            for threads in (1, 2):
+                fast = distance_set(S, body, "exact_rational", threads=threads)
+                brute = distance_set(grid, body, "exact_rational", threads=threads)
+                for ds in (fast, brute):
+                    assert ds.values.tobytes() == values.tobytes(), (q, entries)
+                    assert ds.multiplicities.tobytes() == mult.tobytes(), (q, entries)
+                    assert ds.exact
+
+
+def test_distinct_ignores_the_order_of_its_input():
+    # any order of the same (key, weight) rows gives the same result, bit for
+    # bit: shuffled, sorted, and in the two monotone runs a grid line brings;
+    # int64 keys, float64 keys with and without a tolerance (clusters of keys
+    # 1e-12 apart), and Python-integer keys past int64
+    rng = np.random.default_rng(23)
+    ints = rng.integers(0, 60, size=2000)
+    floats = rng.integers(1, 40, size=2000) * (1.0 + rng.integers(0, 3, size=2000) * 1e-12)
+    weights = rng.integers(1, 9, size=2000)
+    cases = [(ints, weights, 0.0), (floats, weights.astype(float), 0.0),
+             (floats, weights.astype(float), 1e-9),
+             (np.array([int(k) << 70 for k in ints], dtype=object), weights, 0.0)]
+    for keys, w, rtol in cases:
+        want = distset._distinct(keys, w, rtol)
+        assert len(want[0]) == len(set(np.rint(keys).tolist() if rtol else keys.tolist()))
+        assert sum(want[1].tolist()) == sum(w.tolist())
+        up = np.argsort(keys, kind="stable")
+        orders = [rng.permutation(len(keys)) for _ in range(3)]
+        orders += [up, up[::-1], np.concatenate([up[::2], up[1::2][::-1]])]
+        for order in orders:
+            got = distset._distinct(keys[order], w[order], rtol)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+                if a.dtype != object:
+                    assert a.tobytes() == b.tobytes()

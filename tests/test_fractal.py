@@ -628,6 +628,31 @@ def test_energy_validation():
         energy_integral(mu, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_energy_refuses_non_finite_T(bad):
+    # refused as a ValidationError before any grid is built, not an
+    # OverflowError or ValueError from sizing the grid of an infinite T
+    mu = AtomicMeasure([[0.3, 0.4]], [1.0])
+    with pytest.raises(ValidationError, match="finite and exceed 1"):
+        energy_ladders(mu, [1.0], [16.0, 32.0, bad])
+    with pytest.raises(ValidationError, match="finite and exceed 1"):
+        energy_integral(mu, 1.0, bad)
+
+
+def test_measures_compare_by_identity_and_print_short():
+    # the generated dataclass __eq__ compared the arrays, whose elementwise
+    # result has no truth value past one atom, and the generated __repr__ of a
+    # Cantor measure built and printed its 65 536 lazy atoms
+    pts, w = [[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]], [0.25, 0.25, 0.5]
+    a, b = AtomicMeasure(pts, w), AtomicMeasure(pts, w)
+    assert a == a and a != b and len({a, b}) == 2
+    assert repr(a) == "AtomicMeasure(n=3)"
+    mu = natural_measure(CantorSpec(m=2, depth=8))
+    assert repr(mu) == "CantorMeasure(CantorSpec(m=2, depth=8), n=65536)"
+    assert "points" not in vars(mu) and "weights" not in vars(mu)
+    assert mu == mu and mu != natural_measure(CantorSpec(m=2, depth=8))
+
+
 def test_energy_ladder_point_mass_growth():
     mu = AtomicMeasure([[0.25, 0.6]], [1.0])
     lad = energy_ladders(mu, [1.0], [16.0, 32.0, 64.0])[0]
