@@ -31,16 +31,14 @@ from typing import Optional
 
 import numpy as np
 
+from ._blocks import map_blocks
 from .errors import BudgetError, CapabilityError, GeometryError, ValidationError
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# Chord solves use golden-section descent to the line's gauge minimum followed
-# by bisection to the two boundary crossings; iteration counts put the
-# parameter error near 1e-15 * circumradius.
-_GOLDEN_ITERS = 96
+# Smooth-body chords bisect from the line's gauge minimum to its two boundary
+# crossings; 64 halvings put the parameter error near 1e-15 * circumradius.
 _BISECT_ITERS = 64
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Polygons of at most this many faces take their gauge of an (n, 2) array
 # faces x rows, so that the max runs along the long axis: 1.5-2.7x faster
@@ -304,6 +302,15 @@ class LpBall(ConvexBody):
         q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
         return _lp_norm(_as_xy(omega) * self.semi_axes, q)
 
+    def _support_point(self, omega) -> np.ndarray:
+        """The boundary point x* with x* . omega = support(omega), for
+        1 < p < inf: the gradient of the dual norm,
+        a sign(u) |u|^(q-1) / ||u||_q^(q-1) with u = a omega."""
+        q = self.p / (self.p - 1.0)
+        u = _as_xy(omega) * self.semi_axes
+        v = np.sign(u) * np.abs(u) ** (q - 1.0)
+        return self.semi_axes * v / _lp_norm(u, q)[..., None] ** (q - 1.0)
+
     def circumradius(self) -> float:
         # for p > 2 the farthest boundary point is the critical direction
         # u_i ~ a_i^(2/(p-2)), giving R = (sum a_i^(2p/(p-2)))^((p-2)/(2p));
@@ -513,15 +520,13 @@ def _boundary_param(body: ConvexBody, t: np.ndarray):
 
 def _chord_lengths_vec(body: ConvexBody, omegas: np.ndarray,
                        depths: np.ndarray) -> np.ndarray:
-    """Chords for many (direction, depth) pairs; NaN where the line misses K."""
+    """Chords for many (unit direction, depth) pairs; NaN where the line misses K."""
+    S = body.support(omegas)
+    heights = S - depths
     poly = body.as_polygon()
     if poly is not None:
-        heights = body.support(omegas) - depths
-        out = np.empty(len(omegas))
-        for i in range(len(omegas)):
-            out[i] = _polygon_chord_float(poly.vertices, omegas[i], heights[i])
-        return out
-    heights = body.support(omegas) - depths
+        return map_blocks(lambda rows: _polygon_chords(poly.vertices, rows),
+                          np.column_stack([omegas, heights]), len(poly.vertices))
     perp = np.stack([-omegas[:, 1], omegas[:, 0]], axis=1)
     base = heights[:, None] * omegas
     R = body.circumradius() + 1.0
@@ -529,22 +534,33 @@ def _chord_lengths_vec(body: ConvexBody, omegas: np.ndarray,
     def g(tv):
         return body.gauge(base + tv[:, None] * perp)
 
-    lo = np.full(len(omegas), -R)
-    hi = np.full(len(omegas), R)
-    for _ in range(_GOLDEN_ITERS):
-        c = hi - _INVPHI * (hi - lo)
-        d = lo + _INVPHI * (hi - lo)
-        take = g(c) < g(d)
-        hi = np.where(take, d, hi)
-        lo = np.where(take, lo, c)
-    t_star = 0.5 * (lo + hi)
-    g_star = g(t_star)
-    miss = g_star > 1.0
-    t_right = _bisect_boundary(g, t_star, np.full_like(t_star, R))
-    t_left = _bisect_boundary(g, t_star, np.full_like(t_star, -R))
-    chord = t_right - t_left
-    chord[miss] = np.nan
+    # the gauge on the line {x . omega = h} is smallest, |h| / S, at
+    # (h / S) x*, so both crossings are bracketed from there
+    x = body._support_point(omegas)
+    t_star = heights / S * (x[:, 0] * perp[:, 0] + x[:, 1] * perp[:, 1])
+    chord = (_bisect_boundary(g, t_star, np.full_like(t_star, R))
+             - _bisect_boundary(g, t_star, np.full_like(t_star, -R)))
+    chord[np.abs(heights) >= S] = np.nan
     return chord
+
+
+def _polygon_chords(V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Chords of the polygon with vertices V on the lines of rows (w0, w1, h)."""
+    w0, w1, h = rows[:, 0:1], rows[:, 1:2], rows[:, 2:3]
+    fa = w0 * V[:, 0] + w1 * V[:, 1] - h
+    t = w0 * V[:, 1] - w1 * V[:, 0]
+    fb = np.roll(fa, -1, axis=1)
+    tb = np.roll(t, -1, axis=1)
+    # a vertex on the line counts once, as the A-end of its edge, so a
+    # transversal crossing needs both ends strictly off the line
+    on = fa == 0.0
+    crossing = ~on & (fb != 0.0) & ((fa > 0) != (fb > 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = np.where(crossing, t + fa / (fa - fb) * (tb - t), t)
+    hit = on | crossing
+    hi = np.max(np.where(hit, ts, -np.inf), axis=1)
+    lo = np.min(np.where(hit, ts, np.inf), axis=1)
+    return np.where(hit.any(axis=1), hi - lo, np.nan)
 
 
 def _bisect_boundary(g, t_in: np.ndarray, t_out: np.ndarray) -> np.ndarray:
@@ -557,30 +573,11 @@ def _bisect_boundary(g, t_in: np.ndarray, t_out: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _polygon_chord_float(V: np.ndarray, omega: np.ndarray, h: float) -> float:
-    fa = V @ omega - h
-    fb = np.roll(fa, -1)
-    t = V @ np.array([-omega[1], omega[0]])
-    tb = np.roll(t, -1)
-    ts = []
-    on_a = fa == 0.0
-    if np.any(on_a):
-        ts.extend(t[on_a].tolist())
-    # vertices exactly on the line are collected above (each is the A-end of
-    # some edge), so transversal crossings need both ends strictly off it
-    crossing = (fa != 0.0) & (fb != 0.0) & ((fa > 0) != (fb > 0))
-    if np.any(crossing):
-        lam = fa[crossing] / (fa[crossing] - fb[crossing])
-        ts.extend((t[crossing] + lam * (tb[crossing] - t[crossing])).tolist())
-    if not ts:
-        return math.nan
-    return max(ts) - min(ts)
-
-
 def chord_length(body: ConvexBody, direction, depth: float) -> float:
     """Length of K intersected with {x . omega = S(omega) - depth}.
 
-    ``direction`` may be an angle in radians or a unit vector.
+    ``direction`` may be an angle in radians (a number or any size-1 array)
+    or a nonzero 2-vector.
     Raises GeometryError when the depth is not inside (0, width(direction)).
     """
     omega = _direction_vector(direction)
@@ -606,14 +603,20 @@ def chord_length_exact(body: ConvexBody, omega, depth) -> Fraction:
     poly = body.as_polygon()
     if poly is None or poly.exact_vertices is None:
         raise CapabilityError("exact chords need a polygon with exact vertices")
-    w = (Fraction(omega[0]), Fraction(omega[1]))
+    try:
+        w = (Fraction(omega[0]), Fraction(omega[1]))
+        depth = Fraction(depth)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"direction and depth must be finite, got {omega!r} "
+                              f"and {depth!r}") from None
     if w == (0, 0):
         raise ValidationError("direction must be nonzero")
-    depth = Fraction(depth)
     if depth <= 0:
         raise GeometryError("chord depth must be positive")
     V = poly.exact_vertices
     sup = max(v[0] * w[0] + v[1] * w[1] for v in V)
+    if depth >= 2 * sup:
+        raise GeometryError(f"chord depth {depth} is not below the body width {2 * sup}")
     h = sup - depth
     ts = []
     n = len(V)
@@ -623,9 +626,7 @@ def chord_length_exact(body: ConvexBody, omega, depth) -> Fraction:
         fb = B[0] * w[0] + B[1] * w[1] - h
         ta = -A[0] * w[1] + A[1] * w[0]
         tb = -B[0] * w[1] + B[1] * w[0]
-        if fa == 0 and fb == 0:
-            ts.extend([ta, tb])
-        elif fa == 0:
+        if fa == 0:  # 0 < depth < width: no edge lies on the line
             ts.append(ta)
         elif (fa > 0) != (fb > 0):
             lam = fa / (fa - fb)
@@ -657,8 +658,8 @@ def _direction_vector(direction) -> np.ndarray:
     v = np.asarray(direction, dtype=float).ravel()
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"direction must be finite, got {v.tolist()}")
-    if isinstance(direction, (int, float)):
-        return np.array([math.cos(direction), math.sin(direction)])
+    if v.size == 1:
+        return np.array([math.cos(v[0]), math.sin(v[0])])
     if v.shape != (2,):
         raise ValidationError("direction must be an angle or a 2-vector")
     n = math.hypot(v[0], v[1])
@@ -732,12 +733,15 @@ def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360) -> 
     ratios = (chords / np.sqrt(ep_all)).reshape(T, E)
     n_skipped = int(np.isnan(ratios).sum())
 
+    # eps falls along each row and a pair is scanned when eps < 0.9 width, so
+    # a row's finite ratios form a suffix, whose windows are those of the row
+    # with its NaNs dropped; a window that touches a NaN fails both tests
     flat = []
-    for i in range(T):
-        row = ratios[i]
-        ok = ~np.isnan(row)
-        if _has_growth_run(row[ok]):
-            flat.append(float(thetas[i]))
+    if E >= _RUN_LENGTH:
+        run = np.lib.stride_tricks.sliding_window_view(ratios, _RUN_LENGTH, axis=1)
+        grows = (np.all(np.diff(run, axis=2) > 0, axis=2)
+                 & (run[:, :, -1] >= _GROWTH_FACTOR * run[:, :, 0]))
+        flat = thetas[grows.any(axis=1)].tolist()
     finite = ratios[~np.isnan(ratios)]
     if finite.size == 0:
         raise GeometryError("no valid (direction, depth) pair in the scan")
@@ -747,11 +751,3 @@ def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360) -> 
     satisfied = (c_sup <= _C_THRESHOLD) and not flat
     return CurvatureReport(satisfied, c_sup, theta_argmax, flat,
                            thetas, eps_grid, ratios, n_skipped)
-
-
-def _has_growth_run(row: np.ndarray) -> bool:
-    for start in range(row.size - _RUN_LENGTH + 1):
-        seg = row[start:start + _RUN_LENGTH]
-        if np.all(np.diff(seg) > 0) and seg[-1] >= _GROWTH_FACTOR * seg[0]:
-            return True
-    return False

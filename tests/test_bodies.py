@@ -29,7 +29,8 @@ from gaugedist import (
     regular_polygon,
     square,
 )
-from gaugedist.bodies import _CURVATURE_CAP, _VERTEX_CAP
+from gaugedist.bodies import (_CURVATURE_CAP, _GROWTH_FACTOR, _RUN_LENGTH, _VERTEX_CAP,
+                              _chord_lengths_vec)
 from gaugedist.cli import ScanConfig, _body_from
 
 
@@ -161,30 +162,99 @@ def test_chord_monotone_in_depth(rng):
 
 
 def test_chord_depth_validation():
-    w = np.array([1.0, 0.0])
-    with pytest.raises(GeometryError):
-        chord_length(disk(), w, 2.5)
-    with pytest.raises((GeometryError, ValidationError)):
-        chord_length(disk(), w, -0.1)
+    # the exact chord at depth == width used to return the far face, and an
+    # infinite or nan depth raised a bare OverflowError or ValueError
+    for chord, body, direction, depth, error in [
+        (chord_length, disk(), (1.0, 0.0), 2.5, GeometryError),
+        (chord_length, disk(), (1.0, 0.0), -0.1, (GeometryError, ValidationError)),
+        (chord_length, square(), (0.0, 1.0), 2.0, GeometryError),
+        (chord_length_exact, square(), (0, 1), 2, GeometryError),
+        (chord_length_exact, square(), (3, 4), 14, GeometryError),
+        (chord_length_exact, square(), (0, 1), math.inf, ValidationError),
+        (chord_length_exact, square(), (0, 1), math.nan, ValidationError),
+    ]:
+        with pytest.raises(error):
+            chord(body, direction, depth)
 
 
 @pytest.mark.parametrize("direction", [math.nan, math.inf, -math.inf, [math.nan, 1.0],
-                                       [1.0, math.inf]],
-                         ids=["nan", "inf", "-inf", "nan row", "inf row"])
+                                       [1.0, math.inf], [-math.inf, 0.0]],
+                         ids=["nan", "inf", "-inf", "nan row", "inf row", "-inf row"])
 def test_chord_direction_must_be_finite(direction):
     # a nan angle used to give the disk's chord 0.0 and the square's a
-    # GeometryError, and an infinite one a bare math domain error
+    # GeometryError, and an infinite one a bare math domain error; the exact
+    # chord raised a bare ValueError or OverflowError
     for body in (disk(), square(), LpBall(4.0)):
         with pytest.raises(ValidationError, match="direction must be finite"):
             chord_length(body, direction, 0.1)
+    if np.size(direction) == 2:
+        with pytest.raises(ValidationError, match="direction and depth must be finite"):
+            chord_length_exact(square(), direction, Fraction(1, 8))
 
 
-def test_disk_chord_closed_form():
-    # depth eps below the support line: half-chord sqrt(1 - (1-eps)^2)
-    for eps in (1e-4, 1e-2, 0.3, 0.9):
-        want = 2.0 * math.sqrt(1.0 - (1.0 - eps) ** 2)
-        got = chord_length(disk(), np.array([1.0, 0.0]), eps)
-        assert got == pytest.approx(want, rel=1e-9)
+def _ellipse_chords(body, omegas, eps):
+    # the map diag(a) takes the unit disk's chord at depth eps / S below the
+    # support line of u = a omega, |u| = S, to 2 a1 a2 sqrt(eps (2 S - eps)) / S^2
+    S = body.support(omegas)
+    return 2.0 * np.prod(body.semi_axes) * np.sqrt(eps * (2.0 * S - eps)) / S ** 2
+
+
+@pytest.mark.parametrize("body", [disk(), ellipse(2.0, 1.0), ellipse(1.0, 3.0)],
+                         ids=["disk", "ellipse 2:1", "ellipse 1:3"])
+def test_disk_chord_closed_form(body, rng):
+    th = rng.uniform(0.0, 2.0 * math.pi, 2000)
+    omegas = np.stack([np.cos(th), np.sin(th)], axis=1)
+    eps = 2.0 ** -rng.uniform(0.0, 20.0, th.size)
+    np.testing.assert_allclose(_chord_lengths_vec(body, omegas, eps),
+                               _ellipse_chords(body, omegas, eps), rtol=1e-9)
+    # numpy scalar angles used to be refused as neither angle nor 2-vector
+    for direction in (0.5, np.float32(0.5), np.int64(1), np.array(0.5), np.array([1.0, 0.0])):
+        w = np.asarray(direction, dtype=float)
+        w = w if w.size == 2 else np.array([math.cos(w), math.sin(w)])
+        want = _ellipse_chords(body, w[None, :], np.array([0.3]))[0]
+        assert chord_length(body, direction, 0.3) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_lp_support_point_attains_support(p, rng):
+    body = LpBall(p, (2.0, 0.5))
+    th = rng.uniform(0.0, 2.0 * math.pi, 500)
+    omegas = np.stack([np.cos(th), np.sin(th)], axis=1)
+    x = body._support_point(omegas)
+    np.testing.assert_allclose(x[:, 0] * omegas[:, 0] + x[:, 1] * omegas[:, 1],
+                               body.support(omegas), rtol=1e-12)
+    np.testing.assert_allclose(body.gauge(x), 1.0, rtol=1e-12)
+
+
+def _integer_hexagon():
+    # edges (0, 10), (-8, 6), (-6, -8): face normals (1, 0), (3, 4)/5, (-4, 3)/5
+    return Polygon2D([(7, -4), (7, 6), (-1, 12), (-7, 4), (-7, -6), (1, -12)])
+
+
+def _rational_16gon(den=1000):
+    half = [(Fraction(math.cos(math.pi * k / 8)).limit_denominator(den),
+             Fraction(math.sin(math.pi * k / 8)).limit_denominator(den)) for k in range(8)]
+    return Polygon2D(half + [(-x, -y) for x, y in half])
+
+
+@pytest.mark.parametrize("body", [square(), diamond(), _integer_hexagon(), _rational_16gon()],
+                         ids=["square", "diamond", "integer hexagon", "rational 16-gon"])
+def test_polygon_chords_match_exact_chords(body):
+    # lines through every vertex and, along the face normals (1, 0), (0, 1),
+    # (3, 4) and (-4, 3), lines parallel to a face; all pairs in one array pass
+    directions = [(1, 0), (0, 1), (3, 4), (-4, 3), (5, 12), (12, -5), (-8, 15)]
+    omegas, depths, want = [], [], []
+    for w in directions:
+        norm = math.isqrt(w[0] ** 2 + w[1] ** 2)
+        dots = [x * w[0] + y * w[1] for x, y in body.exact_vertices]
+        sup = max(dots)
+        through_vertices = [sup - d for d in dots if 0 < sup - d < 2 * sup]
+        for depth in through_vertices + [2 * sup * Fraction(k, 7) for k in range(1, 7)] + [sup / 1000]:
+            omegas.append((w[0] / norm, w[1] / norm))
+            depths.append(float(depth / norm))
+            want.append(float(chord_length_exact(body, w, depth)))
+    got = _chord_lengths_vec(body, np.array(omegas), np.array(depths))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_square_chord_flat_side():
@@ -226,6 +296,34 @@ def test_curvature_condition_hexagon_flat():
     hexg = curvature_condition(regular_polygon(6))
     assert not hexg.satisfied
     assert len(hexg.flat_directions) > 0
+
+
+def _flat_by_row_loop(report):
+    """The per-row scan the package used before its one array pass."""
+    flat = []
+    for theta, row in zip(report.thetas, report.ratios):
+        row = row[~np.isnan(row)]
+        for start in range(row.size - _RUN_LENGTH + 1):
+            seg = row[start:start + _RUN_LENGTH]
+            if np.all(np.diff(seg) > 0) and seg[-1] >= _GROWTH_FACTOR * seg[0]:
+                flat.append(float(theta))
+                break
+    return flat
+
+
+@pytest.mark.parametrize("eps_grid", [None, 2.0 ** -np.arange(-2.0, 12.0), 2.0 ** -np.arange(4.0, 9.0),
+                                      [0.5, 0.1, 0.01, 1e-3]],
+                         ids=["default", "nan prefixes", "one run", "shorter than a run"])
+def test_flat_directions_match_row_loop(eps_grid):
+    bodies = [disk(), ellipse(3.0, 1.0), LpBall(4.0), LpBall(1.5, (1.0, 3.0)), square(),
+              diamond(), regular_polygon(6), regular_polygon(16, phase=0.1)]
+    for body in bodies:
+        report = curvature_condition(body, eps_grid, n_theta=120)
+        assert report.flat_directions == _flat_by_row_loop(report)
+        if eps_grid is not None and eps_grid[0] > 2.0 * body.circumradius():
+            assert np.isnan(report.ratios[:, 0]).all()
+        if eps_grid is not None and len(eps_grid) >= _RUN_LENGTH and body.as_polygon() is not None:
+            assert report.flat_directions
 
 
 def test_curvature_grid_capped_before_allocating():
