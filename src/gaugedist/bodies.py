@@ -230,8 +230,11 @@ class Polygon2D(ConvexBody):
         return np.max(M, axis=-1)
 
     def support(self, omega) -> np.ndarray:
+        # in blocks of rows: the directions x vertices product never exists whole
         omega = _as_xy(omega)
-        return np.max(omega @ self.vertices.T, axis=-1)
+        V = self.vertices
+        out = map_blocks(lambda w: np.max(w @ V.T, axis=1), omega.reshape(-1, 2), len(V))
+        return out.reshape(omega.shape[:-1])[()]
 
     def circumradius(self) -> float:
         return float(np.hypot(self.vertices[:, 0], self.vertices[:, 1]).max())
@@ -544,6 +547,20 @@ def _chord_lengths_vec(body: ConvexBody, omegas: np.ndarray,
     return chord
 
 
+def _chord_grid(body: ConvexBody, n_theta: int, depths: np.ndarray, frac: float):
+    """(thetas, chords, scanned) for the directions 2 pi k / n_theta and the
+    given depths: the chords of one ``_chord_lengths_vec`` call with a row per
+    depth and a column per direction, NaN outside the ``scanned`` mask
+    depth < frac * width(direction)."""
+    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    scanned = depths[:, None] < frac * (body.support(omegas) + body.support(-omegas))
+    i, j = np.nonzero(scanned)
+    chords = np.full(scanned.shape, np.nan)
+    chords[i, j] = _chord_lengths_vec(body, omegas[j], depths[i])
+    return thetas, chords, scanned
+
+
 def _polygon_chords(V: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Chords of the polygon with vertices V on the lines of rows (w0, w1, h)."""
     w0, w1, h = rows[:, 0:1], rows[:, 1:2], rows[:, 2:3]
@@ -578,12 +595,15 @@ def chord_length(body: ConvexBody, direction, depth: float) -> float:
 
     ``direction`` may be an angle in radians (a number or any size-1 array)
     or a nonzero 2-vector.
-    Raises GeometryError when the depth is not inside (0, width(direction)).
+    A NaN or infinite depth is a ValidationError, and a depth that is not
+    inside (0, width(direction)) a GeometryError.
     """
     omega = _direction_vector(direction)
     depth = float(depth)
-    if not (depth > 0.0) or not math.isfinite(depth):
-        raise GeometryError("chord depth must be positive and finite")
+    if not math.isfinite(depth):
+        raise ValidationError(f"chord depth must be finite, got {depth!r}")
+    if not depth > 0.0:
+        raise GeometryError("chord depth must be positive")
     width = float(body.support(omega) + body.support(-omega))
     if depth >= width:
         raise GeometryError(
@@ -719,25 +739,15 @@ def curvature_condition(body: ConvexBody, eps_grid=None, n_theta: int = 360) -> 
     if n_theta * eps_grid.size > _CURVATURE_CAP:
         raise BudgetError(f"{n_theta} directions x {eps_grid.size} depths exceeds the "
                           f"cap of {_CURVATURE_CAP}")
-    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    widths = body.support(omegas) + body.support(-omegas)
-
-    T, E = n_theta, eps_grid.size
-    om_all = np.repeat(omegas, E, axis=0)
-    ep_all = np.tile(eps_grid, T)
-    valid = ep_all < 0.9 * np.repeat(widths, E)
-    chords = np.full(T * E, np.nan)
-    if np.any(valid):
-        chords[valid] = _chord_lengths_vec(body, om_all[valid], ep_all[valid])
-    ratios = (chords / np.sqrt(ep_all)).reshape(T, E)
+    thetas, chords, _ = _chord_grid(body, n_theta, eps_grid, 0.9)
+    ratios = (chords / np.sqrt(eps_grid)[:, None]).T
     n_skipped = int(np.isnan(ratios).sum())
 
     # eps falls along each row and a pair is scanned when eps < 0.9 width, so
     # a row's finite ratios form a suffix, whose windows are those of the row
     # with its NaNs dropped; a window that touches a NaN fails both tests
     flat = []
-    if E >= _RUN_LENGTH:
+    if eps_grid.size >= _RUN_LENGTH:
         run = np.lib.stride_tricks.sliding_window_view(ratios, _RUN_LENGTH, axis=1)
         grows = (np.all(np.diff(run, axis=2) > 0, axis=2)
                  & (run[:, :, -1] >= _GROWTH_FACTOR * run[:, :, 0]))

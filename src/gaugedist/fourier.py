@@ -471,34 +471,24 @@ def chord_bound_report(body: ConvexBody, t_values, n_theta: int = 64) -> ChordBo
     if t.size * n_theta > _SCAN_CAP:
         raise BudgetError(f"{t.size} t values x {n_theta} directions exceeds the cap "
                           f"of {_SCAN_CAP}")
-    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    # chord depth 1/(2t), kept inside the body; one transform for every pair
+    thetas, chords, scanned = _bodies._chord_grid(body, n_theta, 1.0 / (2.0 * t), 0.45)
     omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    widths = body.support(omegas) + body.support(-omegas)
-    ratios = np.full((t.size, n_theta), np.nan)
-    n_skipped = 0
-    for i, ti in enumerate(t):
-        eps = 1.0 / (2.0 * ti)
-        ok = eps < 0.45 * widths  # chord depth must stay inside the body
-        n_skipped += int((~ok).sum())
-        if not np.any(ok):
-            continue
-        chords = _bodies._chord_lengths_vec(body, omegas[ok],
-                                            np.full(int(ok.sum()), eps))
-        vals = np.abs(_transform(body, ti * omegas[ok], "body"))
-        ratios[i, ok] = vals * ti / (2.0 * chords)
+    i, j = np.nonzero(scanned)
+    ratios = np.full(scanned.shape, np.nan)
+    ratios[i, j] = (np.abs(_transform(body, t[i, None] * omegas[j], "body")) * t[i]
+                    / (2.0 * chords[i, j]))
     finite = ratios[np.isfinite(ratios)]
     if finite.size == 0:
         raise InsufficientDataError("no valid (t, theta) pair in the scan")
+    # t is sorted, so each octave is a run of rows; fmax skips the NaNs
     octs = np.floor(np.log2(t)).astype(int)
-    edges, omax = [], []
-    for o in distinct(octs):
-        sel = ratios[octs == o]
-        sel = sel[np.isfinite(sel)]
-        if sel.size:
-            edges.append(2.0 ** o)
-            omax.append(float(sel.max()))
+    first = np.flatnonzero(np.diff(octs, prepend=octs[0] - 1))
+    omax = np.fmax.reduceat(np.fmax.reduce(ratios, axis=1), first)
+    kept = ~np.isnan(omax)
     return ChordBoundReport(t, thetas, ratios, float(finite.max()),
-                            np.array(edges), np.array(omax), n_skipped)
+                            np.ldexp(1.0, octs[first][kept]), omax[kept],
+                            int(scanned.size - i.size))
 
 
 @dataclass
@@ -525,8 +515,8 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
     R_values = np.asarray(R_values, dtype=float).ravel()
     xi_mags = np.sort(np.asarray(xi_mags, dtype=float).ravel())
     deltas = np.asarray(deltas, dtype=float).ravel()
-    if not all(np.all((g > 0) & np.isfinite(g)) for g in (R_values, xi_mags, deltas)):
-        raise ValidationError("grids must be positive and finite")
+    if not all(g.size and np.all((g > 0) & np.isfinite(g)) for g in (R_values, xi_mags, deltas)):
+        raise ValidationError("grids must be nonempty, positive and finite")
     if np.any(np.diff(xi_mags) == 0):
         raise ValidationError(f"|xi| values must be distinct, got {xi_mags.tolist()}")
     if n_theta < 1:
@@ -534,31 +524,30 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
     n = R_values.size * deltas.size * xi_mags.size * n_theta
     if n > _SCAN_CAP:
         raise BudgetError(f"{n} annulus ratios exceeds the cap of {_SCAN_CAP}")
+    bad = np.argwhere(deltas > R_values[:, None] / 10.0)
+    if bad.size:
+        AnnulusSpec(R_values[bad[0, 0]], deltas[bad[0, 1]])  # raises, naming the pair
     th = math.pi * np.arange(n_theta) / n_theta
     omegas = np.stack([np.cos(th), np.sin(th)], axis=1)
-    cache: dict = {}
-
-    def ft_on_circle(radius: float) -> np.ndarray:
-        key = round(radius, 12)
-        if key not in cache:
-            cache[key] = _transform(body, radius * omegas, "body")
-        return cache[key]
-
-    rows = []
-    c_by_xi = np.zeros(xi_mags.size)
-    for R in R_values:
-        for delta in deltas:
-            spec = AnnulusSpec(R, delta)  # validates delta <= R/10
-            s1, s2 = spec.R, spec.R + spec.delta
-            for k, q in enumerate(xi_mags):
-                vals = np.abs((s2 ** 2) * ft_on_circle(s2 * q)
-                              - (s1 ** 2) * ft_on_circle(s1 * q))
-                rhs = math.sqrt(R / q) * min(1.0 / q, delta)
-                ratio = vals / rhs
-                j = int(np.argmax(ratio))
-                rows.append((float(R), float(q), float(delta), float(th[j]),
-                             float(vals[j]), float(rhs), float(ratio[j])))
-                c_by_xi[k] = max(c_by_xi[k], float(ratio.max()))
+    # scales s1 = R and s2 = R + delta per (R, delta), and one transform per
+    # distinct radius s |xi|; the transforms are real
+    s = np.stack(np.broadcast_arrays(R_values[:, None], R_values[:, None] + deltas))
+    radii = s[..., None] * xi_mags
+    uniq = distinct(radii)
+    ft = _transform(body, (uniq[:, None, None] * omegas).reshape(-1, 2), "body").real
+    F = ft.reshape(uniq.size, n_theta)[np.searchsorted(uniq, radii)]
+    # s ** 2 in Python floats (libm pow), as annulus_ft squares its scalars
+    sq = np.array([a ** 2 for a in s.ravel().tolist()]).reshape(s.shape + (1, 1))
+    vals = np.abs(sq[1] * F[1] - sq[0] * F[0])
+    rhs = np.sqrt(R_values[:, None, None] / xi_mags) * np.minimum(1.0 / xi_mags,
+                                                                  deltas[:, None])
+    ratio = vals / rhs[..., None]
+    j = np.argmax(ratio, axis=-1)
+    peak = ratio.max(axis=-1)
+    Rg, dg, qg = np.meshgrid(R_values, deltas, xi_mags, indexing="ij")
+    cols = (Rg, qg, dg, th[j], np.take_along_axis(vals, j[..., None], -1)[..., 0], rhs, peak)
+    rows = list(zip(*(c.ravel().tolist() for c in cols)))
+    c_by_xi = peak.max(axis=(0, 1))
     if len(xi_mags) >= 2:
         slope = _line_fit(map(math.log, xi_mags.tolist()), map(math.log, c_by_xi.tolist()))[0]
     else:

@@ -163,11 +163,16 @@ def test_chord_monotone_in_depth(rng):
 
 def test_chord_depth_validation():
     # the exact chord at depth == width used to return the far face, and an
-    # infinite or nan depth raised a bare OverflowError or ValueError
+    # infinite or nan depth raised a bare OverflowError or ValueError; the
+    # float chord refused an infinite or nan depth with a GeometryError
     for chord, body, direction, depth, error in [
         (chord_length, disk(), (1.0, 0.0), 2.5, GeometryError),
-        (chord_length, disk(), (1.0, 0.0), -0.1, (GeometryError, ValidationError)),
+        (chord_length, disk(), (1.0, 0.0), -0.1, GeometryError),
+        (chord_length, disk(), (1.0, 0.0), 0.0, GeometryError),
         (chord_length, square(), (0.0, 1.0), 2.0, GeometryError),
+        (chord_length, square(), (0.0, 1.0), math.inf, ValidationError),
+        (chord_length, disk(), (1.0, 0.0), -math.inf, ValidationError),
+        (chord_length, LpBall(4.0), (1.0, 0.0), math.nan, ValidationError),
         (chord_length_exact, square(), (0, 1), 2, GeometryError),
         (chord_length_exact, square(), (3, 4), 14, GeometryError),
         (chord_length_exact, square(), (0, 1), math.inf, ValidationError),
@@ -324,6 +329,54 @@ def test_flat_directions_match_row_loop(eps_grid):
             assert np.isnan(report.ratios[:, 0]).all()
         if eps_grid is not None and len(eps_grid) >= _RUN_LENGTH and body.as_polygon() is not None:
             assert report.flat_directions
+
+
+def _curvature_ratios_by_pairs(body, eps_grid, n_theta):
+    """The (direction, depth) pair layout curvature_condition scanned before
+    its one chord grid: the eps grid tiled once per direction."""
+    eps_grid = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
+    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    widths = body.support(omegas) + body.support(-omegas)
+    T, E = n_theta, eps_grid.size
+    om_all = np.repeat(omegas, E, axis=0)
+    ep_all = np.tile(eps_grid, T)
+    valid = ep_all < 0.9 * np.repeat(widths, E)
+    chords = np.full(T * E, np.nan)
+    chords[valid] = _chord_lengths_vec(body, om_all[valid], ep_all[valid])
+    return (chords / np.sqrt(ep_all)).reshape(T, E)
+
+
+@pytest.mark.parametrize("body", [disk(), ellipse(2.0, 1.0), LpBall(4.0), LpBall(1.5), square(),
+                                  diamond(), LpBall(1.0), LpBall(math.inf), regular_polygon(4),
+                                  regular_polygon(6, phase=0.3), regular_polygon(4096)],
+                         ids=["disk", "ellipse 2:1", "l4", "l1.5", "square", "diamond", "l1",
+                              "linf", "4-gon", "hexagon phase 0.3", "4096-gon"])
+def test_curvature_ratios_match_pair_layout(body):
+    eps_grid = 2.0 ** -np.arange(-1.0, 21.0)  # the default grid and two nan depths
+    report = curvature_condition(body, eps_grid, n_theta=90)
+    want = _curvature_ratios_by_pairs(body, eps_grid, 90)
+    np.testing.assert_array_equal(report.ratios, want)
+    assert report.n_skipped == np.isnan(want).sum() > 0
+    assert report.theta_argmax == report.thetas[np.nanargmax(want) // want.shape[1]]
+
+
+def test_polygon_support_is_blocked():
+    # 6 120 directions, as many as the default curvature scan's pairs: the
+    # directions x vertices product alone would be 200 MB
+    body = regular_polygon(4096)
+    th = np.linspace(0.0, 2.0 * math.pi, 6120)
+    omegas = np.stack([np.cos(th), np.sin(th)], axis=1)
+    tracemalloc.start()
+    try:
+        sup = body.support(omegas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    np.testing.assert_allclose(sup, 1.0, rtol=1e-6)
+    np.testing.assert_array_equal(sup[:3], [body.support(w) for w in omegas[:3]])
+    assert body.support(omegas[0]).shape == ()
 
 
 def test_curvature_grid_capped_before_allocating():

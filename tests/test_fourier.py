@@ -37,7 +37,8 @@ from gaugedist import (
     window_aggregate,
 )
 from gaugedist import fourier
-from gaugedist.bodies import ConvexBody, Ellipsoid, boundary_quadrature
+from gaugedist._blocks import _line_fit
+from gaugedist.bodies import ConvexBody, Ellipsoid, _chord_lengths_vec, boundary_quadrature
 from gaugedist.fourier import (_ANGULAR_CAP, _ANGULAR_PER_UNIT, _MIN_ANGULAR, _NODES_PER_PANEL,
                                _PANEL_NODE_CAP, _PANELS_PER_UNIT, _SCAN_CAP, _half_sum,
                                _panel_buckets, _smooth_ft)
@@ -644,6 +645,9 @@ def test_chord_bound_report_shapes():
     assert rep.ratios.shape == (13, 16)
     assert rep.octave_spread >= 1.0
     assert rep.max_ratio > 0
+    # every chord depth 1/(2t) at or past 0.45 widths: nothing is scanned
+    with pytest.raises(InsufficientDataError, match="no valid"):
+        chord_bound_report(disk(), [0.1, 0.2], n_theta=16)
 
 
 def test_bound_scans_capped_before_allocating():
@@ -669,6 +673,130 @@ def test_annulus_bound_report_refuses_repeated_xi():
         with pytest.raises(ValidationError, match=r"\|xi\| values must be distinct"):
             annulus_bound_report(disk(), [1.0], xi, [0.05])
     assert annulus_bound_report(disk(), [1.0], [8.0], [0.05]).growth_slope == 0.0
+
+
+def _chord_bound_by_t_loop(body, t_values, n_theta):
+    """The per-t scan the package ran before its one array pass:
+    (ratios, n_skipped, octave_max)."""
+    t = np.sort(np.asarray(t_values, dtype=float))
+    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    omegas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    widths = body.support(omegas) + body.support(-omegas)
+    ratios = np.full((t.size, n_theta), np.nan)
+    n_skipped = 0
+    for i, ti in enumerate(t):
+        eps = 1.0 / (2.0 * ti)
+        ok = eps < 0.45 * widths
+        n_skipped += int((~ok).sum())
+        if not np.any(ok):
+            continue
+        chords = _chord_lengths_vec(body, omegas[ok], np.full(int(ok.sum()), eps))
+        vals = np.abs(fourier._transform(body, ti * omegas[ok], "body"))
+        ratios[i, ok] = vals * ti / (2.0 * chords)
+    octs = np.floor(np.log2(t)).astype(int)
+    omax = []
+    for o in np.unique(octs):
+        sel = ratios[octs == o]
+        sel = sel[np.isfinite(sel)]
+        if sel.size:
+            omax.append(float(sel.max()))
+    return ratios, n_skipped, np.array(omax)
+
+
+def _annulus_by_loop(body, R_values, xi_mags, deltas, n_theta):
+    """The per-(R, delta, |xi|) scan the package ran before its one array
+    pass, with its radius cache: (rows, c_by_xi, growth_slope)."""
+    xi_mags = np.sort(np.asarray(xi_mags, dtype=float))
+    th = math.pi * np.arange(n_theta) / n_theta
+    omegas = np.stack([np.cos(th), np.sin(th)], axis=1)
+    cache = {}
+
+    def ft_on_circle(radius):
+        key = round(radius, 12)
+        if key not in cache:
+            cache[key] = fourier._transform(body, radius * omegas, "body")
+        return cache[key]
+
+    rows = []
+    c_by_xi = np.zeros(xi_mags.size)
+    for R in np.asarray(R_values, dtype=float):
+        for delta in np.asarray(deltas, dtype=float):
+            spec = AnnulusSpec(R, delta)
+            s1, s2 = spec.R, spec.R + spec.delta
+            for k, q in enumerate(xi_mags):
+                vals = np.abs((s2 ** 2) * ft_on_circle(s2 * q)
+                              - (s1 ** 2) * ft_on_circle(s1 * q))
+                rhs = math.sqrt(R / q) * min(1.0 / q, delta)
+                ratio = vals / rhs
+                j = int(np.argmax(ratio))
+                rows.append((float(R), float(q), float(delta), float(th[j]),
+                             float(vals[j]), float(rhs), float(ratio[j])))
+                c_by_xi[k] = max(c_by_xi[k], float(ratio.max()))
+    slope = _line_fit(map(math.log, xi_mags.tolist()), map(math.log, c_by_xi.tolist()))[0]
+    return rows, c_by_xi, slope
+
+
+_SCAN_BODIES = [disk(), ellipse(2.0, 1.0), LpBall(4.0), LpBall(1.5), square(),
+                regular_polygon(8), regular_polygon(6, phase=0.3)]
+_SCAN_IDS = ["disk", "ellipse 2:1", "l4", "l1.5", "square", "8-gon", "hexagon phase 0.3"]
+
+
+def _assert_same_scan(body, got, want):
+    """Bit-equal, except on the quadrature path: there BLAS rounds a frequency
+    row's matrix products by its place in the call (the last columns of a
+    block take an edge kernel), so the one call for the whole scan moves a
+    few transform values by about 1e-15 relative."""
+    if isinstance(body, LpBall) and body.p != 2.0:
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("body", _SCAN_BODIES, ids=_SCAN_IDS)
+@pytest.mark.parametrize("t_values, n_theta", [(2.0 ** np.linspace(-1.0, 7.0, 17), 32),
+                                               (2.0 ** np.linspace(2.0, 10.0, 33), 64)],
+                         ids=["smallest t skips", "lemma default"])
+def test_chord_bound_report_matches_t_loop(body, t_values, n_theta):
+    rep = chord_bound_report(body, t_values, n_theta=n_theta)
+    ratios, n_skipped, octave_max = _chord_bound_by_t_loop(body, t_values, n_theta)
+    _assert_same_scan(body, rep.ratios, ratios)
+    _assert_same_scan(body, rep.octave_max, octave_max)
+    assert rep.n_skipped == n_skipped
+    assert (n_skipped > 0) == (t_values[0] < 1.0)
+
+
+@pytest.mark.parametrize("body", _SCAN_BODIES, ids=_SCAN_IDS)
+@pytest.mark.parametrize("n_theta", [16, 32], ids=["lemma", "refine"])
+def test_annulus_bound_report_matches_loop(body, n_theta):
+    # the lemma_disk grids; R |xi| repeats (1 * 8 = 2 * 4), so radii are shared
+    grids = ([1.0, 2.0, 4.0], [4.0, 8.0, 16.0, 32.0, 64.0, 128.0], [1e-3, 1e-2, 1e-1])
+    rep = annulus_bound_report(body, *grids, n_theta=n_theta)
+    rows, c_by_xi, slope = _annulus_by_loop(body, *grids, n_theta)
+    _assert_same_scan(body, np.array(rep.rows), np.array(rows))
+    _assert_same_scan(body, rep.c_by_xi, c_by_xi)
+    _assert_same_scan(body, rep.growth_slope, slope)
+
+
+def test_bound_scans_make_one_transform_and_one_chord_call(monkeypatch):
+    calls = []
+    for module, name in ((fourier, "_transform"), (fourier._bodies, "_chord_lengths_vec")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **k:
+                            calls.append(name) or fn(*a, **k))
+    chord_bound_report(square(), 2.0 ** np.linspace(-1.0, 7.0, 17), n_theta=32)
+    assert calls == ["_chord_lengths_vec", "_transform"]
+    calls.clear()
+    annulus_bound_report(disk(), [1.0, 2.0], [4.0, 8.0, 16.0], [1e-3, 1e-1], n_theta=16)
+    assert calls == ["_transform"]
+
+
+def test_annulus_bound_report_input_errors():
+    with pytest.raises(ValidationError, match="got R=2 delta=0.5"):
+        annulus_bound_report(disk(), [8.0, 2.0, 1.0], [4.0], [0.1, 0.5])
+    # an empty grid used to give c_hat 0.0 or a bare ValueError
+    for grids in (([], [4.0], [0.01]), ([1.0], [], [0.01]), ([1.0], [4.0, 8.0], [])):
+        with pytest.raises(ValidationError, match="grids must be nonempty"):
+            annulus_bound_report(disk(), *grids)
 
 
 def test_spherical_average_nodes_capped_before_allocating():

@@ -1,5 +1,6 @@
 """The scripts run against the package: the examples print one row per case,
-and the benchmark summary judges synthetic paired runs."""
+the config timer prints one row per config, and the benchmark summary judges
+synthetic paired runs."""
 
 import importlib.util
 import json
@@ -21,6 +22,19 @@ def test_script_runs(script, rows):
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 1 + rows, out.stdout  # a header, then one row per case
+
+
+def test_config_pairs_times_one_pair():
+    src = str(_ROOT / "src")
+    out = subprocess.run([sys.executable, str(_ROOT / "scripts" / "config_pairs.py"), src, src,
+                          "body_square", "--pairs", "1"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    header, row = out.stdout.splitlines()
+    assert header.split("\t") == ["config", "parent_median_s", "change_median_s",
+                                   "parent_iqr_s", "change_wins"]
+    name, parent, change, spread, wins = row.split("\t")
+    assert name == "body_square" and float(parent) > 0 and float(change) > 0
+    assert float(spread) == 0.0 and wins in ("0/1", "1/1")
 
 
 def _bench_summary():
