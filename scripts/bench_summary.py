@@ -2,7 +2,7 @@
 """Summarise paired benchmark runs of a parent and a changed checkout.
 
     python3 scripts/bench_summary.py PARENT_RESULTS CHANGE_RESULTS --pr 8 \
-        --out BENCH_8.json [--seeds 81-90]
+        --out BENCH_8.json [--seeds 81-90] [--work WORK.json]
 
 PARENT_RESULTS and CHANGE_RESULTS are the ``.perfbench/results`` directories
 that ``perfbench/run.py --trace 0`` filled in the two checkouts.  A pair is
@@ -16,6 +16,9 @@ parent's interquartile range, the relative change against the metric's
 bound, and whether a gain could be claimed: wins in at least 9/10 of the
 pairs and a median difference larger than the parent's IQR.  It also
 records failed runs per side and the environment the runs reported.
+``--work`` names a JSON object {workload: {"counter": what is counted,
+"parent": count, "change": count}}, the work each side does in one run of
+the workload; it is copied into that workload's entry as ``work``.
 """
 
 from __future__ import annotations
@@ -109,6 +112,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", type=int, required=True, help="number of the change")
     ap.add_argument("--seeds", type=seed_range, default=None,
                     help="only these seeds, e.g. 81-90 or 1,3,5")
+    ap.add_argument("--work", type=Path, default=None,
+                    help="JSON of per-workload work counts of each side")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -117,6 +122,11 @@ def main(argv=None) -> int:
                "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                           f"--seconds {spec['run_seconds']} --trace 0",
                **summarise(parent, change, spec)}
+    if args.work is not None:
+        for name, work in json.loads(args.work.read_text()).items():
+            if name not in summary["workloads"]:
+                raise SystemExit(f"work counts for {name!r}, which no pair ran")
+            summary["workloads"][name]["work"] = work
     args.out.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     for name, w in summary["workloads"].items():
         print(f"{name}: {w['pairs']} pairs, failed {w['failed']['parent']}"

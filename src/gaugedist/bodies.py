@@ -197,6 +197,7 @@ class Polygon2D(ConvexBody):
             raise ValidationError("exact vertices are not exactly symmetric about the origin")
         self.vertices = V
         self._exact = exact
+        self._symmetry = None
         # outward normals and offsets; origin must be strictly inside
         nx = E[:, 1]
         ny = -E[:, 0]
@@ -264,6 +265,13 @@ class Polygon2D(ConvexBody):
         return self
 
     def symmetry(self) -> tuple:
+        """(k, mirror), read on the first call and kept: the vertices never
+        change after construction."""
+        if self._symmetry is None:
+            self._symmetry = self._read_symmetry()
+        return self._symmetry
+
+    def _read_symmetry(self) -> tuple:
         """(k, mirror) read from the vertices within 1e-12 * scale: k is the
         largest even divisor of n whose rotation by 2*pi/k is the roll by n/k,
         and the mirror maps the reversed vertex list onto one roll of itself.

@@ -57,9 +57,12 @@ _NODES_PER_PANEL = 16
 # body the integrand has period pi, so N nodes on [0, pi) give the identical
 # value to 2N uniform nodes on [0, 2 pi).  p = 1 averages take 16 per unit
 # (the 32-per-unit full-circle budget): |transform| has kinks at the zeros,
-# and the rule converges only algebraically.  p = 2 averages take half that:
-# |transform|^2 is smooth and band-limited, aliasing sets in only below about
-# pi per unit, and 8 per unit agrees with a 4x finer rule to about 2e-14.
+# and the rule converges only algebraically.  p = 2 averages take a quarter
+# of that: the angular modes of |transform|^2 end near z = 2 pi R diam, the
+# N-node rule is exact below 2N, and 4 per unit puts 2N 27% past z (about
+# 9 z^(1/3) modes where 4 per unit first passes the 128 floor, and J_n(z)
+# falls superexponentially past z + c z^(1/3)).  It agrees with 64 per unit
+# to 3e-14 for R <= 128; 3 per unit aliases (up to 6e-2 on the square).
 _ANGULAR_PER_UNIT = 16.0
 _MIN_ANGULAR = 128
 # Hard caps, checked before anything is allocated: on the transform
@@ -258,15 +261,20 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
 
     Rectangle rule over a half circle (the integrand has period pi for a
     symmetric body); the default node count N is at least 128 and grows
-    linearly with R * diam(K), at 8 nodes per unit for p = 2 and 16 for
+    linearly with R * diam(K), at 4 nodes per unit for p = 2 and 16 for
     p = 1.  For p = 2 the integrand |transform|^2 is smooth and
-    band-limited (its angular modes end near 2 pi R diam(K), so the rule
-    aliases only below about pi nodes per unit), and the value agrees with
-    a rule of 64 nodes per unit to 4e-15 relative on smooth bodies and
-    2e-14 on the square and the 256-gon (R in 8..128).  For
-    p = 1 that claim does not hold: |transform| has kinks at the
+    band-limited: its angular modes end near z = 2 pi R diam(K) and the
+    N-node rule is exact below 2N, so 4 per unit leaves 2N 27% past z, and
+    the rule aliases only below about pi nodes per unit (3 per unit is off
+    by up to 6e-2 on the square).  Against a rule of 64 nodes per unit the
+    value agrees to 7.5e-15 relative on the l^4, l^1.5 and stretched l^4
+    balls, the 1:0.5 ellipse and the disk, and to 2.8e-14 on the square,
+    diamond, hexagons and 256-gon (R in 8..128).  At R 300..1000 polygons
+    agree to 2e-12 (8 per unit: 6.6e-13); that difference does not fall
+    from 4 to 6 per unit, so it is rounding in the phases, not aliasing.
+    For p = 1 that claim does not hold: |transform| has kinks at the
     transform's zeros, so the rule loses its spectral accuracy, and it keeps
-    twice the p = 2 density.  On the square the p = 1 average is off by a
+    four times the p = 2 density.  On the square the p = 1 average is off by a
     relative 1e-4 to 2e-3 at the default count, and the error falls only
     algebraically, and unevenly, as nodes are added.
 
@@ -294,9 +302,9 @@ def spherical_average(body: ConvexBody, R: float, kind: str = "body",
     k, mirror = body.symmetry()
     if n_nodes is None:
         # half-circle count: at least the max(256, 32 R diam) full-circle
-        # rule for p = 1, max(256, 16 R diam) for p = 2, rounded up to whole
+        # rule for p = 1, max(256, 8 R diam) for p = 2, rounded up to whole
         # symmetry cells
-        per_unit = _ANGULAR_PER_UNIT if p == 1 else _ANGULAR_PER_UNIT / 2
+        per_unit = _ANGULAR_PER_UNIT if p == 1 else _ANGULAR_PER_UNIT / 4
         n_nodes = max(_MIN_ANGULAR, int(math.ceil(per_unit * R * body.diameter())))
         n_nodes = -(-n_nodes // (k // 2)) * (k // 2)
     if n_nodes < 1:

@@ -38,7 +38,8 @@ from gaugedist import (
 )
 from gaugedist import fourier
 from gaugedist._blocks import _line_fit
-from gaugedist.bodies import ConvexBody, Ellipsoid, _chord_lengths_vec, boundary_quadrature
+from gaugedist.bodies import (ConvexBody, Ellipsoid, Polygon2D, _chord_lengths_vec,
+                              boundary_quadrature)
 from gaugedist.fourier import (_ANGULAR_CAP, _ANGULAR_PER_UNIT, _MIN_ANGULAR, _NODES_PER_PANEL,
                                _PANEL_NODE_CAP, _PANELS_PER_UNIT, _SCAN_CAP, _half_sum,
                                _panel_buckets, _smooth_ft)
@@ -353,8 +354,8 @@ def test_spherical_average_rotation_invariance():
 
 def _default_nodes(body, R, p=1):
     """The default N of a p-average before rounding to whole symmetry cells:
-    16 nodes per unit of R * diam for p = 1, 8 for p = 2."""
-    per_unit = _ANGULAR_PER_UNIT if p == 1 else _ANGULAR_PER_UNIT / 2
+    16 nodes per unit of R * diam for p = 1, 4 for p = 2."""
+    per_unit = _ANGULAR_PER_UNIT if p == 1 else _ANGULAR_PER_UNIT / 4
     return max(_MIN_ANGULAR, math.ceil(per_unit * R * body.diameter()))
 
 
@@ -463,6 +464,28 @@ def test_spherical_average_256gon_evaluates_one_half_cell(monkeypatch):
         assert len(calls[0]) <= M // 2 + 1 <= 129
 
 
+def test_polygon_symmetry_read_once_per_polygon(monkeypatch):
+    # the 57 radii of an 8..1024 scan at 8 per octave read the 256-gon's
+    # vertices once; a rotated or scaled copy reads its own
+    reads = []
+    read = Polygon2D._read_symmetry
+
+    def counting(self):
+        reads.append(self)
+        return read(self)
+
+    monkeypatch.setattr(Polygon2D, "_read_symmetry", counting)
+    body = regular_polygon(256)
+    for j in range(57):
+        spherical_average(body, 8.0 * 2.0 ** (j / 8), kind="body", p=1)
+    assert reads == [body]
+    for copy, want in ((body.rotated(0.3), (256, False)), (body.scaled(2.0), (256, True)),
+                       (square().rotated(0.3), (4, False))):
+        assert copy.symmetry() == copy.symmetry() == want
+        assert reads[-1] is copy
+    assert len(reads) == 4
+
+
 def test_spherical_average_default_vs_full_rule():
     # the default-count value against all N nodes at the rounded N
     for name, make, radii in _CELL_CASES:
@@ -483,10 +506,10 @@ def test_spherical_average_default_vs_full_rule():
                          ids=["l4", "l1.5", "l4 (2, 0.5)", "1:0.5 ellipse", "disk", "square",
                               "256-gon"])
 def test_spherical_average_p2_default_vs_4x_rule(make):
-    # the p = 2 default, 8 nodes per unit of R * diam, against 64 per unit;
-    # the measured worst case is 1.7e-14 (square, 256-gon).  The rule aliases below
-    # about pi nodes per unit (3 per unit: 3.9e-3 on the square), so the
-    # default's count is checked on its own
+    # the p = 2 default, 4 nodes per unit of R * diam, against 64 per unit;
+    # the measured worst case is 2.8e-14 (256-gon).  The rule aliases below
+    # about pi nodes per unit (test_spherical_average_p2_rule_sees_aliasing),
+    # so the default's count is checked on its own
     body = make()
     g = body.symmetry()[0] // 2
     for R in (8.0, 33.3, 128.0):
@@ -496,6 +519,24 @@ def test_spherical_average_p2_default_vs_4x_rule(make):
             assert got == spherical_average(body, R, kind=kind, p=2,
                                              n_nodes=_rounded_nodes(body, R, p=2))
             want = spherical_average(body, R, kind=kind, p=2, n_nodes=n)
+            assert abs(got - want) <= 1e-13 * want, (R, kind)
+
+
+def test_spherical_average_p2_rule_sees_aliasing():
+    # the angular modes of |transform|^2 end near z = 2 pi R diam, and the
+    # N-node half-circle rule is exact below 2N: 3 nodes per unit (2N =
+    # 0.95 z, no floor) aliases, measured 4.7e-6 to 6e-2 relative on the
+    # square, while the default keeps within 1e-13 of 64 per unit
+    body = square()
+    diam = body.diameter()
+    for R in (8.0, 33.3, 128.0):
+        for kind in ("body", "surface"):
+            want = spherical_average(body, R, kind=kind, p=2,
+                                     n_nodes=2 * math.ceil(32 * R * diam))
+            coarse = spherical_average(body, R, kind=kind, p=2,
+                                       n_nodes=2 * math.ceil(1.5 * R * diam))
+            assert abs(coarse - want) > 1e-6 * want, (R, kind)
+            got = spherical_average(body, R, kind=kind, p=2)
             assert abs(got - want) <= 1e-13 * want, (R, kind)
 
 

@@ -55,6 +55,22 @@ def _write_runs(directory, workload, metrics, side):
         (directory / f"{workload}-seed{i + 1}-trace0.json").write_text(json.dumps(record))
 
 
+def test_bench_summary_copies_work_counts(tmp_path):
+    flat = {k: [1.0] * 10 for k in ("run_s", "setup_s", "cpu_s", "peak_rss_mb")}
+    for side in ("parent", "change"):
+        _write_runs(tmp_path / side, "smooth", flat, side)
+    work = {"smooth": {"counter": "terms", "parent": 4, "change": 2}}
+    (tmp_path / "work.json").write_text(json.dumps(work))
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--pr", "0",
+            "--out", str(tmp_path / "BENCH.json"), "--work", str(tmp_path / "work.json")]
+    assert _bench_summary().main(args) == 0
+    summary = json.loads((tmp_path / "BENCH.json").read_text())
+    assert summary["workloads"]["smooth"]["work"] == work["smooth"]
+    (tmp_path / "work.json").write_text(json.dumps({"other": work["smooth"]}))
+    with pytest.raises(SystemExit, match="other"):
+        _bench_summary().main(args)
+
+
 def test_bench_summary_pairs_ties_iqr_bounds_and_claims(tmp_path):
     ramp = [float(x) for x in range(1, 11)]  # inclusive quartiles 3.25 and 7.75
     flat = [10.0] * 10
