@@ -31,15 +31,12 @@ from .bodies import (
     random_symmetric_hexagon,
     perimeter,
     chord_length,
-    chord_length_exact,
     curvature_condition,
     CurvatureReport,
 )
 from .fourier import (
     surface_ft,
     body_ft,
-    annulus_ft,
-    AnnulusSpec,
     spherical_average,
     DecayProfile,
     decay_fit,
@@ -78,7 +75,6 @@ from .fractal import (
     AtomicMeasure,
     CantorMeasure,
     natural_measure,
-    energy_integral,
     EnergyLadder,
     energy_ladders,
 )
@@ -92,10 +88,8 @@ __all__ = [
     "ConvexBody", "Polygon2D", "Ellipsoid", "LpBall",
     "disk", "ellipse", "square", "diamond", "regular_polygon", "radial_polygon",
     "random_symmetric_hexagon", "perimeter",
-    "chord_length", "chord_length_exact", "curvature_condition",
-    "CurvatureReport",
-    "surface_ft", "body_ft", "annulus_ft", "AnnulusSpec",
-    "spherical_average", "DecayProfile", "decay_fit",
+    "chord_length", "curvature_condition", "CurvatureReport",
+    "surface_ft", "body_ft", "spherical_average", "DecayProfile", "decay_fit",
     "octave_envelope", "window_aggregate", "chord_bound_report",
     "ChordBoundReport", "annulus_bound_report", "AnnulusBoundReport",
     "PointSet", "DistanceSet", "distance_set", "well_distributed_check",
@@ -104,6 +98,6 @@ __all__ = [
     "IntervalUnion", "CantorSpec", "cantor_build", "DifferenceCover",
     "difference_cover", "box_dim", "DioSpec", "DioSet", "dio_build",
     "DeltaCover", "delta_cover", "AtomicMeasure", "CantorMeasure",
-    "natural_measure", "energy_integral", "EnergyLadder", "energy_ladders",
+    "natural_measure", "EnergyLadder", "energy_ladders",
     "svg_decay_plot",
 ]

@@ -122,9 +122,6 @@ class ConvexBody:
     def volume(self) -> float:
         raise NotImplementedError
 
-    def scaled(self, s: float) -> "ConvexBody":
-        raise NotImplementedError
-
     def diameter(self) -> float:
         # symmetric body: farthest pair is a pair of antipodal extreme points
         return 2.0 * self.circumradius()
@@ -159,7 +156,7 @@ class Polygon2D(ConvexBody):
     Gauge and support are exact up to float rounding: gauge is the max of the
     face functionals x.n_i / c_i, support the max of vertex dot products.
     Integer or Fraction vertices also keep an exact copy, integer numerators
-    over one denominator, for exact chords and distance keys.
+    over one denominator, for exact distance keys.
     """
 
     def __init__(self, vertices):
@@ -249,17 +246,6 @@ class Polygon2D(ConvexBody):
     def perimeter(self) -> float:
         E = np.roll(self.vertices, -1, axis=0) - self.vertices
         return float(np.hypot(E[:, 0], E[:, 1]).sum())
-
-    def scaled(self, s: float) -> "Polygon2D":
-        _positive(s, "scale factor")
-        if self._exact is not None and isinstance(s, (int, Fraction)):
-            return Polygon2D([(a * s, b * s) for a, b in self.exact_vertices])
-        return Polygon2D(self.vertices * float(s))
-
-    def rotated(self, angle: float) -> "Polygon2D":
-        c, s = math.cos(angle), math.sin(angle)
-        R = np.array([[c, -s], [s, c]])
-        return Polygon2D(self.vertices @ R.T)
 
     def as_polygon(self) -> "Polygon2D":
         return self
@@ -351,10 +337,6 @@ class LpBall(ConvexBody):
         if self.p == 2.0:
             return math.pi * prod  # the Gamma form is an ulp off pi
         return (2.0 * math.gamma(1.0 + 1.0 / self.p)) ** 2 / math.gamma(1.0 + 2.0 / self.p) * prod
-
-    def scaled(self, s: float) -> "LpBall":
-        _positive(s, "scale factor")
-        return LpBall(self.p, self.semi_axes * s)
 
     def symmetry(self) -> tuple:
         # the quarter turn swaps the axes; the reflection flips one sign
@@ -620,66 +602,6 @@ def chord_length(body: ConvexBody, direction, depth: float) -> float:
     if math.isnan(val):
         raise GeometryError("chord line misses the body (depth %g)" % depth)
     return float(val)
-
-
-def chord_length_exact(body: ConvexBody, omega, depth) -> Fraction:
-    """Exact rational chord for polygonal bodies with exact vertices.
-
-    ``omega`` is a pair of rationals (need not be unit length; depth is then
-    measured in the same scale as x . omega), ``depth`` a positive rational.
-    """
-    poly = body.as_polygon()
-    if poly is None or poly.exact_vertices is None:
-        raise CapabilityError("exact chords need a polygon with exact vertices")
-    try:
-        w = (Fraction(omega[0]), Fraction(omega[1]))
-        depth = Fraction(depth)
-    except (ValueError, OverflowError):
-        raise ValidationError(f"direction and depth must be finite, got {omega!r} "
-                              f"and {depth!r}") from None
-    if w == (0, 0):
-        raise ValidationError("direction must be nonzero")
-    if depth <= 0:
-        raise GeometryError("chord depth must be positive")
-    V = poly.exact_vertices
-    sup = max(v[0] * w[0] + v[1] * w[1] for v in V)
-    if depth >= 2 * sup:
-        raise GeometryError(f"chord depth {depth} is not below the body width {2 * sup}")
-    h = sup - depth
-    ts = []
-    n = len(V)
-    for i in range(n):
-        A, B = V[i], V[(i + 1) % n]
-        fa = A[0] * w[0] + A[1] * w[1] - h
-        fb = B[0] * w[0] + B[1] * w[1] - h
-        ta = -A[0] * w[1] + A[1] * w[0]
-        tb = -B[0] * w[1] + B[1] * w[0]
-        if fa == 0:  # 0 < depth < width: no edge lies on the line
-            ts.append(ta)
-        elif (fa > 0) != (fb > 0):
-            lam = fa / (fa - fb)
-            ts.append(ta + (tb - ta) * lam)
-    if not ts:
-        raise GeometryError("chord line misses the body (depth %s)" % depth)
-    # t is measured against omega-perp of the *unnormalized* direction; divide
-    # by |omega| to convert to arc length
-    span = max(ts) - min(ts)
-    wnorm2 = w[0] * w[0] + w[1] * w[1]
-    root = _fraction_sqrt(wnorm2)
-    if root is not None:
-        return span / root
-    raise CapabilityError(
-        "direction norm sqrt(%s) is irrational; pass a rational-norm direction"
-        % wnorm2)
-
-
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    num, den = q.numerator, q.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def _direction_vector(direction) -> np.ndarray:

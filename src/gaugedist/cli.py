@@ -224,7 +224,7 @@ def _band_verdict(report: Report, cfg: ScanConfig, section: str, name: str, valu
 
 def _body_from(cfg: ScanConfig) -> B.ConvexBody:
     """The body that [body] describes.  Polygon vertices stay exact rationals,
-    so exact chord queries and counts stay available; random kinds draw from
+    so exact distance counts stay available; random kinds draw from
     the run seed."""
     sec = "body"
     rng = np.random.default_rng(cfg.seed)

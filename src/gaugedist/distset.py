@@ -106,11 +106,6 @@ class PointSet:
         self.provenance, self.q, self.angle = "explicit", None, None
 
     @classmethod
-    def explicit(cls, points) -> "PointSet":
-        """PointSet(points), under the name the documentation uses."""
-        return cls(points)
-
-    @classmethod
     def _lattice(cls, q: int, rows, provenance: str, angle=None) -> "PointSet":
         """The (q+1)^2 distinct points of a (rotated) lattice grid, whose
         (points, exact) pair rows() builds when either is first read."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -76,22 +76,6 @@ _MIN_OCTAVES = 3.0  # the least span of decay_fit's samples, in octaves
 _DIVERGENCE_SLOPE = 0.25  # log-log slope in |xi| past which the annulus bound diverges
 
 
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Dilation annulus: scales in [R, R + delta], thin relative to R."""
-
-    R: float
-    delta: float
-
-    def __post_init__(self):
-        if not (self.R > 0):
-            raise ValidationError("annulus R must be positive")
-        if not (0 < self.delta <= self.R / 10.0):
-            raise ValidationError(
-                "annulus delta must satisfy 0 < delta <= R/10, got R=%g delta=%g"
-                % (self.R, self.delta))
-
-
 def _planar_rows(xi) -> np.ndarray:
     """xi as finite planar frequency rows (k, 2); a vector is one row."""
     rows = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -111,20 +95,6 @@ def surface_ft(body: ConvexBody, xi):
 def body_ft(body: ConvexBody, xi):
     """Transform of the indicator of the body; body_ft(0) is the volume."""
     out = _transform(body, xi, kind="body")
-    return out[0] if np.ndim(xi) == 1 else out
-
-
-def annulus_ft(body: ConvexBody, xi, spec: AnnulusSpec):
-    """Transform of the indicator of (R+delta)K minus RK at xi.
-
-    Equals F(R+delta) - F(R) with F(s) = s^2 body_ft(s xi); the two dilated
-    evaluations are where all the cancellation happens, so no thin-shell
-    mesh is ever built.
-    """
-    rows = _planar_rows(xi)
-    s1, s2 = spec.R, spec.R + spec.delta
-    out = (s2 ** 2) * _transform(body, s2 * rows, kind="body") \
-        - (s1 ** 2) * _transform(body, s1 * rows, kind="body")
     return out[0] if np.ndim(xi) == 1 else out
 
 
@@ -501,7 +471,9 @@ def chord_bound_report(body: ConvexBody, t_values, n_theta: int = 64) -> ChordBo
 
 @dataclass
 class AnnulusBoundReport:
-    """Observed constants for |annulus_ft| <= C sqrt(R/|xi|) min(1/|xi|, delta).
+    """Observed constants for |A(xi)| <= C sqrt(R/|xi|) min(1/|xi|, delta), where
+    A(xi) = F(R + delta) - F(R), F(s) = s^2 body_ft(s xi), is the transform of
+    the annulus (R + delta)K minus RK.
 
     ``c_hat`` is the largest observed ratio against the comparison quantity;
     ``c_by_xi`` tracks it per frequency magnitude, and ``growth_slope`` fits
@@ -534,7 +506,9 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
         raise BudgetError(f"{n} annulus ratios exceeds the cap of {_SCAN_CAP}")
     bad = np.argwhere(deltas > R_values[:, None] / 10.0)
     if bad.size:
-        AnnulusSpec(R_values[bad[0, 0]], deltas[bad[0, 1]])  # raises, naming the pair
+        R, delta = R_values[bad[0, 0]], deltas[bad[0, 1]]
+        raise ValidationError(f"annulus delta must satisfy 0 < delta <= R/10, "
+                              f"got R={R:g} delta={delta:g}")
     th = math.pi * np.arange(n_theta) / n_theta
     omegas = np.stack([np.cos(th), np.sin(th)], axis=1)
     # scales s1 = R and s2 = R + delta per (R, delta), and one transform per
@@ -544,7 +518,7 @@ def annulus_bound_report(body: ConvexBody, R_values, xi_mags, deltas,
     uniq = distinct(radii)
     ft = _transform(body, (uniq[:, None, None] * omegas).reshape(-1, 2), "body").real
     F = ft.reshape(uniq.size, n_theta)[np.searchsorted(uniq, radii)]
-    # s ** 2 in Python floats (libm pow), as annulus_ft squares its scalars
+    # s ** 2 in Python floats (libm pow), the rounding the bundled outputs carry
     sq = np.array([a ** 2 for a in s.ravel().tolist()]).reshape(s.shape + (1, 1))
     vals = np.abs(sq[1] * F[1] - sq[0] * F[0])
     rhs = np.sqrt(R_values[:, None, None] / xi_mags) * np.minimum(1.0 / xi_mags,

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._blocks import _line_fit, distinct, map_blocks
 from .bodies import ConvexBody, _finite_rows, _numerators, _positive
-from .distset import PointSet, _unique_rows, distance_set
+from .distset import PointSet, distance_set
 from .errors import BudgetError, CapabilityError, InsufficientDataError, ValidationError
 from .fourier import _planar_rows
 
@@ -58,7 +58,11 @@ class IntervalUnion:
     @classmethod
     def build(cls, pairs) -> "IntervalUnion":
         """The union of rational (a, b) pairs, cleared to the lcm of their denominators."""
-        nums, den = _numerators([(Fraction(a), Fraction(b)) for a, b in pairs])
+        try:
+            pairs = [(Fraction(a), Fraction(b)) for a, b in pairs]
+        except (ValueError, OverflowError):
+            raise ValidationError("interval endpoints must be finite numbers") from None
+        nums, den = _numerators(pairs)
         # Python integers, so that lengths and their sums cannot wrap
         nums = nums.astype(object).reshape(-1, 2)
         if np.any(nums[:, 1] < nums[:, 0]):
@@ -84,9 +88,6 @@ class IntervalUnion:
     def count(self) -> int:
         return len(self.lo)
 
-    def contains_point(self, x) -> bool:
-        return self.contains_union(IntervalUnion.build([(x, x)]))
-
     def contains_union(self, other: "IntervalUnion") -> bool:
         """Exact containment test: every interval of other sits inside one of
         ours, the last whose lo is at or below its lo (floor and ceil of its
@@ -109,10 +110,10 @@ class CantorSpec:
     depth: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValidationError("base parameter m must be >= 2")
-        if self.depth < 1:
-            raise ValidationError("depth must be >= 1")
+        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
+            raise ValidationError(f"base parameter m must be an integer >= 2, got {self.m!r}")
+        if not isinstance(self.depth, (int, np.integer)) or self.depth < 1:
+            raise ValidationError(f"depth must be an integer >= 1, got {self.depth!r}")
 
     @property
     def base(self) -> int:
@@ -121,10 +122,6 @@ class CantorSpec:
     @property
     def cell_count(self) -> int:
         return self.m ** self.depth
-
-    @property
-    def cell_length(self) -> Fraction:
-        return Fraction(1, self.base ** self.depth)
 
 
 def _digit_numerators(spec: CantorSpec, low: int = 0) -> np.ndarray:
@@ -195,25 +192,13 @@ def _grid_count_1d(iu: IntervalUnion, eps: Fraction) -> int:
     return int((hi - lo + 1).sum())
 
 
-def _grid_count_points(pts: np.ndarray, eps: float) -> int:
-    idx = np.floor(pts / eps).astype(np.int64)
-    # domain [0,1]^2: the upper face belongs to the last cell
-    nmax = int(math.ceil(1.0 / eps - 1e-12))
-    idx = np.minimum(idx, nmax - 1)
-    return len(_unique_rows(idx))
-
-
-BoxCountable = Union[IntervalUnion, PointSet, Tuple[IntervalUnion, ...]]
-
-
-def box_dim(obj: BoxCountable, scales: Sequence) -> float:
+def box_dim(obj: Union[IntervalUnion, Tuple[IntervalUnion, ...]], scales: Sequence) -> float:
     """Box-counting dimension estimate over dyadic scales.
 
-    Fits log N(eps) against log(1/eps) by least squares.  Interval
-    unions (and product tuples of them) are counted exactly in rational
-    arithmetic; point sets are binned in floats on [0,1]^2, and one
-    outside it is a ValidationError.  So is a count or a scale whose
-    reciprocal the float fit cannot hold.
+    Fits log N(eps) against log(1/eps) by least squares.  An interval
+    union, or a product tuple of them, is counted exactly in rational
+    arithmetic.  A count or a scale whose reciprocal the float fit cannot
+    hold is a ValidationError.
     """
     eps_list = sorted((_positive(eps, "box scales") for eps in scales), reverse=True)
     n_distinct = len(set(eps_list))
@@ -222,19 +207,11 @@ def box_dim(obj: BoxCountable, scales: Sequence) -> float:
                                     f"got {n_distinct}")
     if isinstance(obj, IntervalUnion):
         obj = (obj,)
-    if isinstance(obj, tuple):
-        if any(iu.count == 0 for iu in obj):
-            raise InsufficientDataError("box_dim of an empty interval union is undefined")
-        counts = [math.prod(_grid_count_1d(iu, Fraction(eps)) for iu in obj)
-                  for eps in eps_list]
-    elif isinstance(obj, PointSet):
-        lo, hi = obj.bounding_box()
-        if lo.min() < 0.0 or hi.max() > 1.0:
-            raise ValidationError(f"box_dim bins point sets in [0, 1]^2; the bounding "
-                                  f"box is {lo.tolist()} to {hi.tolist()}")
-        counts = [_grid_count_points(obj.points, float(eps)) for eps in eps_list]
-    else:
+    if not isinstance(obj, tuple):
         raise CapabilityError(f"cannot box-count {type(obj).__name__}")
+    if any(iu.count == 0 for iu in obj):
+        raise InsufficientDataError("box_dim of an empty interval union is undefined")
+    counts = [math.prod(_grid_count_1d(iu, Fraction(eps)) for iu in obj) for eps in eps_list]
     try:
         x = [math.log(1.0 / float(e)) for e in eps_list]
         y = [math.log(float(c)) for c in counts]
@@ -373,9 +350,6 @@ class AtomicMeasure:
     def __repr__(self):
         return f"{type(self).__name__}(n={len(self.weights)})"
 
-    def mass(self):
-        return float(self.weights.sum())
-
     def ft(self, xi: np.ndarray) -> np.ndarray:
         """mu-hat(xi) = sum_j w_j exp(-2 pi i x_j . xi), exact finite sum.
 
@@ -430,9 +404,6 @@ class CantorMeasure(AtomicMeasure):
     def weights(self) -> np.ndarray:
         return np.full(self.spec.cell_count ** 2, 1.0 / self.spec.cell_count ** 2)
 
-    def mass(self) -> Fraction:
-        return Fraction(1)  # N atoms of weight 1/N
-
     def _riesz(self, t: np.ndarray, amp: np.ndarray) -> np.ndarray:
         """amp times A(t), in place; the cosines of +-c pair off, and odd m keeps cos 0 = 1."""
         m, base = self.spec.m, self.spec.base
@@ -467,8 +438,12 @@ def natural_measure(spec: CantorSpec) -> CantorMeasure:
 
 
 def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[float]):
-    """Energy integrals indexed [gamma][T] (see energy_integral).
+    """Energy integrals indexed [gamma][T]: the integral of
+    |xi|^{-gamma} |mu-hat|^2 over the annulus 1 <= |xi| <= T.
 
+    Polar-grid quadrature in the plane; the unit disk is excluded so the
+    integrable singularity cannot contaminate trend reads.  Atomic
+    measures make this a trend instrument, not a convergence test.
     gamma enters only the radial weight, so |mu-hat|^2 is evaluated once
     per T and reused; all grids are checked against the cap before any is built.
     """
@@ -491,16 +466,6 @@ def _energy_values(mu: AtomicMeasure, gammas: Sequence[float], Ts: Sequence[floa
         for row, gamma in zip(vals, gammas):
             row.append(float(np.trapezoid(r ** (1.0 - gamma) * ang, r)))
     return vals
-
-
-def energy_integral(mu: AtomicMeasure, gamma: float, T: float) -> float:
-    """integral of |xi|^{-gamma} |mu-hat|^2 over the annulus 1 <= |xi| <= T.
-
-    Polar-grid quadrature in the plane; the unit disk is excluded so the
-    integrable singularity cannot contaminate trend reads.  Atomic
-    measures make this a trend instrument, not a convergence test.
-    """
-    return _energy_values(mu, [gamma], [T])[0][0]
 
 
 # Increment-ratio bands for the ladder trend.  Log-periodic modulation

@@ -72,17 +72,17 @@ def test_lattice_points_match_sorted_unique_grid():
 
 
 def test_explicit_dedup():
-    S = PointSet.explicit(np.array([[0, 0], [1, 0], [0, 0], [1, 0]]))
+    S = PointSet(np.array([[0, 0], [1, 0], [0, 0], [1, 0]]))
     assert S.n == 2
 
 
 def test_explicit_exact_points_deduped_like_float_points():
-    assert distance_set(PointSet.explicit([[0, 0], [0, 0], [3, 0]]), linf,
+    assert distance_set(PointSet([[0, 0], [0, 0], [3, 0]]), linf,
                         "exact_rational").count == 1
     raw = np.random.default_rng(2).integers(-3, 4, size=(60, 2))
     third = [(Fraction(int(a), 3), Fraction(int(b), 2)) for a, b in raw]
     for pts in (raw, raw.tolist(), third, third[::-1]):
-        S = PointSet.explicit(pts)
+        S = PointSet(pts)
         assert S.n < len(pts)  # the input repeats points
         for body in (disk(), linf, l1, diamond()):
             exact = distance_set(S, body, "exact_rational")
@@ -95,10 +95,10 @@ def test_explicit_exact_points_deduped_like_float_points():
 def test_explicit_exact_points_that_round_together_rejected():
     # both modes count the same n points, or neither does
     with pytest.raises(ValidationError, match="3 distinct exact points round to 2"):
-        PointSet.explicit([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+        PointSet([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
                            (Fraction(10**16 + 1, 10**16), Fraction(0))])
     with pytest.raises(ValidationError, match="3 distinct exact points round to 2"):
-        PointSet.explicit([[2**60, 0], [2**60 + 1, 0], [0, 0]])
+        PointSet([[2**60, 0], [2**60 + 1, 0], [0, 0]])
     # numpy reads this list as float64, which used to leave one float point
     # and no exact copy
     with pytest.raises(ValidationError, match="2 distinct exact points round to 1"):
@@ -115,7 +115,7 @@ def test_exact_mode_needs_exact_polygon_vertices():
     h = np.random.default_rng(4).uniform(0.9, 1.1, 4)
     for body in (regular_polygon(6), random_symmetric_hexagon(np.random.default_rng(1)),
                  radial_polygon(np.concatenate([h, h]))):
-        for S in (PointSet.lattice(4), PointSet.explicit([[0, 0], [1, 2], [3, 1]])):
+        for S in (PointSet.lattice(4), PointSet([[0, 0], [1, 2], [3, 1]])):
             with pytest.raises(CapabilityError, match="rational Polygon2D"):
                 distance_set(S, body, "exact_rational")
 
@@ -136,32 +136,32 @@ def test_polygon_exactness_comes_from_its_vertices():
     assert distance_set(PointSet.lattice(4), Polygon2D(ints), "exact_rational").count == 8
     with pytest.raises(CapabilityError, match="rational Polygon2D"):
         distance_set(thirds, Polygon2D(np.array(ints, dtype=float)), "exact_rational")
-    # a rational scale keeps the copy; the floats are its rounding
-    third = diamond().scaled(Fraction(1, 3))
+    # Fraction vertices keep the copy; the floats are its rounding
+    third = Polygon2D([(x / 3, y / 3) for x, y in diamond().exact_vertices])
     assert third.exact_vertices[0] == (Fraction(1, 3), 0)
     assert third.vertices.tolist() == [[float(x), float(y)] for x, y in third.exact_vertices]
 
 
 def test_exact_round_ball_keys_past_int64_rejected():
     # squared l2 keys past 2^63 used to wrap: exact values [0, 92681.9]
-    S = PointSet.explicit([[0, 0], [2**32, 0], [0, 2**32 + 1]])
+    S = PointSet([[0, 0], [2**32, 0], [0, 2**32 + 1]])
     np.testing.assert_allclose(distance_set(S, LpBall(2.0)).values,
                                [2.0**32, math.hypot(2.0**32, 2.0**32 + 1)])
     with pytest.raises(CapabilityError, match=r"squared l2 keys reach .* bound 2\^63"):
         distance_set(S, LpBall(2.0), "exact_rational")
     # differences past 2^63 wrapped as well, and so did np.ptp over them
-    S = PointSet.explicit([[0, 0], [2**62, 0], [-2**62, 0]])
+    S = PointSet([[0, 0], [2**62, 0], [-2**62, 0]])
     assert distance_set(S, linf).count == 2
     with pytest.raises(CapabilityError, match=f"coordinate differences reach {2**63},"):
         distance_set(S, linf, "exact_rational")
     with pytest.raises(CapabilityError, match="l1 keys reach"):
-        distance_set(PointSet.explicit([[0, 0], [2**62, 0], [0, 2**62]]), l1, "exact_rational")
+        distance_set(PointSet([[0, 0], [2**62, 0], [0, 2**62]]), l1, "exact_rational")
     # an unsigned coordinate past int64 used to wrap in the exact copy
-    S = PointSet.explicit(np.array([[0, 0], [3 << 62, 0], [0, 1]], dtype=np.uint64))
+    S = PointSet(np.array([[0, 0], [3 << 62, 0], [0, 1]], dtype=np.uint64))
     with pytest.raises(CapabilityError, match="coordinates over their common denominator"):
         distance_set(S, linf, "exact_rational")
     # just inside the bound the exact keys count
-    S = PointSet.explicit([[0, 0], [2**31 - 1, 0], [0, 2**31 - 1]])
+    S = PointSet([[0, 0], [2**31 - 1, 0], [0, 2**31 - 1]])
     exact = distance_set(S, LpBall(2.0), "exact_rational")
     assert exact.count == 2 and exact.values.tobytes() == distance_set(S, disk()).values.tobytes()
 
@@ -171,7 +171,7 @@ def test_exact_fraction_coordinates_past_int64_rejected():
     # int64; they used to end in a bare OverflowError
     pts = [(Fraction(0), Fraction(0)), (Fraction(1, 3**40), Fraction(0)),
            (Fraction(0), Fraction(1, 7**30))]
-    S = PointSet.explicit(pts)
+    S = PointSet(pts)
     assert distance_set(S, disk()).count == 2  # the hypotenuse merges within 1e-9
     with pytest.raises(CapabilityError, match="coordinates over their common denominator "
                                               r"reach \d+, past the int64 bound 2\^63"):
@@ -179,7 +179,7 @@ def test_exact_fraction_coordinates_past_int64_rejected():
 
 
 def test_unit_square_distances():
-    corners = PointSet.explicit(np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))
+    corners = PointSet(np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))
     ds = distance_set(corners, disk(), "exact_rational")
     np.testing.assert_allclose(ds.values, [1.0, math.sqrt(2.0)])
     np.testing.assert_array_equal(ds.multiplicities, [4, 2])
@@ -191,7 +191,7 @@ def test_unit_square_distances():
 def test_lattice4_linf_exact():
     S = PointSet.lattice(4)
     fast = distance_set(S, linf, "exact_rational")
-    brute = distance_set(PointSet.explicit(S.points.astype(np.int64)),
+    brute = distance_set(PointSet(S.points.astype(np.int64)),
                          linf, "exact_rational")
     np.testing.assert_allclose(fast.values, [1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(fast.values, brute.values)
@@ -217,7 +217,7 @@ def test_fast_path_matches_brute_force(rng):
     bodies = [disk(), square(), diamond(), random_symmetric_hexagon(rng)]
     for q in (8, 16, 24):
         S = PointSet.lattice(q)
-        B = PointSet.explicit(S.points + 0.0)  # strips provenance
+        B = PointSet(S.points + 0.0)  # strips provenance
         for body in bodies:
             fast = distance_set(S, body, "float_tol")
             brute = distance_set(B, body, "float_tol")
@@ -229,7 +229,7 @@ def test_fast_path_matches_brute_force(rng):
 
 def test_fast_path_matches_brute_exact():
     S = PointSet.lattice(16)
-    B = PointSet.explicit(S.points.astype(np.int64))
+    B = PointSet(S.points.astype(np.int64))
     for body in (disk(), linf, l1, diamond(), square()):
         fast = distance_set(S, body, "exact_rational")
         brute = distance_set(B, body, "exact_rational")
@@ -266,15 +266,15 @@ def test_isometry_invariance():
 def test_scaling_covariance_exact():
     pts = np.array([[0, 0], [1, 0], [0, 1], [2, 2], [3, 1]], dtype=np.int64)
     # linf values are integers: any integer scale is exact in floats
-    a = distance_set(PointSet.explicit(pts), linf, "exact_rational")
-    b = distance_set(PointSet.explicit(3 * pts), linf, "exact_rational")
+    a = distance_set(PointSet(pts), linf, "exact_rational")
+    b = distance_set(PointSet(3 * pts), linf, "exact_rational")
     np.testing.assert_array_equal(b.values, 3.0 * a.values)
     # Euclidean values are sqrt(int): scale by 4 so sqrt(16 k) = 4 sqrt(k)
     # holds bit-exactly under correctly rounded sqrt
-    a = distance_set(PointSet.explicit(pts), disk(), "exact_rational")
-    b = distance_set(PointSet.explicit(4 * pts), disk(), "exact_rational")
+    a = distance_set(PointSet(pts), disk(), "exact_rational")
+    b = distance_set(PointSet(4 * pts), disk(), "exact_rational")
     np.testing.assert_array_equal(b.values, 4.0 * a.values)
-    c = distance_set(PointSet.explicit(3 * pts), disk(), "exact_rational")
+    c = distance_set(PointSet(3 * pts), disk(), "exact_rational")
     np.testing.assert_allclose(c.values, 3.0 * a.values, rtol=1e-15)
 
 
@@ -292,7 +292,7 @@ def test_rotated_exact_mode_unsupported():
 
 
 def test_exact_mode_rejects_float_points():
-    S = PointSet.explicit(np.array([[0.5, 0.25], [1.0, 0.75]]))
+    S = PointSet(np.array([[0.5, 0.25], [1.0, 0.75]]))
     with pytest.raises((CapabilityError, ValidationError)):
         distance_set(S, disk(), "exact_rational")
 
@@ -300,7 +300,7 @@ def test_exact_mode_rejects_float_points():
 def test_exact_mode_fraction_points():
     pts = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)),
            (Fraction(0), Fraction(3, 4))]
-    S = PointSet.explicit(pts)
+    S = PointSet(pts)
     ds = distance_set(S, diamond(), "exact_rational")
     assert ds.exact
     # l1 gauge of rational points: exact dyadic values
@@ -310,7 +310,7 @@ def test_exact_mode_fraction_points():
 def test_pair_cap_budget_error():
     # 20 001 points make 200 010 000 pairs, just past the cap of 2 * 10^8
     rng = np.random.default_rng(1)
-    S = PointSet.explicit(rng.normal(size=(20_001, 2)))
+    S = PointSet(rng.normal(size=(20_001, 2)))
     assert S.n * (S.n - 1) // 2 > distset._PAIR_CAP
     with pytest.raises(BudgetError, match=f"cap of {distset._PAIR_CAP}"):
         distance_set(S, disk(), "float_tol")
@@ -321,21 +321,14 @@ def test_point_set_structure_comes_from_its_constructor():
     with pytest.raises(TypeError):
         PointSet([[0, 0], [1, 0]], "lattice", q=2)
     ints = [[0, 0], [3, 1], [1, 2], [3, 1], [5, 5]]
-    for body in (l1, linf, disk()):
-        for mode in ("exact_rational", "float_tol"):
-            a = distance_set(PointSet(ints), body, mode)
-            b = distance_set(PointSet.explicit(ints), body, mode)
-            assert a.exact == b.exact == (mode == "exact_rational")
-            assert a.values.tobytes() == b.values.tobytes()
-            assert a.multiplicities.tobytes() == b.multiplicities.tobytes()
-    sets = [PointSet(ints), PointSet.explicit(ints),
+    sets = [PointSet(ints),
             PointSet([(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(2, 7)),
                       (Fraction(1, 3), Fraction(2, 7))]),
             PointSet.lattice(6), PointSet.rotated_lattice(6, 0.3),
             PointSet.perturbed_lattice(6, 2, 0.2)]
     assert [(S.provenance, S.q, S.angle) for S in sets[-3:]] == [
         ("lattice", 6, None), ("rotated_lattice", 6, 0.3), ("perturbed_lattice", None, None)]
-    assert all((S.provenance, S.q, S.angle) == ("explicit", None, None) for S in sets[:3])
+    assert all((S.provenance, S.q, S.angle) == ("explicit", None, None) for S in sets[:2])
     for S in sets:
         ds = distance_set(S, linf)
         assert ds.multiplicities.sum() == S.n * (S.n - 1) // 2
@@ -361,7 +354,7 @@ def test_well_distributed_lattice():
     pts = S.points
     keep = ~((pts[:, 0] >= 3) & (pts[:, 0] <= 5)
              & (pts[:, 1] >= 3) & (pts[:, 1] <= 5))
-    holed = PointSet.explicit(pts[keep])
+    holed = PointSet(pts[keep])
     rep = well_distributed_check(holed, 1.5)
     assert not rep.ok
     # the witness certifies a genuinely empty cube
@@ -396,7 +389,7 @@ def test_well_distributed_matches_point_loop():
     rng = np.random.default_rng(7)
     cases = [(PointSet.lattice(16), 1.5), (PointSet.perturbed_lattice(20, 4, 0.45), 1.2),
              (PointSet.rotated_lattice(12, 0.7), 1.1)]
-    cases += [(PointSet.explicit(rng.uniform(0, 10, size=(n, 2))), C)
+    cases += [(PointSet(rng.uniform(0, 10, size=(n, 2))), C)
               for n in (30, 120, 400) for C in (0.7, 1.3, 2.5)]
     verdicts = set()
     for S, C in cases:
@@ -417,7 +410,7 @@ def test_separated_lattice():
     assert rep.min_distance == pytest.approx(1.0)
 
     pts = np.concatenate([PointSet.lattice(8).points, [[0.5, 0.0]]])
-    rep = separated_check(PointSet.explicit(pts), 1.0)
+    rep = separated_check(PointSet(pts), 1.0)
     assert not rep.ok
     assert rep.min_distance == pytest.approx(0.5)
 
@@ -446,13 +439,13 @@ def test_separated_check_matches_brute_force():
               (PointSet.rotated_lattice(20, 0.7).points, 1.0),
               (np.array([[0.0, 0.0], [1e-3, 0.0]]), 1e-3)]
     for pts, c in cases:
-        S = PointSet.explicit(pts)
+        S = PointSet(pts)
         want = _brute_min_distance(S.points)
         rep = separated_check(S, c)
         assert rep.min_distance == pytest.approx(want, rel=1e-15, abs=0)
         assert rep.ok == (want >= c * (1.0 - 1e-12))
-    assert separated_check(PointSet.explicit(triples), 5.0).ok
-    assert not separated_check(PointSet.explicit(triples), 5.0 * (1 + 1e-9)).ok
+    assert separated_check(PointSet(triples), 5.0).ok
+    assert not separated_check(PointSet(triples), 5.0 * (1 + 1e-9)).ok
 
 
 def test_cli_import_leaves_scipy_spatial_out():
@@ -495,7 +488,7 @@ def test_threads_bit_identical(rng):
     hexg = random_symmetric_hexagon(rng)
     lattice = PointSet.lattice(512)  # gauge rows: the half difference grid
     assert ((2 * 512 + 1) ** 2 - 1) // 2 >= 3 * (_BLOCK_ENTRIES // len(hexg.vertices))
-    scattered = PointSet.explicit(rng.uniform(0, 40, size=(1000, 2)))  # brute force
+    scattered = PointSet(rng.uniform(0, 40, size=(1000, 2)))  # brute force
     assert scattered.n - 1 >= 3 * (_BLOCK_ENTRIES // scattered.n)
     for S in (lattice, scattered):
         a = distance_set(S, hexg, "float_tol", threads=1)
@@ -524,7 +517,7 @@ def test_row_dedupe_matches_np_unique():
     rng = np.random.default_rng(1)
     for raw in (rng.integers(-3, 4, size=(500, 2)), rng.integers(0, 2, size=(40, 2)),
                 np.repeat(rng.normal(size=(30, 2)), 3, axis=0)[rng.permutation(90)]):
-        cases.append((PointSet.explicit(raw), raw.astype(float)))
+        cases.append((PointSet(raw), raw.astype(float)))
     for S, raw in cases:
         want = np.unique(raw, axis=0)
         assert S.points.shape == want.shape
@@ -753,10 +746,10 @@ def test_polygon_gauge_blocked_by_face_count():
     gon = regular_polygon(256)
     hexagon = Polygon2D(_INT_HEXAGON)
     rational = _fine_rational_polygon(16, 10)
-    points = PointSet.explicit(PointSet.lattice(40).points.astype(np.int64))
+    points = PointSet(PointSet.lattice(40).points.astype(np.int64))
     for S, body, mode, cap in (
             (PointSet.lattice(64), gon, "float_tol", 16 << 20),
-            (PointSet.explicit(PointSet.lattice(40).points), gon, "float_tol", 32 << 20),
+            (PointSet(PointSet.lattice(40).points), gon, "float_tol", 32 << 20),
             (PointSet.lattice(256), rational, "exact_rational", 16 << 20),
             (points, rational, "exact_rational", 24 << 20),
             (points, linf, "exact_rational", 24 << 20),
@@ -896,8 +889,8 @@ _SETS = {
     "lattice": lambda: PointSet.lattice(12),
     "rotated": lambda: PointSet.rotated_lattice(9, 0.7),
     "perturbed": lambda: PointSet.perturbed_lattice(8, 3, 0.3),
-    "integer": lambda: PointSet.explicit(_RNG.integers(-20, 21, size=(45, 2))),
-    "fraction": lambda: PointSet.explicit([(Fraction(int(a), 3), Fraction(int(b), 7))
+    "integer": lambda: PointSet(_RNG.integers(-20, 21, size=(45, 2))),
+    "fraction": lambda: PointSet([(Fraction(int(a), 3), Fraction(int(b), 7))
                                            for a, b in _RNG.integers(-9, 10, size=(30, 2))]),
 }
 
@@ -906,7 +899,7 @@ _SETS = {
 def test_distance_set_rejects_mismatched_dimensions(mode):
     # bodies, point sets and measures are planar by construction, so a
     # non-planar body or point set is refused before distance_set runs
-    planar = PointSet.explicit([[0, 0], [1, 2], [3, 1]])
+    planar = PointSet([[0, 0], [1, 2], [3, 1]])
     with pytest.raises(ValidationError, match="two semi-axes expected, got 3"):
         distance_set(planar, Ellipsoid((1, 1, 1)), mode)
     with pytest.raises(ValidationError, match="two semi-axes expected, got 3"):
@@ -915,7 +908,7 @@ def test_distance_set_rejects_mismatched_dimensions(mode):
         distance_set(planar, LpBall(math.inf, (1.0,)), mode)
     for pts in ([[0], [3], [7]], [[0, 0, 0], [1, 2, 3]], [(Fraction(1, 3),), (Fraction(0),)]):
         with pytest.raises(ValidationError, match=r"nonempty \(n, 2\) array"):
-            distance_set(PointSet.explicit(pts), disk(), mode)
+            distance_set(PointSet(pts), disk(), mode)
         with pytest.raises(ValidationError, match=r"nonempty \(n, 2\) array"):
             PointSet(pts)
     with pytest.raises(ValidationError, match=r"atoms must be an \(n, 2\) array"):
@@ -1047,7 +1040,7 @@ def test_exact_lattice_keys_on_grid_lines_match_brute_pairs(monkeypatch, name, c
         monkeypatch.setattr(distset, "_HISTOGRAM_CAP", 1)
     for q in (1, 2, 5, 9):
         S = PointSet.lattice(q)
-        grid = PointSet.explicit(S.points.astype(np.int64))
+        grid = PointSet(S.points.astype(np.int64))
         assert grid.q is None and grid.n == S.n
         values, mult = _reference_distance_set(grid, body, "exact_rational")
         mult = mult.astype(np.int64)

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from scipy.special import j0, j1
 
 from gaugedist import (
-    AnnulusSpec,
     BudgetError,
     CapabilityError,
     InsufficientDataError,
@@ -19,7 +18,6 @@ from gaugedist import (
     PointSet,
     ValidationError,
     annulus_bound_report,
-    annulus_ft,
     body_ft,
     chord_bound_report,
     decay_fit,
@@ -43,6 +41,19 @@ from gaugedist.bodies import (ConvexBody, Ellipsoid, Polygon2D, _chord_lengths_v
 from gaugedist.fourier import (_ANGULAR_CAP, _ANGULAR_PER_UNIT, _MIN_ANGULAR, _NODES_PER_PANEL,
                                _PANEL_NODE_CAP, _PANELS_PER_UNIT, _SCAN_CAP, _half_sum,
                                _panel_buckets, _smooth_ft)
+
+
+def _scaled(body, s):
+    """sK, built from the defining data of K."""
+    if isinstance(body, Polygon2D):
+        return Polygon2D(body.vertices * s)
+    return LpBall(body.p, body.semi_axes * s)
+
+
+def _rotated(poly, angle):
+    """The polygon turned by angle about the origin."""
+    c, s = math.cos(angle), math.sin(angle)
+    return Polygon2D(poly.vertices @ np.array([[c, -s], [s, c]]).T)
 
 
 # leggauss(4000) costs seconds and the oracle needs the same rule each call
@@ -294,7 +305,7 @@ def test_scaling_identity(rng):
                       (LpBall(3.0, (1.0, 1.0)), 1e-8),
                       (LpBall(4.0, (1.0, 1.0)), 1e-8)]:
         for s in (0.5, 2.0, 3.0, 3.7):
-            lhs = body_ft(body.scaled(s), xi)
+            lhs = body_ft(_scaled(body, s), xi)
             rhs = s ** 2 * body_ft(body, s * xi)
             scale = np.maximum(np.abs(rhs), 1e-12)
             assert np.max(np.abs(lhs - rhs) / scale) < tol * 100
@@ -303,28 +314,15 @@ def test_scaling_identity(rng):
             assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
 
-def test_annulus_zero_frequency_area():
-    spec = AnnulusSpec(1.0, 0.1)
-    val = annulus_ft(disk(), np.zeros((1, 2)), spec)[0]
-    assert val.real == pytest.approx(0.21 * math.pi, rel=1e-12)
-
-
-def test_annulus_spec_rejects_fat_shell():
-    with pytest.raises(ValidationError):
-        AnnulusSpec(1.0, 0.2)
-    with pytest.raises(ValidationError):
-        AnnulusSpec(-1.0, 0.01)
-
-
 def test_annulus_against_radial_oracle():
-    # chi-hat of the round annulus = 2 pi int_R^{R+d} r J0(2 pi r q) dr
-    spec = AnnulusSpec(1.0, 0.01)
+    # chi-hat of the round annulus = 2 pi int_R^{R+d} r J0(2 pi r q) dr; the
+    # report's value column is its modulus, at theta = 0 for n_theta = 1
     q = 8.0
-    val = annulus_ft(disk(), np.array([[q, 0.0]]), spec)[0]
+    (row,) = annulus_bound_report(disk(), [1.0], [q], [0.01], n_theta=1).rows
     want, _ = quad(lambda r: 2 * math.pi * r * j0(2 * math.pi * r * q),
                    1.0, 1.01, epsabs=1e-12)
-    assert val.real == pytest.approx(want, abs=1e-6)
-    assert val.imag == pytest.approx(0.0, abs=1e-9)
+    assert row[:4] == (1.0, q, 0.01, 0.0)
+    assert row[4] == pytest.approx(abs(want), abs=1e-6)
 
 
 def _square_surface_l1_oracle(R, n=2 ** 20):
@@ -479,8 +477,8 @@ def test_polygon_symmetry_read_once_per_polygon(monkeypatch):
     for j in range(57):
         spherical_average(body, 8.0 * 2.0 ** (j / 8), kind="body", p=1)
     assert reads == [body]
-    for copy, want in ((body.rotated(0.3), (256, False)), (body.scaled(2.0), (256, True)),
-                       (square().rotated(0.3), (4, False))):
+    for copy, want in ((_rotated(body, 0.3), (256, False)), (_scaled(body, 2.0), (256, True)),
+                       (_rotated(square(), 0.3), (4, False))):
         assert copy.symmetry() == copy.symmetry() == want
         assert reads[-1] is copy
     assert len(reads) == 4
@@ -762,8 +760,7 @@ def _annulus_by_loop(body, R_values, xi_mags, deltas, n_theta):
     c_by_xi = np.zeros(xi_mags.size)
     for R in np.asarray(R_values, dtype=float):
         for delta in np.asarray(deltas, dtype=float):
-            spec = AnnulusSpec(R, delta)
-            s1, s2 = spec.R, spec.R + spec.delta
+            s1, s2 = R, R + delta
             for k, q in enumerate(xi_mags):
                 vals = np.abs((s2 ** 2) * ft_on_circle(s2 * q)
                               - (s1 ** 2) * ft_on_circle(s1 * q))
@@ -832,8 +829,13 @@ def test_bound_scans_make_one_transform_and_one_chord_call(monkeypatch):
 
 
 def test_annulus_bound_report_input_errors():
-    with pytest.raises(ValidationError, match="got R=2 delta=0.5"):
+    # the first (R, delta) pair with a shell thicker than R/10 is named
+    with pytest.raises(ValidationError, match=r"0 < delta <= R/10, got R=2 delta=0.5"):
         annulus_bound_report(disk(), [8.0, 2.0, 1.0], [4.0], [0.1, 0.5])
+    with pytest.raises(ValidationError, match=r"0 < delta <= R/10, got R=1 delta=0.2"):
+        annulus_bound_report(disk(), [1.0], [4.0], [0.2])
+    with pytest.raises(ValidationError, match="positive and finite"):
+        annulus_bound_report(disk(), [-1.0], [4.0], [0.01])
     # an empty grid used to give c_hat 0.0 or a bare ValueError
     for grids in (([], [4.0], [0.01]), ([1.0], [], [0.01]), ([1.0], [4.0, 8.0], [])):
         with pytest.raises(ValidationError, match="grids must be nonempty"):
@@ -903,8 +905,6 @@ def test_capability_errors():
         for ft in (body_ft, surface_ft):
             with pytest.raises(ValidationError, match="xi must be planar"):
                 ft(body, xi)
-    with pytest.raises(ValidationError, match="xi must be planar"):
-        annulus_ft(disk(), xi, AnnulusSpec(10.0, 0.5))
     # a planar body outside the polygon, ellipse and 1 < p < inf families
     blob = type("Blob", (ConvexBody,), {"dim": 2})()
     for ft in (body_ft, surface_ft):

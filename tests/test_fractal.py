@@ -27,14 +27,23 @@ from gaugedist import (
     dio_build,
     disk,
     distance_set,
-    energy_integral,
     energy_ladders,
     natural_measure,
 )
 from gaugedist._blocks import _BLOCK_ENTRIES, _line_fit
-from gaugedist.fractal import _grid_count_1d
+from gaugedist.fractal import _energy_values, _grid_count_1d
 
 linf = LpBall(np.inf, (1.0, 1.0))
+
+
+def _point(x):
+    """The one-point union {x}: containing it is containing x."""
+    return IntervalUnion.build([(x, x)])
+
+
+def _energy(mu, gamma, T):
+    """One energy integral, the [gamma][T] entry of ``_energy_values``."""
+    return _energy_values(mu, [gamma], [T])[0][0]
 
 
 def _refine(intervals, m):
@@ -62,8 +71,13 @@ def test_interval_union_merges_touching():
 
 
 def test_interval_union_rejects_reversed():
-    with pytest.raises(ValidationError):
-        IntervalUnion.build([(Fraction(1), Fraction(0))])
+    # an infinite endpoint used to end in a bare OverflowError from Fraction,
+    # a nan one in a ValueError
+    for pair, message in [((Fraction(1), Fraction(0)), "out of order"),
+                          ((0, math.inf), "must be finite"),
+                          ((math.nan, 1), "must be finite")]:
+        with pytest.raises(ValidationError, match=message):
+            IntervalUnion.build([pair])
 
 
 # The Fraction-per-endpoint union, kept as the oracle of the integer one:
@@ -133,7 +147,7 @@ def test_interval_union_matches_fraction_oracle(pairs, other_pairs, x):
     assert iu.intervals == tuple(want)
     assert iu.count == len(want)
     assert iu.total_length == sum((b - a for a, b in want), Fraction(0))
-    assert iu.contains_point(x) == any(a <= x <= b for a, b in want)
+    assert iu.contains_union(_point(x)) == any(a <= x <= b for a, b in want)
     assert iu.contains_union(other) == _oracle_contains(want, other_want)
     assert iu.contains_union(IntervalUnion.build(want[::2]))
     counts = [_grid_count_1d(iu, eps) for eps in _SCALES]
@@ -150,7 +164,7 @@ def test_interval_union_matches_fraction_oracle(pairs, other_pairs, x):
 def test_interval_union_empty():
     iu = IntervalUnion.build([])
     assert iu.intervals == () and iu.count == 0 and iu.total_length == 0
-    assert not iu.contains_point(0)
+    assert not iu.contains_union(_point(0))
     assert iu.contains_union(iu)
     assert not iu.contains_union(IntervalUnion.build([(0, 1)]))
     assert _grid_count_1d(iu, Fraction(1, 4)) == 0
@@ -164,9 +178,9 @@ def test_contains_union_past_int64():
 
 def test_interval_union_membership():
     iu = IntervalUnion.build([(0, Fraction(1, 4)), (Fraction(1, 2), 1)])
-    assert iu.contains_point(Fraction(1, 8))
-    assert iu.contains_point(Fraction(1, 4))
-    assert not iu.contains_point(Fraction(3, 8))
+    assert iu.contains_union(_point(Fraction(1, 8)))
+    assert iu.contains_union(_point(Fraction(1, 4)))
+    assert not iu.contains_union(_point(Fraction(3, 8)))
     sub = IntervalUnion.build([(Fraction(1, 16), Fraction(1, 8)),
                                (Fraction(3, 4), Fraction(7, 8))])
     assert iu.contains_union(sub)
@@ -190,7 +204,7 @@ def test_cantor_counting_identities():
         iu = cantor_build(spec)
         assert iu.count == m ** n
         # every cell has the depth-n width, nothing merged
-        assert all(b - a == spec.cell_length for a, b in iu.intervals)
+        assert all(b - a == Fraction(1, spec.base ** n) for a, b in iu.intervals)
         assert iu.total_length == Fraction(m, 2 * m) ** n
 
 
@@ -223,6 +237,11 @@ def test_cantor_spec_validation():
         CantorSpec(m=1, depth=3)
     with pytest.raises(ValidationError):
         CantorSpec(m=2, depth=0)
+    # a float m used to give base 5.0, a float depth a TypeError in the digits
+    with pytest.raises(ValidationError, match="m must be an integer >= 2, got 2.5"):
+        CantorSpec(2.5, 2)
+    with pytest.raises(ValidationError, match="depth must be an integer >= 1, got 2.0"):
+        CantorSpec(2, 2.0)
     with pytest.raises(BudgetError, match="exceeds the cap of"):
         cantor_build(CantorSpec(m=2, depth=24))  # 2^24 cells over budget
     with pytest.raises(BudgetError, match="exceeds the cap of"):
@@ -261,13 +280,13 @@ def test_difference_cover_covers_actual_differences(rng):
     iu = cantor_build(spec)
     cover = difference_cover(spec).union
     cells = iu.intervals
-    w = spec.cell_length
+    w = Fraction(1, spec.base ** spec.depth)
     for _ in range(200):
         i, j = rng.integers(0, len(cells), size=2)
         # rational offsets keep |x - y| exact
         x = cells[i][0] + Fraction(int(rng.integers(0, 65)), 64) * w
         y = cells[j][0] + Fraction(int(rng.integers(0, 65)), 64) * w
-        assert cover.contains_point(abs(x - y))
+        assert cover.contains_union(_point(abs(x - y)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +319,15 @@ def test_box_dim_product():
     assert abs(box_dim((iu, iu), scales) - 1.0) < 0.1
 
 
-def test_box_dim_point_set():
-    S = PointSet.lattice(16)
-    pts = PointSet.explicit(S.points / 16.0)
-    scales = [0.5 ** k for k in range(1, 5)]
-    assert abs(box_dim(pts, scales) - 2.0) < 0.05
-
-
 def test_box_dim_guards():
     iu = IntervalUnion.build([(0, 1)])
     with pytest.raises(InsufficientDataError):
         box_dim(iu, [Fraction(1, 2), Fraction(1, 4)])
     scales = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
-    with pytest.raises(CapabilityError):
-        box_dim("not countable", scales)
+    # a point set is not box-counted: no run counts boxes of points
+    for obj in ("not countable", PointSet.lattice(8)):
+        with pytest.raises(CapabilityError, match="cannot box-count"):
+            box_dim(obj, scales)
     empty = IntervalUnion.build([])
     for obj in (empty, (iu, empty)):
         with pytest.raises(InsufficientDataError, match="empty interval union"):
@@ -364,11 +378,6 @@ def test_box_dim_rejects_counts_and_scales_past_the_float_range():
     assert box_dim(iu, [Fraction(1, 2**e) for e in (2, 4, 1000)]) > 0.0
 
 
-def test_box_dim_rejects_point_set_outside_unit_cube():
-    with pytest.raises(ValidationError, match=r"bounding box is \[0.0, 0.0\] to \[8.0, 8.0\]"):
-        box_dim(PointSet.lattice(8), [0.5, 0.25, 0.125])
-
-
 # ---------------------------------------------------------------------------
 # diophantine cube families
 
@@ -405,7 +414,7 @@ def test_dio_spec_validation():
     with pytest.raises(ValidationError):
         DioSpec(S, q=4, s=2.5)
     with pytest.raises(ValidationError):
-        dio_build(DioSpec(PointSet.explicit([[20.0, 20.0]]), q=4, s=1.0))
+        dio_build(DioSpec(PointSet([[20.0, 20.0]]), q=4, s=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +467,6 @@ def test_delta_cover_covers_cube_distances(rng):
 def test_natural_measure_counts():
     mu = natural_measure(CantorSpec(m=2, depth=2))
     assert mu.points.shape == (16, 2)
-    assert mu.mass() == Fraction(1)
     assert np.allclose(mu.weights, 1 / 16)
     # the product keeps its Cantor structure, so ft takes the Riesz product
     assert isinstance(mu, CantorMeasure)
@@ -585,7 +593,7 @@ def test_cantor_energy_builds_no_atoms():
     tracemalloc.start()
     try:
         mu = natural_measure(CantorSpec(m=2, depth=8))
-        energy_integral(mu, 1.0, 16.0)
+        _energy(mu, 1.0, 16.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -597,8 +605,8 @@ def test_cantor_energy_builds_no_atoms():
 def test_energy_integral_riesz_matches_atom_sum(m, depth, gamma):
     # depth 8 would cost the atom sum 65 536 atoms x 8192 nodes, ~30 s
     mu = natural_measure(CantorSpec(m=m, depth=depth))
-    want = energy_integral(AtomicMeasure(mu.points, mu.weights), gamma, 16.0)
-    assert abs(energy_integral(mu, gamma, 16.0) - want) <= 1e-12 * abs(want)
+    want = _energy(AtomicMeasure(mu.points, mu.weights), gamma, 16.0)
+    assert abs(_energy(mu, gamma, 16.0) - want) <= 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +617,11 @@ def test_energy_point_mass_closed_form():
     mu = AtomicMeasure([[0.3, 0.4]], [1.0])
     # gamma = 1 makes the radial integrand constant: 2 pi (T - 1) exactly
     for T in (32.0, 64.0):
-        val = energy_integral(mu, 1.0, T)
+        val = _energy(mu, 1.0, T)
         assert abs(val - 2.0 * np.pi * (T - 1.0)) < 1e-8 * T
-    ratio = energy_integral(mu, 1.0, 64.0) / energy_integral(mu, 1.0, 32.0)
+    ratio = _energy(mu, 1.0, 64.0) / _energy(mu, 1.0, 32.0)
     assert abs(ratio - 2.0) < 0.2
-    val = energy_integral(mu, 0.5, 32.0)
+    val = _energy(mu, 0.5, 32.0)
     want = 2.0 * np.pi * (32.0 ** 1.5 - 1.0) / 1.5
     assert abs(val - want) / want < 1e-3
 
@@ -621,11 +629,11 @@ def test_energy_point_mass_closed_form():
 def test_energy_validation():
     mu = AtomicMeasure([[0.3, 0.4]], [1.0])
     with pytest.raises(ValidationError):
-        energy_integral(mu, 2.0, 16.0)
+        _energy(mu, 2.0, 16.0)
     with pytest.raises(ValidationError):
-        energy_integral(mu, 0.0, 16.0)
+        _energy(mu, 0.0, 16.0)
     with pytest.raises(ValidationError):
-        energy_integral(mu, 1.0, 1.0)
+        _energy(mu, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -636,7 +644,7 @@ def test_energy_refuses_non_finite_T(bad):
     with pytest.raises(ValidationError, match="finite and exceed 1"):
         energy_ladders(mu, [1.0], [16.0, 32.0, bad])
     with pytest.raises(ValidationError, match="finite and exceed 1"):
-        energy_integral(mu, 1.0, bad)
+        _energy(mu, 1.0, bad)
 
 
 def test_measures_compare_by_identity_and_print_short():
@@ -677,14 +685,14 @@ def test_energy_grid_budget_raises_before_allocating():
         with pytest.raises(BudgetError, match="cap of 2097152"):
             energy_ladders(mu, [0.8], [16.0, 32.0, 5000.0])
         with pytest.raises(BudgetError, match="cap of 2097152"):
-            energy_integral(mu, 1.0, 5000.0)
+            _energy(mu, 1.0, 5000.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     # T = 256 is the largest default ladder point the cap admits
     with pytest.raises(BudgetError):
-        energy_integral(mu, 1.0, 257.0)
+        _energy(mu, 1.0, 257.0)
 
 
 class _CountingMeasure(AtomicMeasure):
@@ -703,7 +711,7 @@ def test_energy_ladders_share_one_grid_per_T():
     for gamma, lad in zip((0.8, 1.2), both):
         single = energy_ladders(mu, [gamma], Ts)[0]
         assert lad == single
-        assert lad.integrals == tuple(energy_integral(mu, gamma, T) for T in Ts)
+        assert lad.integrals == tuple(_energy(mu, gamma, T) for T in Ts)
 
 
 def test_energy_ladder_cantor_trends():

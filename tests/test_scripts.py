@@ -37,6 +37,18 @@ def test_config_pairs_times_one_pair():
     assert float(spread) == 0.0 and wins in ("0/1", "1/1")
 
 
+def test_perfbench_wrapped_names_exist():
+    # the benchmark's tracer replaces each (owner, attribute) of WRAPPED when
+    # installed, so a deleted or renamed function breaks only traced runs
+    spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                  _ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in layers.WRAPPED
+               if not hasattr(owner, attr)]
+    assert len(layers.WRAPPED) > 0 and missing == []
+
+
 def _bench_summary():
     spec = importlib.util.spec_from_file_location("bench_summary",
                                                   _ROOT / "scripts" / "bench_summary.py")
