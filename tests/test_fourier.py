@@ -828,14 +828,17 @@ def test_bound_scans_make_one_transform_and_one_chord_call(monkeypatch):
     assert calls == ["_transform"]
 
 
-def test_annulus_bound_report_input_errors():
-    # the first (R, delta) pair with a shell thicker than R/10 is named
-    with pytest.raises(ValidationError, match=r"0 < delta <= R/10, got R=2 delta=0.5"):
-        annulus_bound_report(disk(), [8.0, 2.0, 1.0], [4.0], [0.1, 0.5])
+def test_annulus_spec_rejects_fat_shell():
     with pytest.raises(ValidationError, match=r"0 < delta <= R/10, got R=1 delta=0.2"):
         annulus_bound_report(disk(), [1.0], [4.0], [0.2])
     with pytest.raises(ValidationError, match="positive and finite"):
         annulus_bound_report(disk(), [-1.0], [4.0], [0.01])
+
+
+def test_annulus_bound_report_input_errors():
+    # the first (R, delta) pair with a shell thicker than R/10 is named
+    with pytest.raises(ValidationError, match=r"0 < delta <= R/10, got R=2 delta=0.5"):
+        annulus_bound_report(disk(), [8.0, 2.0, 1.0], [4.0], [0.1, 0.5])
     # an empty grid used to give c_hat 0.0 or a bare ValueError
     for grids in (([], [4.0], [0.01]), ([1.0], [], [0.01]), ([1.0], [4.0, 8.0], [])):
         with pytest.raises(ValidationError, match="grids must be nonempty"):
